@@ -66,7 +66,7 @@ from .walls import (
 )
 from .bounds import (
     PiecewiseBound,
-    SpadeInput,
+    PlanePoint,
     bg_bound_surface,
     bg_bound_threefold,
     bg_linear_family,
@@ -79,7 +79,6 @@ from .bounds import (
 )
 from .convexopt import (
     ConvexChain,
-    PlanePoint,
     WallTriangle,
     clifford_chain_bound,
     maximize_bruteforce,

@@ -19,6 +19,7 @@ from .exactnum import (
     Poly1,
     QuadNum,
     compare_scalars,
+    floor_scalar,
     format_scalar,
     scalar_min,
     scalar_sign,
@@ -30,7 +31,7 @@ __all__ = [
     "SlopeOutOfTable",
     "SlopeOutsideTheorem",
     "OutOfDomain",
-    "SpadeInput",
+    "PlanePoint",
     "SPADE_CASES",
     "spade_case_for_slope",
     "spade",
@@ -73,8 +74,25 @@ class OutOfDomain(BoundsError):
 
 
 @dataclass(frozen=True)
-class SpadeInput:
-    """(ch2, H.ch1/H^2) on the K3; y > 0 for chain use."""
+class Interval:
+    """[lo, hi] with open/closed flags; endpoints exact (QuadNum allowed)."""
+
+    lo: object
+    hi: object
+    lo_closed: bool = True
+    hi_closed: bool = True
+
+    def contains(self, x) -> bool:
+        cl = compare_scalars(x, self.lo)
+        ch = compare_scalars(x, self.hi)
+        return (cl > 0 or (self.lo_closed and cl == 0)) and (
+            ch < 0 or (self.hi_closed and ch == 0)
+        )
+
+
+@dataclass(frozen=True)
+class PlanePoint:
+    """Point (ch2, H.ch1/H^2) in the K3 character plane; exact coordinates."""
 
     x: object
     y: object
@@ -84,6 +102,26 @@ class SpadeInput:
             v = getattr(self, name)
             if not isinstance(v, QuadNum):
                 object.__setattr__(self, name, Fraction(v))
+
+    def __add__(self, other: "PlanePoint") -> "PlanePoint":
+        return PlanePoint(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other: "PlanePoint") -> "PlanePoint":
+        return PlanePoint(self.x - other.x, self.y - other.y)
+
+    def scale(self, t) -> "PlanePoint":
+        return PlanePoint(self.x * t, self.y * t)
+
+    def slope(self):
+        if scalar_sign(self.y) == 0:
+            raise ZeroDivisionError("slope of a horizontal increment")
+        return self.x / self.y
+
+    def is_zero(self) -> bool:
+        return scalar_sign(self.x) == 0 and scalar_sign(self.y) == 0
+
+    def to_json(self) -> dict:
+        return {"x": format_scalar(self.x), "y": format_scalar(self.y)}
 
 
 @dataclass(frozen=True)
@@ -96,7 +134,7 @@ class SpadeCase:
     """
 
     case_id: int
-    ranges: tuple | None  # ((lo, lo_closed, hi, hi_closed), ...); None for band rows
+    ranges: tuple | None  # Interval per range; None for band rows
     lin: tuple  # (coeff of x, coeff of y)
     srt: Fraction | None = None
     q: tuple | None = None  # (xx, xy, yy)
@@ -126,7 +164,7 @@ class SpadeCase:
 
 
 def _rng(lo, lo_c, hi, hi_c):
-    return (Fraction(lo), lo_c, Fraction(hi), hi_c)
+    return Interval(Fraction(lo), Fraction(hi), lo_c, hi_c)
 
 
 SPADE_CASES: tuple[SpadeCase, ...] = (
@@ -204,25 +242,24 @@ _FALLBACK_CASE = SpadeCase(
 )
 
 
+# every static-row endpoint, sorted: the slopes where rows 1-7 begin or end
+_TABLE_BOUNDARIES = tuple(
+    sorted({end for row in SPADE_CASES[:7] for r in row.ranges for end in (r.lo, r.hi)})
+)
+
+
+def _band(n: int) -> tuple[Interval, Interval]:
+    """Closed ranges of case 8 and case 9 in band n >= 1:
+    [-4n, (1 - 4n^2)/n] and [(4n^2 - 1)/n, 4n]."""
+    return (
+        Interval(Fraction(-4 * n), Fraction(1 - 4 * n * n, n)),
+        Interval(Fraction(4 * n * n - 1, n), Fraction(4 * n)),
+    )
+
+
 def _nearest_band(s) -> int:
-    """Integer n with 4n closest to the slope (0 when s is near zero)."""
-    if isinstance(s, QuadNum):
-        q = s
-        n = round(float(s) / 4)
-        # correct the float guess exactly: want |s - 4n| minimal
-        while compare_scalars(q, 4 * n + 2) > 0:
-            n += 1
-        while compare_scalars(q, 4 * n - 2) < 0:
-            n -= 1
-        return n
-    s = Fraction(s)
-    return int((s / 4 + Fraction(1, 2)).__floor__())
-
-
-def _in_range(s, lo, lo_c, hi, hi_c) -> bool:
-    cl = compare_scalars(s, lo)
-    ch = compare_scalars(s, hi)
-    return (cl > 0 or (lo_c and cl == 0)) and (ch < 0 or (hi_c and ch == 0))
+    """Integer n with 4n closest to the slope (ties go up): floor(s/4 + 1/2)."""
+    return (floor_scalar(s) + 2) // 4
 
 
 def spade_case_for_slope(s) -> SpadeCase:
@@ -231,19 +268,18 @@ def spade_case_for_slope(s) -> SpadeCase:
         s = s.as_fraction()
     n = _nearest_band(s)
     if n != 0:
-        n_abs = abs(n)
-        if n < 0 and _in_range(s, -4 * n_abs, True, Fraction(1 - 4 * n_abs * n_abs, n_abs), True):
-            return SPADE_CASES[7]  # case 8
-        if n > 0 and _in_range(s, Fraction(4 * n_abs * n_abs - 1, n_abs), True, 4 * n_abs, True):
-            return SPADE_CASES[8]  # case 9
+        case8, case9 = _band(abs(n))
+        if n < 0 and case8.contains(s):
+            return SPADE_CASES[7]
+        if n > 0 and case9.contains(s):
+            return SPADE_CASES[8]
     for row in SPADE_CASES[:7]:
-        for lo, lo_c, hi, hi_c in row.ranges:
-            if _in_range(s, lo, lo_c, hi, hi_c):
-                return row
+        if any(r.contains(s) for r in row.ranges):
+            return row
     raise SlopeOutOfTable(f"slope {format_scalar(s)} not covered by the table")
 
 
-def spade(p: SpadeInput | tuple, fallback: bool = False):
+def spade(p: PlanePoint | tuple, fallback: bool = False):
     """Global-section excess bound for a Brill-Noether semistable class.
 
     Exact value of the slope-table row containing x/y; homogeneous of
@@ -251,7 +287,7 @@ def spade(p: SpadeInput | tuple, fallback: bool = False):
     requests the universal formula x/2 + sqrt(x^2 + 20 y^2)/2.
     """
     if isinstance(p, tuple):
-        p = SpadeInput(*p)
+        p = PlanePoint(*p)
     x, y = p.x, p.y
     if scalar_sign(y) <= 0:
         raise OutOfDomain("spade needs y > 0")
@@ -265,10 +301,10 @@ def spade(p: SpadeInput | tuple, fallback: bool = False):
     return row.value(x, y)
 
 
-def spade_fallback(p: SpadeInput | tuple):
+def spade_fallback(p: PlanePoint | tuple):
     """The universal bound x/2 + sqrt(x^2 + 20y^2)/2 (valid on every slope)."""
     if isinstance(p, tuple):
-        p = SpadeInput(*p)
+        p = PlanePoint(*p)
     return _FALLBACK_CASE.value(p.x, p.y)
 
 
@@ -309,23 +345,6 @@ def clifford_bound(e: CurveClass | tuple):
 # ---------------------------------------------------------------------------
 # piecewise engine
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Interval:
-    """[lo, hi] with open/closed flags; endpoints exact (QuadNum allowed)."""
-
-    lo: object
-    hi: object
-    lo_closed: bool = True
-    hi_closed: bool = True
-
-    def contains(self, x) -> bool:
-        cl = compare_scalars(x, self.lo)
-        ch = compare_scalars(x, self.hi)
-        return (cl > 0 or (self.lo_closed and cl == 0)) and (
-            ch < 0 or (self.hi_closed and ch == 0)
-        )
 
 
 @dataclass(frozen=True)
@@ -630,6 +649,6 @@ def _dominance(f: PiecewiseBound, g: PiecewiseBound) -> CheckReport:
             continue
         if not any(compare_scalars(e, u) == 0 for u in uniq):
             uniq.append(e)
-    uniq.sort(key=lambda v: float(v))
+    uniq.sort()
     details = (tuple(uniq), has_interval, witness)
     return CheckReport("dominance", ok, details)

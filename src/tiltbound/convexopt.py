@@ -28,11 +28,14 @@ from fractions import Fraction
 
 from .bounds import (
     _FALLBACK_CASE,
+    _TABLE_BOUNDARIES,
     SPADE_CASES,
     OutOfDomain,
+    PlanePoint,
     SlopeOutOfTable,
     SlopeOutsideTheorem,
     SpadeCase,
+    _band,
     spade,
     spade_case_for_slope,
     spade_fallback,
@@ -76,40 +79,6 @@ class DegenerateTriangle(ConvexOptError):
 
 class GridTooLarge(ConvexOptError):
     """Brute-force grid refinement above the complexity guard."""
-
-
-@dataclass(frozen=True)
-class PlanePoint:
-    """Point (ch2, H.ch1/H^2) in the K3 character plane; exact coordinates."""
-
-    x: object
-    y: object
-
-    def __post_init__(self):
-        for name in ("x", "y"):
-            v = getattr(self, name)
-            if not isinstance(v, QuadNum):
-                object.__setattr__(self, name, Fraction(v))
-
-    def __add__(self, other: "PlanePoint") -> "PlanePoint":
-        return PlanePoint(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "PlanePoint") -> "PlanePoint":
-        return PlanePoint(self.x - other.x, self.y - other.y)
-
-    def scale(self, t) -> "PlanePoint":
-        return PlanePoint(self.x * t, self.y * t)
-
-    def slope(self):
-        if scalar_sign(self.y) == 0:
-            raise ZeroDivisionError("slope of a horizontal increment")
-        return self.x / self.y
-
-    def is_zero(self) -> bool:
-        return scalar_sign(self.x) == 0 and scalar_sign(self.y) == 0
-
-    def to_json(self) -> dict:
-        return {"x": format_scalar(self.x), "y": format_scalar(self.y)}
 
 
 ORIGIN = PlanePoint(0, 0)
@@ -179,7 +148,7 @@ def spade_sum(chain: ConvexChain, fallback: bool = False) -> RadicalSum:
     """Exact sum of spade over the chain's increments (RadicalSum)."""
     total = RadicalSum.of(0)
     for inc in chain.increments():
-        total = total + RadicalSum.of(spade((inc.x, inc.y), fallback=fallback))
+        total = total + RadicalSum.of(spade(inc, fallback=fallback))
     return total
 
 
@@ -228,50 +197,6 @@ def triangle_from_first_wall(e: CurveClass | tuple) -> WallTriangle:
 # sharp reduced maximization
 # ---------------------------------------------------------------------------
 
-# static slope-table boundary values (bands are generated on demand)
-_STATIC_BOUNDARIES = [
-    Fraction(v)
-    for v in (
-        Fraction(-107, 6),
-        -16,
-        Fraction(-63, 4),
-        Fraction(-193, 14),
-        -12,
-        Fraction(-35, 3),
-        Fraction(-97, 10),
-        -8,
-        Fraction(-15, 2),
-        Fraction(-11, 2),
-        -4,
-        -3,
-        Fraction(-1, 2),
-        Fraction(-1, 4),
-        Fraction(1, 4),
-        Fraction(1, 2),
-        3,
-        4,
-        Fraction(11, 2),
-        Fraction(15, 2),
-        8,
-        Fraction(97, 10),
-    )
-]
-
-
-def _band_boundaries(max_abs: Fraction) -> list:
-    out = []
-    n = 1
-    while 4 * n - 2 <= max_abs:
-        out += [Fraction(4 * n), Fraction(4 * n * n - 1, n), Fraction(-4 * n), Fraction(1 - 4 * n * n, n)]
-        n += 1
-    return out
-
-
-def _boundary_slopes(lo: Fraction, hi: Fraction) -> list:
-    vals = set(_STATIC_BOUNDARIES) | set(_band_boundaries(max(abs(lo), abs(hi)) + 4))
-    return sorted(v for v in vals if lo < v < hi)
-
-
 def _exceptional_slopes(lo: Fraction, hi: Fraction) -> list:
     """m and (4m^2-1)/m for nonzero integers m, inside (lo, hi)."""
     out = set()
@@ -287,7 +212,7 @@ def _exceptional_slopes(lo: Fraction, hi: Fraction) -> list:
 def _spade_dir(p: PlanePoint, fallback: bool):
     """spade of a direction, or None when off-table and no fallback."""
     try:
-        return spade((p.x, p.y), fallback=fallback)
+        return spade(p, fallback=fallback)
     except SlopeOutOfTable:
         return None
 
@@ -561,20 +486,17 @@ def _optimize_path(
 
     # breakpoints where the path crosses case boundaries; slope is monotone
     # along an affine path, so each boundary is crossed at most once
+    boundaries = set(_TABLE_BOUNDARIES)
+    for n in range(1, math.floor((slope_cap + 10) / 4) + 1):
+        boundaries.update(end for r in _band(n) for end in (r.lo, r.hi))
     cuts = {t_lo, t_hi}
-    for s0 in set(_STATIC_BOUNDARIES) | set(_band_boundaries(slope_cap + 8)):
+    for s0 in boundaries:
         t = _slope_crossing(tpl, s0)
         if t is None:
             continue
         if compare_scalars(t_lo, t) < 0 and compare_scalars(t, t_hi) < 0:
             cuts.add(t)
-    ordered = sorted(cuts, key=float)
-    # exact sort (floats only pre-sort; fix any ties exactly)
-    for i in range(1, len(ordered)):
-        j = i
-        while j > 0 and compare_scalars(ordered[j], ordered[j - 1]) < 0:
-            ordered[j], ordered[j - 1] = ordered[j - 1], ordered[j]
-            j -= 1
+    ordered = sorted(cuts)
 
     candidates = []
 
@@ -636,7 +558,7 @@ def maximize_reduced(
             raise DegenerateTriangle("need slope(OP) > slope(OQ) > slope(PQ)")
     best: tuple | None = None
     try:
-        single = spade((q.x, q.y), fallback=fallback)
+        single = spade(q, fallback=fallback)
         best = (RadicalSum.of(single), ConvexChain([ORIGIN, q]))
     except SlopeOutOfTable:
         pass
@@ -712,8 +634,8 @@ def clifford_chain_bound(r, d) -> CliffordChainResult:
         return CliffordChainResult(value, "bn_bogomolov", ConvexChain([ORIGIN, q]))
     p = tri.p
     if tri.mu_case == "low":
-        f1 = spade_fallback((p.x, p.y))
-        f2 = spade(((q - p).x, (q - p).y))
+        f1 = spade_fallback(p)
+        f2 = spade(q - p)
         chain = ConvexChain([ORIGIN, p, q])
         return CliffordChainResult(f1 + f2, "gamma_wall_triangle", chain)
     # mu in [48, 64]: case-1 row on OP, case-5 row on PQ (the proof's rows)
@@ -788,13 +710,9 @@ def maximize_bruteforce(
             except SlopeOutOfTable:
                 continue
             dirs.append((s, a, b, RadicalSum.of(val).scale(Fraction(1, n))))
-    # strictly decreasing slope; ties cannot occur for primitive directions
-    dirs.sort(key=lambda rec: (-float(rec[0]), rec[1], rec[2]))
-    for i in range(1, len(dirs)):
-        j = i
-        while j > 0 and compare_scalars(dirs[j][0], dirs[j - 1][0]) > 0:
-            dirs[j], dirs[j - 1] = dirs[j - 1], dirs[j]
-            j -= 1
+    # decreasing slope; the sort is stable, so equal slopes (a collapsed
+    # triangle) keep their (a, b) construction order
+    dirs.sort(key=lambda rec: rec[0], reverse=True)
 
     # DP on float mirrors with exact resolution of near-ties.  Accumulated
     # float error is tiny (bounded chain length, exactly-known summands), so

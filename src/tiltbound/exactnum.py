@@ -483,12 +483,12 @@ def floor_scalar(x) -> int:
     if isinstance(x, QuadNum):
         if x.is_rational:
             return math.floor(x.a)
-        n = math.floor(float(x))  # guess, then correct exactly
-        while compare_scalars(x, n) < 0:
-            n -= 1
-        while compare_scalars(x, n + 1) >= 0:
-            n += 1
-        return n
+        # x = (A + B*sqrt(m))/d; B*sqrt(m) is irrational, strictly between
+        # consecutive integers around +-isqrt(B^2 m)
+        d = math.lcm(x.a.denominator, x.b.denominator)
+        A, B = int(x.a * d), int(x.b * d)
+        r = math.isqrt(B * B * x.m)
+        return (A + r) // d if B > 0 else (A - r - 1) // d
     return math.floor(Fraction(x))
 
 

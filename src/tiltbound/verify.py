@@ -37,6 +37,7 @@ from .convexopt import (
     triangle_from_first_wall,
 )
 from .exactnum import (
+    _poly_min_on_interval,
     MPoly,
     Poly1,
     QuadNum,
@@ -661,7 +662,7 @@ def suite_prop52(perturb: bool = False):
             cubic = Poly1([1, -1, 16, -24])
         lo = Fraction(0)
         hi = (4 - QuadNum(0, 1, 13)) / 3
-        ok2 = _poly_nonneg_on(cubic, lo, hi)
+        ok2 = scalar_sign(_poly_min_on_interval(cubic, lo, hi)) >= 0
         return ok and ok2, 2, None if (ok and ok2) else {"identity": ok, "dominance": ok2}
 
     reports.append(_run("prop52_case1_recomposition", check_case1))
@@ -678,7 +679,7 @@ def suite_prop52(perturb: bool = False):
         cubic = Poly1([4, -35, 38, -11])
         lo = (QuadNum(0, 1, 69) - 8) / 5
         hi = (8 - QuadNum(0, 1, 61)) / 3
-        ok = ok and _poly_nonneg_on(cubic, lo, hi)
+        ok = ok and scalar_sign(_poly_min_on_interval(cubic, lo, hi)) >= 0
         return ok, 2, None
 
     reports.append(_run("prop52_case2_recomposition", check_case2))
@@ -692,7 +693,7 @@ def suite_prop52(perturb: bool = False):
         quad = Poly1([1, -8, 3])
         lo = (8 - QuadNum(0, 1, 61)) / 3
         hi = (4 - QuadNum(0, 1, 13)) / 3
-        ok = ok and _poly_nonneg_on(quad, lo, hi)
+        ok = ok and scalar_sign(_poly_min_on_interval(quad, lo, hi)) >= 0
         return ok, 2, None if ok else {"lead": format_scalar(lead)}
 
     reports.append(_run("prop52_case3_recomposition", check_case3))
@@ -723,17 +724,6 @@ def suite_prop52(perturb: bool = False):
 
     reports.append(_run("prop52_restriction_bookkeeping", check_restriction_scaling))
     return reports
-
-
-def _poly_nonneg_on(poly: Poly1, lo, hi) -> bool:
-    """poly >= 0 on [lo, hi], certified by endpoint/critical evaluation."""
-    candidates = [poly.evaluate(lo), poly.evaluate(hi)]
-    dp = poly.derivative()
-    if dp.degree() >= 1:
-        for root in dp.real_roots():
-            if compare_scalars(lo, root) <= 0 <= compare_scalars(hi, root):
-                candidates.append(poly.evaluate(root))
-    return all(scalar_sign(c) >= 0 for c in candidates)
 
 
 # ---------------------------------------------------------------------------

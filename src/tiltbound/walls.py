@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import SPADE_CASES, _nearest_band
 from .chern import ChernVec
 from .exactnum import (
     Poly1,
@@ -146,21 +147,17 @@ def gamma_curve(x) -> Scalar:
     return gamma_piece(n).evaluate(x)
 
 
-# line_gamma_intersection dispatch: (k-range closure, piece index) per side.
-# Ranges are the closures of the slope table's ranges; at boundary k the
-# intersection lands on a piece edge and still satisfies k*x = piece_n(x).
-_RIGHT_RANGES = [
-    (Fraction(-1, 4), Fraction(1, 4), 0),
-    (Fraction(1, 2), Fraction(11, 2), 1),
-    (Fraction(11, 2), Fraction(97, 10), 2),
+# line_gamma_intersection dispatch: (k-range closure, piece index) per side,
+# one entry per static spade row: the hull of the row's ranges, and the n
+# whose band 4n sits between its two ranges (0 for the one-range row 3).  At
+# a boundary k the intersection lands on a piece edge and still satisfies
+# k*x = piece_n(x); a k shared by two rows goes to the smaller |n|.
+_PIECE_RANGES = [
+    (row.ranges[0].lo, row.ranges[-1].hi, _nearest_band((row.ranges[0].hi + row.ranges[-1].lo) / 2))
+    for row in SPADE_CASES[:7]
 ]
-_LEFT_RANGES = [
-    (Fraction(-1, 4), Fraction(1, 4), 0),
-    (Fraction(-11, 2), Fraction(-1, 2), -1),
-    (Fraction(-97, 10), Fraction(-11, 2), -2),
-    (Fraction(-193, 14), Fraction(-97, 10), -3),
-    (Fraction(-107, 6), Fraction(-193, 14), -4),
-]
+_RIGHT_RANGES = sorted((r for r in _PIECE_RANGES if r[2] >= 0), key=lambda r: r[2])
+_LEFT_RANGES = sorted((r for r in _PIECE_RANGES if r[2] <= 0), key=lambda r: -r[2])
 
 
 def line_gamma_intersection(k, side: str) -> Scalar:

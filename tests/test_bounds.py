@@ -119,6 +119,43 @@ def test_spade_irrational_slope_dispatch():
     assert spade_case_for_slope(s).case_id == 2
 
 
+def test_spade_huge_irrational_slope_is_out_of_table():
+    with pytest.raises(SlopeOutOfTable):
+        spade((QuadNum(10**400, 1, 2), 1))
+
+
+def test_slope_table_derived_views():
+    from tiltbound.bounds import _TABLE_BOUNDARIES
+    from tiltbound.walls import _LEFT_RANGES, _RIGHT_RANGES
+
+    assert list(_TABLE_BOUNDARIES) == [
+        F(-107, 6), F(-16), F(-63, 4), F(-193, 14), F(-12), F(-35, 3), F(-97, 10), F(-8),
+        F(-15, 2), F(-11, 2), F(-4), F(-3), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2),
+        F(3), F(4), F(11, 2), F(15, 2), F(8), F(97, 10),
+    ]
+    # right: rows 3, 2, 1; left: rows 3, 4, 5, 6, 7
+    assert _RIGHT_RANGES == [
+        (F(-1, 4), F(1, 4), 0),
+        (F(1, 2), F(11, 2), 1),
+        (F(11, 2), F(97, 10), 2),
+    ]
+    assert _LEFT_RANGES == [
+        (F(-1, 4), F(1, 4), 0),
+        (F(-11, 2), F(-1, 2), -1),
+        (F(-97, 10), F(-11, 2), -2),
+        (F(-193, 14), F(-97, 10), -3),
+        (F(-107, 6), F(-193, 14), -4),
+    ]
+    for n in range(1, 5):
+        for s in (F(-4 * n), F(1 - 4 * n * n, n)):
+            assert spade_case_for_slope(s).case_id == 8
+        for s in (F(4 * n * n - 1, n), F(4 * n)):
+            assert spade_case_for_slope(s).case_id == 9
+    # shared closed endpoints belong to the lower-numbered row
+    for s, case_id in ((F(11, 2), 1), (F(-11, 2), 4), (F(-97, 10), 5), (F(-193, 14), 6)):
+        assert spade_case_for_slope(s).case_id == case_id
+
+
 # -- clifford -----------------------------------------------------------------------
 
 

@@ -44,6 +44,17 @@ def test_eval_round_trip(capsys):
         assert compare_scalars(parse_scalar(text), parse_scalar(text)) == 0
 
 
+def test_eval_huge_irrational_argument(capsys):
+    at = f"{10**400}+1*sqrt(2)"
+    code, out, _ = run_cli(["eval", "--bound", "gamma", "--at", at], capsys)
+    assert code == 0
+    x = parse_scalar(at)
+    n = 10**400 + 1  # nearest integer to x
+    assert compare_scalars(parse_scalar(out.splitlines()[0]), 4 * x * x - 1 + (x - n) * (x - n)) == 0
+    code, _, err = run_cli(["eval", "--bound", "spade", "--at", at], capsys)
+    assert code == 2 and "SlopeOutOfTable" in err
+
+
 def test_eval_missing_argument(capsys):
     code, _, err = run_cli(["eval", "--bound", "gamma"], capsys)
     assert code == 2 and "UsageError" in err

@@ -1,0 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+# 06_verification.py is left out: it repeats run_suites, which test_verify covers
+DEMOS = [
+    "01_exact_numbers.py",
+    "02_character_tower.py",
+    "03_wall_geometry.py",
+    "04_piecewise_bounds.py",
+    "05_convex_chains.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -15,6 +15,7 @@ from tiltbound.exactnum import (
     RatFunc1,
     compare_scalars,
     decimal_str,
+    floor_scalar,
     format_rat,
     format_scalar,
     parse_rat,
@@ -332,3 +333,10 @@ def test_compare_mixed_radicands_against_interval_oracle():
             # for distinct square-free radicands forces both radical parts
             # to vanish
             assert got == 0 or min(abs(float(x) - float(y)), 1) < 1e-50
+
+
+def test_floor_scalar_huge_quadnum():
+    big = 10**400
+    assert floor_scalar(QuadNum(big, 1, 2)) == big + 1
+    assert floor_scalar(QuadNum(big, -1, 2)) == big - 2
+    assert floor_scalar(QuadNum(F(1, 3), F(-5, 7), 13)) == -3  # 1/3 - 5*sqrt(13)/7 = -2.24...
