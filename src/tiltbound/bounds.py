@@ -349,24 +349,13 @@ def clifford_bound(e: CurveClass | tuple):
 
 @dataclass(frozen=True)
 class Piece:
-    """One sub-interval with a quadratic polynomial or a rational function."""
+    """One sub-interval with a polynomial of degree at most 2."""
 
     interval: Interval
-    poly: Poly1 | None = None
-    num: Poly1 | None = None  # rational-function piece num/den
-    den: Poly1 | None = None
+    poly: Poly1
 
     def value(self, x):
-        if self.poly is not None:
-            return self.poly.evaluate(x)
-        d = self.den.evaluate(x)
-        if scalar_sign(d) == 0:
-            raise ZeroDivisionError("pole inside piece")
-        return self.num.evaluate(x) / d
-
-    @property
-    def is_poly(self) -> bool:
-        return self.poly is not None
+        return self.poly.evaluate(x)
 
 
 class PiecewiseBound:
@@ -416,11 +405,7 @@ class PiecewiseBound:
                 "lo_closed": p.interval.lo_closed,
                 "hi_closed": p.interval.hi_closed,
             }
-            if p.is_poly:
-                row["poly"] = [format_scalar(c) for c in p.poly.coeffs]
-            else:
-                row["num"] = [format_scalar(c) for c in p.num.coeffs]
-                row["den"] = [format_scalar(c) for c in p.den.coeffs]
+            row["poly"] = [format_scalar(c) for c in p.poly.coeffs]
             rows.append(row)
         return rows
 
@@ -540,26 +525,14 @@ def piecewise_check(f: PiecewiseBound, check: str, other: PiecewiseBound | None 
         details = []
         ok = True
         for p in f.pieces:
-            if p.is_poly:
-                lead = p.poly.coeffs[2] if p.poly.degree() >= 2 else Fraction(0)
-                convex = lead >= 0
-            else:
-                # quadratic-over-linear: f = Q + R/D, f'' = 2R D'^2 / D^3
-                q, rem = _poly_divmod(p.num, p.den)
-                if rem.degree() > 0:
-                    raise NotImplementedError("ratfunc convexity needs constant remainder")
-                r_const = rem.coeffs[0] if rem.coeffs else Fraction(0)
-                d_lo = p.den.evaluate(p.interval.lo)
-                d_hi = p.den.evaluate(p.interval.hi)
-                if scalar_sign(d_lo) * scalar_sign(d_hi) <= 0:
-                    raise NotImplementedError("pole inside interval")
-                convex = scalar_sign(r_const) * scalar_sign(d_lo) >= 0
+            lead = p.poly.coeffs[2] if p.poly.degree() >= 2 else Fraction(0)
+            convex = lead >= 0
             details.append(convex)
             ok = ok and convex
         kinks = []
         for x, left, right in f.shared_breakpoints():
-            dl = _piece_derivative(left, x)
-            dr = _piece_derivative(right, x)
+            dl = left.poly.derivative().evaluate(x)
+            dr = right.poly.derivative().evaluate(x)
             kinks.append((x, compare_scalars(dr, dl)))
         ok = ok and all(k >= 0 for _, k in kinks)
         return CheckReport("convexity_on", ok, (tuple(details), tuple(kinks)))
@@ -568,26 +541,6 @@ def piecewise_check(f: PiecewiseBound, check: str, other: PiecewiseBound | None 
             raise ValueError("dominance needs a second bound")
         return _dominance(f, other)
     raise ValueError(f"unknown check {check!r}")
-
-
-def _poly_divmod(num: Poly1, den: Poly1) -> tuple:
-    q = Poly1([])
-    r = num
-    while not r.is_zero() and r.degree() >= den.degree():
-        shift = r.degree() - den.degree()
-        coeff = r.coeffs[-1] / den.coeffs[-1]
-        mono = Poly1([0] * shift + [coeff])
-        q = q + mono
-        r = r - mono * den
-    return q, r
-
-
-def _piece_derivative(p: Piece, x):
-    if p.is_poly:
-        return p.poly.derivative().evaluate(x)
-    n, d = p.num, p.den
-    dv = d.evaluate(x)
-    return (n.derivative().evaluate(x) * dv - n.evaluate(x) * d.derivative().evaluate(x)) / (dv * dv)
 
 
 def _overlap(i1: Interval, i2: Interval) -> Interval | None:
@@ -609,8 +562,6 @@ def _dominance(f: PiecewiseBound, g: PiecewiseBound) -> CheckReport:
     witness = None
     for pf in f.pieces:
         for pg in g.pieces:
-            if not (pf.is_poly and pg.is_poly):
-                raise NotImplementedError("dominance supports polynomial pieces")
             ov = _overlap(pf.interval, pg.interval)
             if ov is None:
                 continue

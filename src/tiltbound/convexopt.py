@@ -47,6 +47,8 @@ from .exactnum import (
     RadicalSum,
     compare_scalars,
     format_scalar,
+    scalar_interval,
+    scalar_max,
     scalar_sign,
 )
 from .walls import bn_threshold
@@ -573,9 +575,7 @@ def maximize_reduced(
         if compare_scalars(s_star, s_oq) == 0:
             continue
         directions.append(PlanePoint(s_star, 1))
-    cap = max(abs(s_op), abs(s_pq), key=float)
-    if isinstance(cap, QuadNum):
-        cap = cap.interval(32)[1]
+    cap = scalar_interval(scalar_max(abs(s_op), abs(s_pq)), 32)[1]
 
     for d in directions:
         sd = _spade_dir(d, fallback)
@@ -714,23 +714,24 @@ def maximize_bruteforce(
     # triangle) keep their (a, b) construction order
     dirs.sort(key=lambda rec: rec[0], reverse=True)
 
-    # DP on float mirrors with exact resolution of near-ties.  Accumulated
-    # float error is tiny (bounded chain length, exactly-known summands), so
-    # a gap above the 1e-6 screen decides a comparison certifiably; ties
-    # inside the screen are settled with exact RadicalSum values.  Each cell
-    # update creates an immutable record (float, parent record, step), so a
-    # later improvement of a predecessor cannot corrupt snapshots, and exact
-    # values are cached per record.  The reported maximum is exact.
+    # DP on certified integer enclosures: a record's (lo, width) satisfies
+    # lo <= value * 2**64 <= lo + width, summed from its steps' enclosures,
+    # each floored and ceiled from the 64-bit interval that RadicalSum.sign
+    # starts from.  Disjoint enclosures decide a comparison; overlapping ones are
+    # settled with exact RadicalSum values.  Each cell update creates an
+    # immutable record (enclosure, parent record, step), so a later
+    # improvement of a predecessor cannot corrupt snapshots, and exact values
+    # are cached per record.  The reported maximum is exact.
     start = (0, 0)
     goal = (0, n)
     points = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
     dir_exact = {(a, b): val for _, a, b, val in dirs}
 
     class _Rec:
-        __slots__ = ("value_f", "link", "exact")
+        __slots__ = ("lo", "width", "link", "exact")
 
-        def __init__(self, value_f, link):
-            self.value_f = value_f
+        def __init__(self, lo, width, link):
+            self.lo, self.width = lo, width
             self.link = link  # None | (parent _Rec, (a, b))
             self.exact = None
 
@@ -749,11 +750,12 @@ def maximize_bruteforce(
                 item.exact = par.exact + dir_exact[step]
         return rec.exact
 
-    dp: dict = {start: _Rec(0.0, None)}
-    # accumulated float error along a chain is < ~1e-11 for these magnitudes
-    screen = 1e-9
+    dp: dict = {start: _Rec(0, 0, None)}
+    unit = 1 << 64
     for s, a, b, val in dirs:
-        val_f = val.approx
+        v_lo, v_hi = val.interval(64)
+        val_lo = math.floor(v_lo * unit)
+        val_width = math.ceil(v_hi * unit) - val_lo
         # all simplex points in increasing progress along (a, b), so repeated
         # steps of the same direction chain within one pass (collinear merge)
         order = sorted(points, key=lambda ij: a * ij[0] + b * ij[1])
@@ -765,20 +767,21 @@ def maximize_bruteforce(
             if ni < 0 or nj < 0 or ni + nj > n:
                 continue
             w = (ni, nj)
-            cand_f = base.value_f + val_f
+            cand_lo = base.lo + val_lo
+            cand_width = base.width + val_width
             cur = dp.get(w)
             if cur is not None:
-                if cand_f < cur.value_f - screen:
+                if cand_lo + cand_width <= cur.lo:
                     continue
-                if cand_f <= cur.value_f + screen:
+                if cand_lo <= cur.lo + cur.width:
                     cand_exact = exact_of(base) + val
                     if not (cand_exact > exact_of(cur)):
                         continue
-                    rec = _Rec(cand_exact.approx, (base, (a, b)))
+                    rec = _Rec(cand_lo, cand_width, (base, (a, b)))
                     rec.exact = cand_exact
                     dp[w] = rec
                     continue
-            dp[w] = _Rec(cand_f, (base, (a, b)))
+            dp[w] = _Rec(cand_lo, cand_width, (base, (a, b)))
     if goal not in dp:
         raise ConvexOptError("no spade-evaluable chain reaches Q on this grid")
     # reconstruct and recompute the exact value of the winning chain

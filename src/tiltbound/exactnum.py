@@ -15,7 +15,9 @@ this module provides
   polynomially and R >= 0 on a stated slope domain.
 
 Everything is immutable and pure; floats appear only in ``__float__``
-conveniences, never in decision paths of the exact API.
+conveniences, never in decision paths of the exact API.  A comparison is
+decided by exact algebra or, for sums of three or more radicals, by the one
+certified enclosure ``RadicalSum.interval``.
 """
 
 from __future__ import annotations
@@ -301,15 +303,8 @@ class QuadNum:
         return _sign_single(self.a, self.b, self.m) if self.m else _sgn(self.a)
 
     def interval(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Certified enclosure with width < |b|/2**(bits-1) + ulp."""
-        if self.b == 0:
-            return self.a, self.a
-        s = math.isqrt(self.m << (2 * bits))
-        lo = Fraction(s, 1 << bits)
-        hi = Fraction(s + 1, 1 << bits)
-        if self.b > 0:
-            return self.a + self.b * lo, self.a + self.b * hi
-        return self.a + self.b * hi, self.a + self.b * lo
+        """Certified enclosure with width <= |b|/2**bits."""
+        return RadicalSum.of(self).interval(bits)
 
     # -- arithmetic (same radicand only) ------------------------------------
 
@@ -494,29 +489,17 @@ def floor_scalar(x) -> int:
 
 def scalar_interval(x, bits: int = 64) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of an exact value."""
-    if isinstance(x, QuadNum):
-        return x.interval(bits)
-    if isinstance(x, RadicalSum):
-        return x.interval(bits)
-    q = Fraction(x)
-    return q, q
+    return RadicalSum.of(x).interval(bits)
 
 
 # ---------------------------------------------------------------------------
 # RadicalSum
 # ---------------------------------------------------------------------------
 
-_SQRT_CACHE: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-
 
 def _sqrt_bounds(m: int, bits: int) -> tuple[Fraction, Fraction]:
-    key = (m, bits)
-    got = _SQRT_CACHE.get(key)
-    if got is None:
-        s = math.isqrt(m << (2 * bits))
-        got = (Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits))
-        _SQRT_CACHE[key] = got
-    return got
+    s = math.isqrt(m << (2 * bits))
+    return Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
 
 
 class RadicalSum:
@@ -527,15 +510,11 @@ class RadicalSum:
     nonzero signs are certified by interval refinement.
     """
 
-    __slots__ = ("terms", "approx")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Fraction] | None = None):
         t = {m: Fraction(c) for m, c in (terms or {}).items() if c != 0}
         object.__setattr__(self, "terms", t)
-        a = 0.0
-        for m, c in t.items():
-            a += float(c) * (1.0 if m == 1 else math.sqrt(m))
-        object.__setattr__(self, "approx", a)
 
     def __setattr__(self, *args):
         raise AttributeError("RadicalSum is immutable")
@@ -627,21 +606,7 @@ class RadicalSum:
         raise RuntimeError("sign refinement exhausted (nonzero guaranteed; unreachable)")
 
     def _cmp(self, other) -> int:
-        o = RadicalSum.of(other)
-        # certified float screen: approx is recomputed from canonical terms
-        # on construction, so its error is < ~1e-13 * scale for the term
-        # counts arising here; only close calls pay for exact arithmetic
-        gap = self.approx - o.approx
-        scale = 1.0 + abs(self.approx) + abs(o.approx)
-        if math.isfinite(gap) and math.isfinite(scale):
-            if gap > 1e-9 * scale:
-                return 1
-            if gap < -1e-9 * scale:
-                return -1
-        d = self - o
-        if d.is_zero():
-            return 0
-        return d.sign()
+        return (self - RadicalSum.of(other)).sign()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QuadNum, RadicalSum)):
@@ -673,7 +638,7 @@ class RadicalSum:
         return self
 
     def __float__(self):
-        return self.approx
+        return sum((float(c) * math.sqrt(m) for m, c in self.terms.items()), 0.0)
 
     def __str__(self):
         if not self.terms:
@@ -746,7 +711,7 @@ def parse_scalar(text: str) -> Scalar:
 def decimal_str(x, digits: int = 12) -> str:
     """Deterministic decimal rendering with `digits` significant digits.
 
-    Relative error < 10**(1-digits); the only approximation in the system.
+    Relative error < 10**(1-digits); the only rounding in the system.
     """
     if not 4 <= digits <= 64:
         raise ValueError("digits must be in [4, 64]")

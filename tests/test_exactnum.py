@@ -340,3 +340,12 @@ def test_floor_scalar_huge_quadnum():
     assert floor_scalar(QuadNum(big, 1, 2)) == big + 1
     assert floor_scalar(QuadNum(big, -1, 2)) == big - 2
     assert floor_scalar(QuadNum(F(1, 3), F(-5, 7), 13)) == -3  # 1/3 - 5*sqrt(13)/7 = -2.24...
+
+
+def test_radicalsum_sign_under_large_cancellation():
+    # the two terms agree to about 18 digits, so a float evaluation of x
+    # has no correct digit and its sign is noise
+    x = RadicalSum({2: 174963553055941314, 3: -142857142857142875})
+    assert (x > 0) is False
+    assert (x < 0) is True
+    assert compare_scalars(x, 0) == -1
