@@ -81,13 +81,15 @@ class ParseError(ExactError):
 # square-free decomposition
 # ---------------------------------------------------------------------------
 
-_TRIAL_LIMIT = 1_000_000
+# Miller-Rabin witnesses (deterministic for n < 3.3e24); square_free_core
+# divides them out before it looks for larger primes with Pollard rho
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -95,8 +97,7 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # deterministic Miller-Rabin witness set for n < 3.3e24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -111,8 +112,6 @@ def _is_probable_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
     rng = random.Random(0xC0FFEE ^ n)
     while True:
         c = rng.randrange(1, n)
@@ -127,28 +126,26 @@ def _pollard_rho(n: int) -> int:
             return d
 
 
-def _factor_into(counts: dict, n: int) -> None:
-    if n == 1:
-        return
-    if _is_probable_prime(n):
-        counts[n] = counts.get(n, 0) + 1
-        return
-    d = _pollard_rho(n)
-    _factor_into(counts, d)
-    _factor_into(counts, n // d)
+def _prime_factor(n: int) -> int:
+    """A prime factor of n > 1, which has no factor in _SMALL_PRIMES."""
+    while not _is_probable_prime(n):
+        n = _pollard_rho(n)
+    return n
 
 
 def square_free_core(n: int) -> tuple[int, int]:
     """Decompose n > 0 as ``core * sq**2`` with core square-free.
 
-    Trial division up to 1e6, then Pollard rho on the remainder (all the
-    radicands that actually occur here are tiny; rho is the safety net for
-    sweep-generated values).
+    Each prime factor p is found once and divided out to its full power:
+    first the primes of ``_SMALL_PRIMES``, then one Miller-Rabin + Pollard rho
+    prime of the remaining cofactor at a time.
     """
     if n <= 0:
         raise ValueError("square_free_core requires n > 0")
     core, sq = 1, 1
-    for p in (2, 3, 5):
+    small = iter(_SMALL_PRIMES)
+    while n > 1:
+        p = next(small, 0) or _prime_factor(n)
         e = 0
         while n % p == 0:
             n //= p
@@ -156,33 +153,6 @@ def square_free_core(n: int) -> tuple[int, int]:
         if e % 2:
             core *= p
         sq *= p ** (e // 2)
-    p = 7
-    while p * p <= n and p <= _TRIAL_LIMIT:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2:
-                core *= p
-            sq *= p ** (e // 2)
-        p += 2
-    if n > 1:
-        r = math.isqrt(n)
-        if r * r == n:
-            sq *= r
-            n = 1
-        elif _is_probable_prime(n):
-            core *= n
-            n = 1
-        else:
-            counts: dict = {}
-            _factor_into(counts, n)
-            for q, e in counts.items():
-                if e % 2:
-                    core *= q
-                sq *= q ** (e // 2)
-            n = 1
     return core, sq
 
 
@@ -197,7 +167,7 @@ def sqrt_exact(q: Fraction | int) -> Scalar:
     coeff = Fraction(sq, q.denominator)
     if core == 1:
         return coeff
-    return QuadNum(0, coeff, core)
+    return QuadNum._reduced(Fraction(0), coeff, core)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +216,11 @@ def _sign_rad_pair(u: Fraction, b: Fraction, m: int, e: Fraction, k: int) -> int
         return su
     if su == sv:
         return su
-    # opposite signs: compare u^2 with v^2 = b^2 m + e^2 k + 2be*sqrt(mk)
-    core, sq = square_free_core(m * k)
+    # opposite signs: compare u^2 with v^2 = b^2 m + e^2 k + 2be*sqrt(mk),
+    # where sqrt(mk) = g*sqrt((m/g)(k/g)) for g = gcd(m, k)
+    g = math.gcd(m, k)
     diff = u * u - (b * b * m + e * e * k)
-    s2 = _sign_single(diff, -2 * b * e * sq, core)  # sign of u^2 - v^2
+    s2 = _sign_single(diff, -2 * b * e * g, (m // g) * (k // g))  # sign of u^2 - v^2
     if s2 == 0:
         return 0
     return su if s2 > 0 else sv
@@ -284,6 +255,15 @@ class QuadNum:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "m", m)
+
+    @classmethod
+    def _reduced(cls, a: Fraction, b: Fraction, m: int) -> "QuadNum":
+        """a + b*sqrt(m) for an m that is already square-free (no factoring)."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        object.__setattr__(x, "m", m if b else 0)
+        return x
 
     def __setattr__(self, *args):  # immutable
         raise AttributeError("QuadNum is immutable")
@@ -321,13 +301,12 @@ class QuadNum:
             return NotImplemented
         if self.m and o.m and self.m != o.m:
             raise MixedRadicandError(f"add: sqrt({self.m}) vs sqrt({o.m})")
-        m = self.m or o.m
-        return QuadNum(self.a + o.a, self.b + o.b, m or 1)
+        return QuadNum._reduced(self.a + o.a, self.b + o.b, self.m or o.m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b, self.m or 1)
+        return QuadNum._reduced(-self.a, -self.b, self.m)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -347,7 +326,7 @@ class QuadNum:
         m = self.m or o.m
         a = self.a * o.a + self.b * o.b * m
         b = self.a * o.b + self.b * o.a
-        return QuadNum(a, b, m or 1)
+        return QuadNum._reduced(a, b, m)
 
     __rmul__ = __mul__
 
@@ -363,7 +342,7 @@ class QuadNum:
             if o.a == 0 and o.b == 0:
                 raise ZeroDivisionError("division by zero QuadNum")
             raise ZeroDivisionError("conjugate norm is zero")  # unreachable: m square-free
-        inv = QuadNum(o.a / norm, -o.b / norm, m or 1)
+        inv = QuadNum._reduced(o.a / norm, -o.b / norm, m)
         return self * inv
 
     def __rtruediv__(self, other):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import bounds, chern, tilt, walls
@@ -351,14 +351,10 @@ def suite_q00(grid_denominator: int = 64, perturb: bool = False):
 
 
 def _perturbed_linear_family():
-    rows = [
-        (Fraction(0), True, Fraction(1, 5), True, [0, Fraction(-1, 2)]),
-        (Fraction(1, 5), True, Fraction(1, 2), True, [Fraction(-1, 4), Fraction(7, 16)]),
-        (Fraction(1, 2), True, Fraction(4, 5), True, [Fraction(-1, 4), Fraction(9, 16)]),
-        (Fraction(4, 5), True, Fraction(10, 11), True, [Fraction(-8, 11), Fraction(51, 44)]),
-        (Fraction(10, 11), True, Fraction(1), True, [Fraction(-31, 22), Fraction(21, 11)]),
-    ]
-    return bounds._pw("bg_linear_perturbed", rows)
+    """bg_linear_family with piece 2's constant moved from -3/16 to -1/4."""
+    pieces = list(bg_linear_family.pieces)
+    pieces[1] = replace(pieces[1], poly=Poly1([Fraction(-1, 4), *pieces[1].poly.coeffs[1:]]))
+    return bounds.PiecewiseBound("bg_linear_perturbed", pieces)
 
 
 def suite_breakpoints(perturb: bool = False):

@@ -6,13 +6,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# 06_verification.py is left out: it repeats run_suites, which test_verify covers
 DEMOS = [
     "01_exact_numbers.py",
     "02_character_tower.py",
     "03_wall_geometry.py",
     "04_piecewise_bounds.py",
     "05_convex_chains.py",
+    "06_verification.py",
 ]
 
 

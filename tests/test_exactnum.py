@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from tiltbound import exactnum
 from tiltbound.exactnum import (
     MPoly,
     MixedRadicandError,
@@ -38,7 +39,7 @@ def test_square_free_core_basic():
 
 
 def test_square_free_core_large_prime_square():
-    p = 1_000_003  # above the trial-division limit
+    p = 1_000_003  # found by Pollard rho, not among the small primes
     core, sq = square_free_core(p * p * 5)
     assert core == 5 and sq == p
 
@@ -349,3 +350,21 @@ def test_radicalsum_sign_under_large_cancellation():
     assert (x > 0) is False
     assert (x < 0) is True
     assert compare_scalars(x, 0) == -1
+
+
+def test_arithmetic_does_not_refactor_the_radicand(monkeypatch):
+    x = QuadNum(1, 1, 999983 * 1000003)
+    calls = []
+    inner = exactnum.square_free_core
+
+    def counting(n):
+        calls.append(n)
+        return inner(n)
+
+    monkeypatch.setattr(exactnum, "square_free_core", counting)
+    results = [-x, x + 1, x - x, x * x, x / 4, x / (x + 2), abs(-x), floor_scalar(x + F(1, 2))]
+    root = sqrt_exact(F(8, 3))
+    assert calls == [24]
+    assert (results[2].b, results[2].m) == (0, 0)
+    assert (results[4].a, results[4].b, results[4].m) == (F(1, 4), F(1, 4), 999983 * 1000003)
+    assert (root.a, root.b, root.m) == (0, F(2, 3), 6)

@@ -1,4 +1,6 @@
-"""Exact comparisons checked against sympy's sign of the same radical sum."""
+"""Exact arithmetic checked against sympy: comparisons against the sign of
+the same radical sum, square-free parts against ``factorint``, and quadratic
+roots against ``sympy.roots``."""
 
 import math
 from fractions import Fraction as F
@@ -7,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars
+from tiltbound.exactnum import Poly1, QuadNum, RadicalSum, compare_scalars, square_free_core
 
 SQUARE_FREE = [2, 3, 5, 6, 7, 10, 13, 61, 69, 2374, 22281]
 PROPS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -79,3 +81,78 @@ def test_cancelling_sums_match_sympy(pair, tail):
     diff = rx - ry + tail.scale(F(1, 10**18))
     assert diff.sign() == _oracle_sign(_sympy(diff))
     _check_order(diff, 0)
+
+
+# the Miller-Rabin witnesses, the primes just above them and primes around 1e6
+FACTOR_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 999983, 1000003]
+
+
+@st.composite
+def prime_power_products(draw):
+    n = 1
+    for p in draw(st.lists(st.sampled_from(FACTOR_PRIMES), min_size=1, max_size=4, unique=True)):
+        n *= p ** draw(st.integers(1, 5))
+    return n
+
+
+def _check_square_free_core(n):
+    core, sq = square_free_core(n)
+    assert core * sq * sq == n
+    assert all(e == 1 for e in sympy.factorint(core).values())
+    want_core = want_sq = 1
+    for p, e in sympy.factorint(n).items():
+        want_core *= p ** (e % 2)
+        want_sq *= p ** (e // 2)
+    assert (core, sq) == (want_core, want_sq)
+
+
+@PROPS
+@given(prime_power_products())
+def test_square_free_core_of_prime_powers_matches_factorint(n):
+    _check_square_free_core(n)
+
+
+@PROPS
+@given(st.integers(1, 10**18))
+def test_square_free_core_matches_factorint(n):
+    _check_square_free_core(n)
+
+
+def test_square_free_core_high_prime_power():
+    # every power of 41 is divided out at once, not one rho split at a time
+    assert square_free_core(41**900) == (1, 41**450)
+
+
+small_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+nonzero_coeffs = small_coeffs.filter(bool)
+
+
+@st.composite
+def low_degree_polys(draw):
+    """Degree 1-2 polynomials: linear, generic, rational-root and double-root quadratics."""
+    a = draw(nonzero_coeffs)
+    kind = draw(st.sampled_from(["linear", "generic", "rational", "double"]))
+    if kind == "linear":
+        return Poly1([draw(small_coeffs), a])
+    if kind == "generic":
+        return Poly1([draw(small_coeffs), draw(small_coeffs), a])
+    r = draw(small_coeffs)
+    s = r if kind == "double" else draw(small_coeffs)
+    return Poly1([a * r * s, -a * (r + s), a])
+
+
+@PROPS
+@given(low_degree_polys())
+def test_real_roots_match_sympy(p):
+    x = sympy.Symbol("x")
+    expr = sum((sympy.Rational(c) * x**i for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+    want = sorted((r for r in sympy.roots(sympy.Poly(expr, x)) if r.is_real), key=sympy.default_sort_key)
+    got = p.real_roots()
+    assert len(got) == len(want)  # a double root is reported once
+    for r in got:
+        assert isinstance(r, (F, QuadNum))
+        assert p.evaluate(r) == 0
+        assert sum(_oracle_sign(_sympy(r) - w) == 0 for w in want) == 1
+    for lo, hi in zip(got, got[1:]):
+        assert compare_scalars(lo, hi) < 0
+        assert _oracle_sign(_sympy(hi) - _sympy(lo)) == 1
