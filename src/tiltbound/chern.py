@@ -9,6 +9,7 @@ uniform accessor ``inum(i) = H^(n-i).ch_i = c_i * H^n``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,18 +148,24 @@ class CurveClass:
         return self.d / self.r
 
 
+def exp_twist(nums, beta) -> tuple:
+    """Degree-wise parts of exp(-beta*H) * sum_i nums[i] H^i, truncated at
+    len(nums): the i-th entry is sum_k (-beta)^k / k! * nums[i - k].  beta
+    may be any exact scalar (Fraction or QuadNum)."""
+    powers = [1, -beta]  # (-beta)^k
+    for _ in range(2, len(nums)):
+        powers.append(powers[-1] * powers[1])
+    out = []
+    for i, x in enumerate(nums):
+        for k in range(1, i + 1):
+            x = x + powers[k] * (nums[i - k] / math.factorial(k))
+        out.append(x)
+    return tuple(out)
+
+
 def twist_beta(v: ChernVec, beta) -> ChernVec:
-    """Twisted character ch^(beta*H): multiply by exp(-beta*H) componentwise."""
-    b = Fraction(beta) if not hasattr(beta, "m") else beta
-    c = v.c
-    out = [c[0]]
-    if len(c) > 1:
-        out.append(c[1] - b * c[0])
-    if len(c) > 2:
-        out.append(c[2] - b * c[1] + b * b * c[0] / 2)
-    if len(c) > 3:
-        out.append(c[3] - b * c[2] + b * b * c[1] / 2 - b * b * b * c[0] / 6)
-    return ChernVec(v.context, tuple(out))
+    """Twisted character ch^(beta*H) = exp(-beta*H) * ch for rational beta."""
+    return ChernVec(v.context, exp_twist(v.c, Fraction(beta)))
 
 
 def grr_push_to_k3(e: CurveClass) -> ChernVec:

@@ -21,6 +21,7 @@ from .bounds import (
     BoundsError,
     bg_bound_surface,
     bg_bound_threefold,
+    classical_bogomolov,
     clifford_bound,
     spade,
 )
@@ -148,7 +149,7 @@ def cmd_emit(args) -> int:
                 [
                     decimal_str(x, digits),
                     decimal_str(bgv, digits),
-                    decimal_str(x * x / 2, digits),
+                    decimal_str(classical_bogomolov(x), digits),
                 ]
             )
     text = "\n".join([_csv_row(header)] + [_csv_row(r) for r in rows]) + "\n"

@@ -9,9 +9,10 @@ global sections of Harder-Narasimhan configurations.  Three tools:
   spade(Q - u*D) for V = u*D (or Q - u*D; the sum is order-free), so the
   optimizer walks the directions D in {P, Q-P} plus the exceptional-slope
   directions, partitions each u-range by the slope-table boundaries (slope
-  is monotone along affine paths), and solves each piece's first-order
-  condition in closed form; candidate values are exact (the radical in the
-  sqrt rows collapses to a rational expression at critical points).
+  is monotone along affine paths), and evaluates the value exactly at
+  every cut with the rows on both sides.  Every row is convex along an
+  affine path, so each piece's maximum sits at a cut and no interior
+  candidate is needed.
 * ``maximize_bruteforce`` -- independent oracle: exact DP over convex
   lattice chains on the (grid_n x grid_n) refinement of the triangle.
 * ``clifford_chain_bound`` -- the wall-triangle derivation of the Clifford
@@ -42,8 +43,6 @@ from .bounds import (
 )
 from .chern import CurveClass
 from .exactnum import (
-    Poly1,
-    QuadNum,
     RadicalSum,
     compare_scalars,
     format_scalar,
@@ -112,12 +111,6 @@ class ConvexChain:
 
     def increments(self):
         return [b - a for a, b in zip(self.vertices, self.vertices[1:])]
-
-    def is_strictly_convex(self) -> bool:
-        incs = self.increments()
-        return all(
-            compare_scalars(u.slope(), w.slope()) > 0 for u, w in zip(incs, incs[1:])
-        )
 
     def merged(self) -> "ConvexChain":
         """Collinear consecutive increments merged into single segments."""
@@ -255,11 +248,10 @@ def _ray_exit(r0: PlanePoint, dr: PlanePoint, tri: tuple) -> Fraction | None:
 
 @dataclass(frozen=True)
 class _PathTemplate:
-    """Objective F(t) = lin_const + lin_coef*t + spade(p0 + t*dvec)."""
+    """Objective F(t) = lin_coef*t + spade(p0 + t*dvec)."""
 
     p0: PlanePoint
     dvec: PlanePoint
-    lin_const: object
     lin_coef: object
 
 
@@ -278,191 +270,26 @@ def _slope_crossing(tpl: _PathTemplate, s0: Fraction):
 
 def _case_value_at(tpl: _PathTemplate, row: SpadeCase, t) -> RadicalSum:
     w = _path_point(tpl, t)
-    if isinstance(t, Fraction):
-        head = RadicalSum.of(tpl.lin_coef).scale(t)
-    else:
-        head = RadicalSum.of(tpl.lin_coef * t)
-    return RadicalSum.of(tpl.lin_const) + head + RadicalSum.of(row.value(w.x, w.y))
-
-
-def _affine_forms(tpl: _PathTemplate, row: SpadeCase):
-    """Coefficient data of spade_row along the path, as polynomials in t."""
-    x0, y0 = tpl.p0.x, tpl.p0.y
-    dx, dy = tpl.dvec.x, tpl.dvec.y
-    # linear part L0 + L1 t
-    L0 = row.lin[0] * x0 + row.lin[1] * y0
-    L1 = row.lin[0] * dx + row.lin[1] * dy
-    data = {"L": (L0, L1)}
-    if row.q is not None:
-        xx, xy, yy = row.q
-        q0 = xx * x0 * x0 + xy * x0 * y0 + yy * y0 * y0
-        q1 = 2 * xx * x0 * dx + xy * (x0 * dy + y0 * dx) + 2 * yy * y0 * dy
-        q2 = xx * dx * dx + xy * dx * dy + yy * dy * dy
-        data["q"] = (q0, q1, q2)
-    if row.num is not None:
-        xx, xy, yy = row.num
-        n0 = xx * x0 * x0 + xy * x0 * y0 + yy * y0 * y0
-        n1 = 2 * xx * x0 * dx + xy * (x0 * dy + y0 * dx) + 2 * yy * y0 * dy
-        n2 = xx * dx * dx + xy * dx * dy + yy * dy * dy
-        d0 = row.den[0] * x0 + row.den[1] * y0
-        d1 = row.den[0] * dx + row.den[1] * dy
-        data["n"] = (n0, n1, n2)
-        data["d"] = (d0, d1)
-    return data
-
-
-def _sqrt_row_derivative(tpl, row, forms, t) -> RadicalSum | None:
-    """Exact F'(t) at rational t for a sqrt row (None when the radicand
-    vanishes there; the one-sided derivative is infinite)."""
-    from .exactnum import sqrt_exact
-
-    q0, q1, q2 = forms["q"]
-    qv = q0 + q1 * t + q2 * t * t
-    if qv < 0:
-        return None
-    if qv == 0:
-        return None
-    root = sqrt_exact(qv)
-    c1 = tpl.lin_coef + forms["L"][1]
-    term = (row.srt * (q1 + 2 * q2 * t)) / (2 * root)
-    return RadicalSum.of(c1) + RadicalSum.of(term)
-
-
-def _ratio_row_derivative(tpl, row, forms, t) -> RadicalSum:
-    n0, n1, n2 = forms["n"]
-    d0, d1 = forms["d"]
-    dv = d0 + d1 * t
-    c1 = tpl.lin_coef + forms["L"][1]
-    term = ((n1 + 2 * n2 * t) * dv - (n0 + n1 * t + n2 * t * t) * d1) / (dv * dv)
-    return RadicalSum.of(c1) + RadicalSum.of(term)
-
-
-def _bracket_concave_max(tpl, row, forms, t_lo: Fraction, t_hi: Fraction, deriv):
-    """Certified upper bound for a concave piece's interior supremum.
-
-    Bisects the derivative's sign change and returns (t, value_bound) with
-    value_bound >= sup F on the piece; exact RadicalSum arithmetic, no
-    division.  Returns [] when the maximum sits at an endpoint.
-    """
-    da = deriv(t_lo)
-    db = deriv(t_hi)
-    if da is None:
-        da_sign = -scalar_sign(row.srt)  # infinite one-sided slope of s*sqrt(q)
-    else:
-        da_sign = da.sign()
-    if db is None:
-        db_sign = scalar_sign(row.srt)
-    else:
-        db_sign = db.sign()
-    if da_sign <= 0 or db_sign >= 0:
-        return []  # concave and monotone toward an endpoint
-    lo, hi = t_lo, t_hi
-    d_lo = da
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        dm = deriv(mid)
-        if dm is None or dm.sign() > 0:
-            lo, d_lo = mid, dm
-        else:
-            hi = mid
-        if d_lo is not None:
-            slack = d_lo.scale(hi - lo)
-            if slack < Fraction(1, 1 << 70):
-                break
-    if d_lo is None:
-        d_lo = deriv((lo + hi) / 2) or RadicalSum.of(0)
-    bound = _case_value_at(tpl, row, lo) + d_lo.scale(hi - lo)
-    return [(lo, bound)]
-
-
-def _critical_points(tpl: _PathTemplate, row: SpadeCase, t_lo, t_hi):
-    """Interior maximizer candidates of F on [t_lo, t_hi]; values are
-    RadicalSum and certified to dominate the interior supremum."""
-    forms = _affine_forms(tpl, row)
-    L0, L1 = forms["L"]
-    c1 = tpl.lin_coef + L1
-    c1_rational = not isinstance(c1, QuadNum) or c1.is_rational
-    if isinstance(c1, QuadNum) and c1.is_rational:
-        c1 = c1.as_fraction()
-    out = []
-    if row.srt is not None:
-        q0, q1, q2 = forms["q"]
-        s = row.srt
-        disc_q = q1 * q1 - 4 * q2 * q0
-        concave = scalar_sign(s) * scalar_sign(disc_q) >= 0
-        if not concave:
-            return []  # convex piece: endpoint maxima only
-        if not c1_rational:
-            deriv = lambda t: _sqrt_row_derivative(tpl, row, forms, t)
-            return _bracket_concave_max(tpl, row, forms, t_lo, t_hi, deriv)
-        if scalar_sign(c1) == 0:
-            if scalar_sign(q2) != 0:
-                t_star = -q1 / (2 * q2)
-                if compare_scalars(t_lo, t_star) < 0 and compare_scalars(t_star, t_hi) < 0:
-                    rad = q0 + q1 * t_star + q2 * t_star * t_star
-                    if scalar_sign(rad) >= 0:
-                        out.append((t_star, _case_value_at(tpl, row, t_star)))
-            return out
-        # 4 c1^2 q(t) = s^2 (q1 + 2 q2 t)^2
-        A = 4 * c1 * c1 * q2 - 4 * s * s * q2 * q2
-        B = 4 * c1 * c1 * q1 - 4 * s * s * q1 * q2
-        C = 4 * c1 * c1 * q0 - s * s * q1 * q1
-        for t_star in Poly1([C, B, A]).real_roots():
-            if not (compare_scalars(t_lo, t_star) < 0 and compare_scalars(t_star, t_hi) < 0):
-                continue
-            qp = q1 + 2 * q2 * t_star
-            # first-order condition: c1 = -s*q'(t)/(2 sqrt(q)) with sqrt(q) > 0
-            if scalar_sign(c1) * scalar_sign(s * qp) >= 0:
-                continue
-            root_val = -(s * qp) / (2 * c1)  # equals sqrt(q(t*)), rational in t*
-            if scalar_sign(root_val) < 0:
-                continue
-            value = tpl.lin_const + L0 + c1 * t_star + s * root_val
-            out.append((t_star, RadicalSum.of(value)))
-        return out
-    if row.num is not None:
-        n0, n1, n2 = forms["n"]
-        d0, d1 = forms["d"]
-        # split at a pole (cannot occur inside a dispatch range; safety)
-        if d1 != 0:
-            t_pole = -d0 / d1
-            if compare_scalars(t_lo, t_pole) < 0 and compare_scalars(t_pole, t_hi) < 0:
-                eps = (t_hi - t_lo) / 1024
-                return _critical_points(tpl, row, t_lo, t_pole - eps) + _critical_points(
-                    tpl, row, t_pole + eps, t_hi
-                )
-        d_sign = scalar_sign(d0 + d1 * ((t_lo + t_hi) / 2))
-        # F'' = 2 R d1^2 / D^3 with R the division remainder
-        if d1 == 0:
-            concave = scalar_sign(n2) * scalar_sign(d0) <= 0
-        else:
-            R = n0 - d0 * (n1 * d1 - n2 * d0) / (d1 * d1)
-            concave = scalar_sign(R) * d_sign <= 0
-        if not concave:
-            return []
-        if not c1_rational:
-            deriv = lambda t: _ratio_row_derivative(tpl, row, forms, t)
-            return _bracket_concave_max(tpl, row, forms, t_lo, t_hi, deriv)
-        A = c1 * d1 * d1 + n2 * d1
-        B = 2 * c1 * d0 * d1 + 2 * n2 * d0
-        C = c1 * d0 * d0 + n1 * d0 - n0 * d1
-        for t_star in Poly1([C, B, A]).real_roots():
-            if not (compare_scalars(t_lo, t_star) < 0 and compare_scalars(t_star, t_hi) < 0):
-                continue
-            den_val = d0 + d1 * t_star
-            if scalar_sign(den_val) == 0:
-                continue
-            out.append((t_star, _case_value_at(tpl, row, t_star)))
-        return out
-    return out
+    return RadicalSum.of(tpl.lin_coef * t) + RadicalSum.of(row.value(w.x, w.y))
 
 
 def _optimize_path(
     tpl: _PathTemplate, t_lo: Fraction, t_hi: Fraction, fallback: bool, slope_cap: Fraction
 ):
-    """Candidate (value, t) pairs for F over [t_lo, t_hi], conservative:
-    includes both-sided values at case boundaries.  slope_cap bounds the
-    |slope| the path can reach (the triangle's edge-slope hull)."""
+    """Candidate (value, t) pairs for F over [t_lo, t_hi]: every cut where
+    the path crosses a table boundary, plus the two ends, each valued with
+    the row on either side.  slope_cap bounds the |slope| the path can
+    reach (the triangle's edge-slope hull).
+
+    The cuts are the only candidates because every row is convex along an
+    affine path with y > 0, so each piece's maximum sits at one of its
+    ends.  Square-root rows (1, 3, 5, 6, 7 and the fallback): with the
+    radicand along the path written At^2 + Bt + C, 4AC - B^2 =
+    4 det(M) (p0 x dvec)^2 for M = [[xx, xy/2], [xy/2, yy]], and
+    srt * det(M) = 10 > 0.  Ratio rows (2, 4, 8, 9): num = c*y^2 and den
+    D is linear, so (c*y^2/D)'' = 2c Y(t_pole)^2 D1^2 / D^3, and c*D > 0
+    on every range and band of these rows.
+    """
     if compare_scalars(t_lo, t_hi) >= 0:
         return []
     # keep y(path(t)) > 0 in the interior
@@ -521,8 +348,6 @@ def _optimize_path(
             continue
         add_candidate(a, row)
         add_candidate(b, row)
-        for t_star, value in _critical_points(tpl, row, a, b):
-            candidates.append((value, t_star))
     return candidates
 
 
@@ -538,10 +363,11 @@ def maximize_reduced(
     """Sharp maximum of spade sums over 1- and 2-segment chains in O-P-Q.
 
     Directions examined: the edges P and Q-P, plus every exceptional slope
-    (integers m and (4m^2-1)/m) crossing the triangle; each direction's
-    one-variable problem is solved in closed form.  The reported value is a
-    certified upper bound for all chain values (boundary candidates are
-    evaluated with both adjacent rows).
+    (integers m and (4m^2-1)/m) crossing the triangle.  Along each
+    direction the value is convex on every slope-table piece, so it is
+    maximized over the piece ends.  Each end is evaluated exactly with both
+    adjacent rows, so the reported value is a certified upper bound for all
+    chain values.
     """
     if not o.is_zero():
         raise ValueError("first vertex must be the origin")
@@ -589,7 +415,7 @@ def maximize_reduced(
                 u_max = _ray_exit(q, PlanePoint(-d.x, -d.y), tri)
             if u_max is None:
                 continue
-        tpl = _PathTemplate(q, PlanePoint(-d.x, -d.y), Fraction(0), sd)
+        tpl = _PathTemplate(q, PlanePoint(-d.x, -d.y), sd)
         for value, u in _optimize_path(tpl, Fraction(0), u_max, fallback, cap):
             rs = RadicalSum.of(value)
             if best is None or rs > best[0]:

@@ -9,8 +9,11 @@ this module provides
   test and certified-interval sign determination, used when convex-chain
   sums mix several radicals;
 * ``MPoly`` -- sparse multivariate polynomials over Q for identity checking;
-* ``Poly1`` / ``RatFunc1`` -- dense univariate polynomials and rational
-  functions over Q, used by the piecewise-bound engine and the verifier;
+* ``Poly1`` -- dense univariate polynomials over Q with exact roots up to
+  degree 2, used by the piecewise-bound engine, the wall geometry and the
+  verifier;
+* ``RatFunc1`` -- univariate rational functions over Q, used by the
+  verifier's ``prop52`` suite;
 * ``radical_identity_check`` -- certifies sqrt(D) = R by checking R^2 = D
   polynomially and R >= 0 on a stated slope domain.
 
@@ -1016,8 +1019,10 @@ class Poly1:
                 r1 = (-b - root) / (2 * a)
                 r2 = (-b + root) / (2 * a)
                 return [r1] if r1 == r2 else sorted([r1, r2])
-            lo = (QuadNum(-b) - root) / (2 * a)
-            hi = (QuadNum(-b) + root) / (2 * a)
+            # root = c*sqrt(m): the roots are -b/(2a) -+ (c/(2a))*sqrt(m)
+            center, half = -b / (2 * a), root.b / (2 * a)
+            lo = QuadNum._reduced(center, -half, root.m)
+            hi = QuadNum._reduced(center, half, root.m)
             return [lo, hi] if a > 0 else [hi, lo]
         raise NotImplementedError("exact roots only up to degree 2")
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import ChernVec, X24
+from .chern import ChernVec, X24, exp_twist
 from .exactnum import QuadNum, compare_scalars, floor_scalar, format_scalar, scalar_sign
 
 __all__ = [
@@ -149,20 +149,7 @@ def mu_slope(v: ChernVec, normalized: bool = False) -> SlopeValue:
 
 def twisted_inums(v: ChernVec, beta) -> tuple:
     """(H^(n-i).ch_i^(beta H))_i as numbers; beta may be Fraction or QuadNum."""
-    i0 = v.inum(0)
-    out = [i0]
-    if v.context.dim >= 1:
-        out.append(v.inum(1) - beta * i0)
-    if v.context.dim >= 2:
-        out.append(v.inum(2) - beta * v.inum(1) + beta * beta * i0 / 2)
-    if v.context.dim >= 3:
-        out.append(
-            v.inum(3)
-            - beta * v.inum(2)
-            + beta * beta * v.inum(1) / 2
-            - beta * beta * beta * i0 / 6
-        )
-    return tuple(out)
+    return exp_twist([v.inum(i) for i in range(v.context.dim + 1)], beta)
 
 
 def nu_tilt(v: ChernVec, p: TiltParams, chart: str = "canonical") -> SlopeValue:

@@ -41,6 +41,8 @@ from .exactnum import (
     MPoly,
     Poly1,
     QuadNum,
+    RadicalSum,
+    RatFunc1,
     compare_scalars,
     format_scalar,
     poly_equal,
@@ -306,8 +308,6 @@ def suite_q00(grid_denominator: int = 64, perturb: bool = False):
             if qn_compare(x_minus, 0) >= 0:
                 return False, count, {"delta": format_scalar(delta), "sign": "nonnegative"}
             # |x_minus - limit| must shrink monotonically
-            from .exactnum import RadicalSum
-
             g = RadicalSum.of(x_minus) - RadicalSum.of(limit)
             g_abs = g if g.sign() >= 0 else -g
             if prev_gap is not None and not (g_abs < prev_gap):
@@ -614,28 +614,20 @@ def suite_clifford(mu_samples: int = 200, perturb: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _rf(num: Poly1, den: Poly1 | None = None):
-    from .exactnum import RatFunc1
-
-    return RatFunc1(num, den)
-
-
 def _compose_affine_rf(rf, p0, dp):
-    from .exactnum import RatFunc1
-
     return RatFunc1(rf.num.compose_affine(p0, dp), rf.den.compose_affine(p0, dp))
 
 
 def _clifford_rf(piece: str):
     """Per-rank Clifford pieces as rational functions of mu."""
     if piece == "bn":
-        return _rf(Poly1([64]), Poly1([64, -1]))
+        return RatFunc1(Poly1([64]), Poly1([64, -1]))
     if piece == "low":
-        return _rf(Poly1([1, 0, Fraction(5, 1024)]))
+        return RatFunc1(Poly1([1, 0, Fraction(5, 1024)]))
     if piece == "high":
-        return _rf(Poly1([5, Fraction(-1, 8), Fraction(5, 1024)]))
+        return RatFunc1(Poly1([5, Fraction(-1, 8), Fraction(5, 1024)]))
     if piece == "lin":
-        return _rf(Poly1([-46, 1]))
+        return RatFunc1(Poly1([-46, 1]))
     raise ValueError(piece)
 
 
@@ -646,11 +638,11 @@ def suite_prop52(perturb: bool = False):
         lam = _compose_affine_rf(_clifford_rf(first), Fraction(0), Fraction(32)) + _compose_affine_rf(
             _clifford_rf(second), Fraction(64), Fraction(-32)
         )
-        return lam * Fraction(1, 16) + _rf(Poly1([Fraction(-5, 4), 1]))
+        return lam * Fraction(1, 16) + RatFunc1(Poly1([Fraction(-5, 4), 1]))
 
     def check_case1():
         got = composed("bn", "lin")
-        target = _rf(Poly1([1]), Poly1([16, -8])) + _rf(Poly1([Fraction(-1, 8), -1]))
+        target = RatFunc1(Poly1([1]), Poly1([16, -8])) + RatFunc1(Poly1([Fraction(-1, 8), -1]))
         ok = got == target
         # dominance by x^2 - x on (0, (4-sqrt13)/3]: cubic -8x^3+16x^2-x+1 >= 0
         cubic = Poly1([1, -1, 16, -8])
@@ -666,9 +658,9 @@ def suite_prop52(perturb: bool = False):
     def check_case2():
         got = composed("bn", "high")
         target = (
-            _rf(Poly1([0, 0, Fraction(5, 16)]))
-            + _rf(Poly1([1]), Poly1([16, -8]))
-            + _rf(Poly1([Fraction(-3, 16)]))
+            RatFunc1(Poly1([0, 0, Fraction(5, 16)]))
+            + RatFunc1(Poly1([1]), Poly1([16, -8]))
+            + RatFunc1(Poly1([Fraction(-3, 16)]))
         )
         ok = got == target
         # dominated by piece 1 (x^2 - x) on ((sqrt69-8)/5, (8-sqrt61)/3]
@@ -683,7 +675,7 @@ def suite_prop52(perturb: bool = False):
     def check_case3():
         got = composed("low", "high")
         lead = Fraction(3, 4) if perturb else Fraction(5, 8)
-        target = _rf(Poly1([Fraction(-1, 8), 0, lead]))
+        target = RatFunc1(Poly1([Fraction(-1, 8), 0, lead]))
         ok = got == target
         # on ((8-sqrt61)/3, (4-sqrt13)/3] piece 1 dominates: 3x^2-8x+1 >= 0
         quad = Poly1([1, -8, 3])

@@ -27,7 +27,6 @@ from .exactnum import (
     floor_scalar,
     format_scalar,
     scalar_sign,
-    sqrt_exact,
 )
 from .tilt import TiltParams
 
@@ -186,19 +185,12 @@ def line_gamma_intersection(k, side: str) -> Scalar:
 
 
 def intersect_line_with_piece(k, n: int, upper_root: bool) -> Scalar:
-    """Solve k*x = 5x^2 - 2n x + n^2 - 1 exactly; NoIntersection if disc < 0."""
+    """Solve k*x = 5x^2 - 2n x + n^2 - 1 exactly; NoIntersection if no real root."""
     k = Fraction(k)
-    # 5x^2 - (2n + k)x + (n^2 - 1) = 0
-    b = -(2 * n + k)
-    c = Fraction(n * n - 1)
-    disc = b * b - 20 * c
-    if disc < 0:
+    roots = (gamma_piece(n) - Poly1([0, k])).real_roots()
+    if not roots:
         raise NoIntersection(f"slope {k} misses the piece at n={n}")
-    root = sqrt_exact(disc)
-    if isinstance(root, Fraction):
-        return (-b + root) / 10 if upper_root else (-b - root) / 10
-    half = QuadNum(-b) / 10
-    return half + root / 10 if upper_root else half - root / 10
+    return roots[-1] if upper_root else roots[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tiltbound.bounds import SlopeOutsideTheorem, clifford_bound
+from tiltbound.bounds import (
+    _FALLBACK_CASE,
+    SPADE_CASES,
+    Interval,
+    SlopeOutsideTheorem,
+    _band,
+    clifford_bound,
+)
 from tiltbound.convexopt import (
     ConvexChain,
     DegenerateTriangle,
@@ -115,6 +124,68 @@ def test_maximize_reduced_sharp_exceeds_closed_form_at_mu8():
     res = maximize_reduced(tri.origin, tri.p, tri.q, fallback=True)
     assert compare_scalars(res.value, F(944, 705)) == 0
     assert compare_scalars(res.value, clifford_bound((1, 8))) > 0
+
+
+# maximize_reduced evaluates each direction only at the slope-table cuts; that
+# is exact because every row is convex along an affine path with y > 0.
+
+
+def test_spade_rows_are_convex_along_paths():
+    # square-root rows: along p0 + t*d the radicand At^2 + Bt + C has
+    # 4AC - B^2 = 4 det(M) (p0 x d)^2, M = [[xx, xy/2], [xy/2, yy]], so
+    # srt * sqrt(...) is convex iff srt * det(M) > 0
+    sqrt_rows = [row for row in SPADE_CASES if row.srt is not None] + [_FALLBACK_CASE]
+    assert [row.case_id for row in sqrt_rows] == [1, 3, 5, 6, 7, 0]
+    for row in sqrt_rows:
+        assert row.num is None
+        xx, xy, yy = row.q
+        assert row.srt * (xx * yy - xy * xy / 4) > 0, row.case_id
+    # ratio rows: num = c*y^2 over a linear den D gives (c*y^2/D)'' =
+    # 2c Y(t_pole)^2 D1^2 / D^3, convex iff c*D > 0; D is linear in the
+    # slope, so its sign at both ends of a range holds across the range
+    ratio_rows = [row for row in SPADE_CASES if row.srt is None]
+    assert [row.case_id for row in ratio_rows] == [2, 4, 8, 9]
+    for row in ratio_rows:
+        assert row.q is None and row.num[:2] == (0, 0)
+    ranges = [(row, r) for row in (SPADE_CASES[1], SPADE_CASES[3]) for r in row.ranges]
+    # bands of rows 8 and 9 (den = x): band n of row 8 ends at
+    # (1 - 4n^2)/n < 0 and band n of row 9 starts at (4n^2 - 1)/n > 0
+    assert SPADE_CASES[7].num[2] < 0 < SPADE_CASES[8].num[2]
+    ranges += [(row, r) for n in range(1, 200) for row, r in zip(SPADE_CASES[7:], _band(n))]
+    for row, r in ranges:
+        c = row.num[2]
+        for s in (r.lo, r.hi):
+            assert c * (row.den[0] * s + row.den[1]) > 0, (row.case_id, s)
+
+
+@st.composite
+def row_segments(draw):
+    """A row and two points whose slopes lie in one closed range of it."""
+    row = draw(st.sampled_from(SPADE_CASES + (_FALLBACK_CASE,)))
+    if row is _FALLBACK_CASE:
+        rng = Interval(F(-40), F(40))
+    elif row.ranges is None:
+        rng = _band(draw(st.integers(1, 12)))[row.case_id - 8]
+    else:
+        rng = draw(st.sampled_from(row.ranges))
+    points = []
+    for _ in range(2):
+        s = rng.lo + (rng.hi - rng.lo) * F(draw(st.integers(0, 96)), 96)
+        y = draw(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8))
+        points.append(PlanePoint(s * y, y))
+    return row, points[0], points[1]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(row_segments())
+def test_spade_rows_are_midpoint_convex(segment):
+    row, a, b = segment
+    mid = (a + b).scale(F(1, 2))
+
+    def value(w):
+        return RadicalSum.of(row.value(w.x, w.y))
+
+    assert (value(a) + value(b) - value(mid).scale(2)).sign() >= 0, (row.case_id, a, b)
 
 
 # -- the closed-form recipe -----------------------------------------------------------------
