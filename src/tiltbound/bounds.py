@@ -18,6 +18,7 @@ from .chern import CurveClass
 from .exactnum import (
     Poly1,
     QuadNum,
+    RadicalSum,
     compare_scalars,
     floor_scalar,
     format_scalar,
@@ -152,7 +153,12 @@ class SpadeCase:
                 rad = rad.as_fraction()
             if rad < 0:
                 raise SlopeOutOfTable("negative radicand outside the case range")
-            out = out + self.srt * sqrt_exact(rad)
+            root = self.srt * sqrt_exact(rad)
+            if isinstance(out, QuadNum):
+                # an irrational point: the root's radicand may differ from
+                # the coordinates', so add in RadicalSum
+                return (RadicalSum.of(out) + RadicalSum.of(root)).to_exact()
+            out = out + root
         if self.num is not None:
             xx, xy, yy = self.num
             dx, dy = self.den
@@ -248,6 +254,32 @@ _TABLE_BOUNDARIES = tuple(
 )
 
 
+def _owner_tables() -> tuple[tuple, tuple]:
+    """Row of rows 1-7 owning each boundary point and each open gap.
+
+    Gap k is the open interval between boundaries k-1 and k (gap 0 lies
+    below the first boundary, the last gap above the last one).  Each range
+    marks its endpoint indices; rows are marked in reverse, so where two
+    rows share a closed endpoint the lower-numbered row owns it.
+    """
+    index = {b: k for k, b in enumerate(_TABLE_BOUNDARIES)}
+    points: list = [None] * len(_TABLE_BOUNDARIES)
+    gaps: list = [None] * (len(_TABLE_BOUNDARIES) + 1)
+    for row in reversed(SPADE_CASES[:7]):
+        for r in row.ranges:
+            i, j = index[r.lo], index[r.hi]
+            gaps[i + 1 : j + 1] = [row] * (j - i)
+            points[i + 1 : j] = [row] * (j - i - 1)
+            if r.lo_closed:
+                points[i] = row
+            if r.hi_closed:
+                points[j] = row
+    return tuple(points), tuple(gaps)
+
+
+_POINT_OWNER, _GAP_OWNER = _owner_tables()
+
+
 def _band(n: int) -> tuple[Interval, Interval]:
     """Closed ranges of case 8 and case 9 in band n >= 1:
     [-4n, (1 - 4n^2)/n] and [(4n^2 - 1)/n, 4n]."""
@@ -273,10 +305,23 @@ def spade_case_for_slope(s) -> SpadeCase:
             return SPADE_CASES[7]
         if n > 0 and case9.contains(s):
             return SPADE_CASES[8]
-    for row in SPADE_CASES[:7]:
-        if any(r.contains(s) for r in row.ranges):
-            return row
-    raise SlopeOutOfTable(f"slope {format_scalar(s)} not covered by the table")
+    # bisect the static-row boundaries; the owner tables give the row
+    lo, hi = 0, len(_TABLE_BOUNDARIES)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        c = compare_scalars(s, _TABLE_BOUNDARIES[mid])
+        if c == 0:
+            row = _POINT_OWNER[mid]
+            break
+        if c < 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    else:
+        row = _GAP_OWNER[lo]
+    if row is None:
+        raise SlopeOutOfTable(f"slope {format_scalar(s)} not covered by the table")
+    return row
 
 
 def spade(p: PlanePoint | tuple, fallback: bool = False):
@@ -476,14 +521,17 @@ def bg_bound_threefold(x, family: str = "quadratic"):
     linear theorem on |x| <= 1; refined: minimum of the applicable refined
     pieces.
     """
-    x = Fraction(x)
+    if isinstance(x, QuadNum) and x.is_rational:
+        x = x.as_fraction()
+    if not isinstance(x, QuadNum):
+        x = Fraction(x)
     if family == "quadratic":
-        t = x - x.__floor__()
-        if t == 0:
+        t = x - floor_scalar(x)
+        if scalar_sign(t) == 0:
             return Fraction(0)  # piece-1 value at the reduced slope 0
         return bg_quadratic_family.evaluate(t)
     if family == "linear":
-        if abs(x) > 1:
+        if compare_scalars(abs(x), 1) > 0:
             raise OutOfDomain("linear family needs |x| <= 1")
         return bg_linear_family.evaluate(abs(x))
     if family == "refined":

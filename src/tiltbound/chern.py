@@ -119,8 +119,13 @@ class ChernVec:
     @classmethod
     def from_json(cls, text: str) -> "ChernVec":
         data = json.loads(text)
-        ctx = CONTEXTS[data["context"]]
-        return cls(ctx, tuple(parse_rat(t) for t in data["c"]))
+        name = data.get("context") if isinstance(data, dict) else None
+        if not isinstance(name, str) or name not in CONTEXTS:
+            raise ChernError(f"ChernVec JSON needs a context among {sorted(CONTEXTS)}")
+        coords = data.get("c")
+        if not isinstance(coords, list) or not all(isinstance(t, str) for t in coords):
+            raise ChernError('ChernVec JSON needs "c": a list of rational strings')
+        return cls(CONTEXTS[name], tuple(parse_rat(t) for t in coords))
 
     def __str__(self):
         return f"{self.context.name}({', '.join(format_rat(x) for x in self.c)})"

@@ -5,7 +5,8 @@ bounds and nested wall lines), ``verify`` (certificate suites, exit 1 on
 failure), ``emit`` (CSV data behind the three figures).  All computation is
 exact; rounding happens only when rendering decimals (precision_digits,
 overridable via TILTBOUND_PRECISION).  Exit codes: 0 success, 1
-verification failure, 2 usage or domain error.
+verification failure, 2 usage or domain error.  Run sizes are bounded:
+``verify --grid`` in [32, 512], ``emit --samples`` in [1, 50000].
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from .bounds import (
 )
 from .chern import ChernError, ChernVec
 from .convexopt import ConvexOptError
-from .exactnum import ExactError, decimal_str, format_scalar, parse_scalar
+from .exactnum import ExactError, decimal_str, format_scalar, parse_rat, parse_scalar
 from .tilt import TiltError, TiltParams
 from .walls import WallError, first_wall_bounds, gamma_curve, nested_wall_line
 
 _DEFAULT_PRECISION = 12
+MAX_GRID = 512  # verify --grid: the q00 sweep visits (2*grid + 1)^2 points twice
+MAX_SAMPLES = 50_000  # emit --samples
 
 
 class UsageError(Exception):
@@ -68,7 +71,7 @@ def cmd_eval(args) -> int:
         elif kind == "gamma":
             value = gamma_curve(at)
         elif kind == "spade":
-            value = spade((at, Fraction(args.y)), fallback=args.fallback)
+            value = spade((at, parse_rat(args.y)), fallback=args.fallback)
         else:  # pragma: no cover - argparse restricts choices
             raise UsageError(f"unknown bound {kind}")
     print(format_scalar(value))
@@ -78,7 +81,7 @@ def cmd_eval(args) -> int:
 
 def cmd_wall(args) -> int:
     if args.which == "first":
-        fw = first_wall_bounds(Fraction(args.mu))
+        fw = first_wall_bounds(parse_rat(args.mu))
         payload = {
             "beta1_min": format_scalar(fw.beta1_min),
             "beta2_max": format_scalar(fw.beta2_max),
@@ -99,8 +102,8 @@ def cmd_wall(args) -> int:
 
 def cmd_verify(args) -> int:
     names = None if args.suite == "all" else [args.suite]
-    if args.grid is not None and args.grid < 32:
-        raise UsageError("--grid must be >= 32")
+    if args.grid is not None and not 32 <= args.grid <= MAX_GRID:
+        raise UsageError(f"--grid must lie in [32, {MAX_GRID}]")
     grid = args.grid if args.grid is not None else 64
     reports, ok = verify_mod.run_suites(names, grid=grid)
     text = verify_mod.reports_to_json(reports)
@@ -126,8 +129,8 @@ def _csv_row(cells) -> str:
 def cmd_emit(args) -> int:
     digits = _precision(args)
     n = args.samples
-    if n < 1:
-        raise UsageError("--samples must be >= 1")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise UsageError(f"--samples must lie in [1, {MAX_SAMPLES}]")
     rows: list[list[str]] = []
     if args.figure == "gamma":
         header = ["x", "gamma"]
@@ -199,13 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["all", *verify_mod.SUITE_NAMES],
     )
-    p_verify.add_argument("--grid", type=int, default=None, help="grid denominator (>= 32)")
+    p_verify.add_argument("--grid", type=int, default=None, help=f"grid denominator (32..{MAX_GRID})")
     p_verify.add_argument("--out", help="write the JSON report array to a file")
     p_verify.set_defaults(func=cmd_verify)
 
     p_emit = sub.add_parser("emit", help="emit figure CSV data")
     p_emit.add_argument("--figure", required=True, choices=["gamma", "clifford", "bg"])
-    p_emit.add_argument("--samples", type=int, required=True)
+    p_emit.add_argument("--samples", type=int, required=True, help=f"1..{MAX_SAMPLES}")
     p_emit.add_argument("--out", help="output path (stdout when omitted)")
     p_emit.set_defaults(func=cmd_emit)
     return parser
@@ -218,6 +221,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses code 2 for usage errors already
         return int(exc.code or 0)
     try:
+        # argparse stores [] for an option spelled "--opt=--"
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise UsageError(f"--{name} needs a value")
         return args.func(args)
     except UsageError as exc:
         print(f"UsageError: {exc}", file=sys.stderr)
@@ -225,8 +232,8 @@ def main(argv=None) -> int:
     except (BoundsError, WallError, TiltError, ChernError, ConvexOptError, ExactError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"ValueError: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -14,7 +14,10 @@ global sections of Harder-Narasimhan configurations.  Three tools:
   affine path, so each piece's maximum sits at a cut and no interior
   candidate is needed.
 * ``maximize_bruteforce`` -- independent oracle: exact DP over convex
-  lattice chains on the (grid_n x grid_n) refinement of the triangle.
+  lattice chains on the (grid_n x grid_n) refinement of the triangle.  In
+  lattice coordinates (a, b) -> a*P + b*Q the directions of a non-collapsed
+  triangle are the integer cone a+b >= 0, b >= 0, by increasing b/(a+b),
+  and each direction relaxes the DP by walking the lattice lines along it.
 * ``clifford_chain_bound`` -- the wall-triangle derivation of the Clifford
   bound (universal bound on the O->P leg, fixed case rows for the others,
   Bogomolov value in the Brill-Noether band, and the d - 46r branch on
@@ -23,6 +26,7 @@ global sections of Harder-Narasimhan configurations.  Three tools:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -487,15 +491,38 @@ class BruteForceResult:
     chain: ConvexChain
 
 
+@functools.lru_cache(maxsize=None)  # n <= 60 (GridTooLarge), immutable results
+def _cone_order(n: int) -> tuple:
+    """Primitive (a, b) in [-n, n]^2 with a+b >= 0 and b >= 0, by increasing
+    b/(a+b), with a+b = 0 last.
+
+    For a non-collapsed triangle a*P + b*Q = (a+b)*P + b*(Q-P), and P and
+    Q-P (both with y > 0, slope(OP) > slope(PQ)) span the cone of vectors
+    with y > 0 and slope in [slope(PQ), slope(OP)].  So this is that cone's
+    direction set, by strictly decreasing slope, for every such triangle.
+    """
+    cone = [
+        (a, b)
+        for b in range(n + 1)
+        for a in range(-b, n + 1)
+        if (a, b) != (0, 0) and math.gcd(a, b) == 1
+    ]
+    cone.sort(key=lambda ab: (ab[0] + ab[1] == 0, Fraction(ab[1], ab[0] + ab[1] or 1)))
+    return tuple(cone)
+
+
 def maximize_bruteforce(
     o: PlanePoint, p: PlanePoint, q: PlanePoint, grid_n: int, fallback: bool = False
 ) -> BruteForceResult:
     """Exact maximum of spade sums over convex chains on the lattice
     {(i*P + j*Q)/grid_n : i, j >= 0, i + j <= grid_n}, any segment count.
 
-    Deterministic dynamic program over primitive directions sorted by
-    strictly decreasing slope (unbounded reuse of a direction realizes the
-    collinear merge).  Chains with an increment off the slope table are
+    Deterministic dynamic program over the primitive directions (a, b) of
+    the triangle's cone by strictly decreasing slope; for a non-collapsed
+    triangle this order is ``_cone_order``, from the integers alone.  Each
+    direction walks every lattice line along it from the line's first
+    point, so unbounded reuse of a direction within its pass realizes the
+    collinear merge.  Chains with an increment off the slope table are
     excluded (or valued with the universal fallback when requested).
     """
     if grid_n > 60:
@@ -517,28 +544,34 @@ def maximize_bruteforce(
         raise DegenerateTriangle("need slope(OP) > slope(OQ) > slope(PQ)")
 
     n = grid_n
-    # primitive directions (a, b), scaled vector a*P + b*Q with y > 0 and
-    # slope within [slope(PQ), slope(OP)]
+    # primitive directions (a, b) whose scaled vector a*P + b*Q has y > 0
+    # and slope within [slope(PQ), slope(OP)], by decreasing slope
+    if collapsed:
+        # every direction with y > 0 has the one slope; the stable exact
+        # sort keeps the (a, b) construction order
+        cone = []
+        for a in range(-n, n + 1):
+            for b in range(-n, n + 1):
+                if (a, b) == (0, 0) or math.gcd(abs(a), abs(b)) != 1:
+                    continue
+                vy = a * p.y + b * q.y
+                if scalar_sign(vy) <= 0:
+                    continue
+                s = (a * p.x + b * q.x) / vy
+                if compare_scalars(s, s_pq) < 0 or compare_scalars(s, s_op) > 0:
+                    continue
+                cone.append((s, a, b))
+        cone.sort(key=lambda rec: rec[0], reverse=True)
+        cone = [(a, b) for _, a, b in cone]
+    else:
+        cone = _cone_order(n)
     dirs = []
-    for a in range(-n, n + 1):
-        for b in range(-n, n + 1):
-            if (a, b) == (0, 0) or math.gcd(abs(a), abs(b)) != 1:
-                continue
-            vx = a * p.x + b * q.x
-            vy = a * p.y + b * q.y
-            if scalar_sign(vy) <= 0:
-                continue
-            s = vx / vy
-            if compare_scalars(s, s_pq) < 0 or compare_scalars(s, s_op) > 0:
-                continue
-            try:
-                val = spade((vx, vy), fallback=fallback)
-            except SlopeOutOfTable:
-                continue
-            dirs.append((s, a, b, RadicalSum.of(val).scale(Fraction(1, n))))
-    # decreasing slope; the sort is stable, so equal slopes (a collapsed
-    # triangle) keep their (a, b) construction order
-    dirs.sort(key=lambda rec: rec[0], reverse=True)
+    for a, b in cone:
+        try:
+            val = spade((a * p.x + b * q.x, a * p.y + b * q.y), fallback=fallback)
+        except SlopeOutOfTable:
+            continue
+        dirs.append((a, b, RadicalSum.of(val).scale(Fraction(1, n))))
 
     # DP on certified integer enclosures: a record's (lo, width) satisfies
     # lo <= value * 2**64 <= lo + width, summed from its steps' enclosures,
@@ -550,8 +583,7 @@ def maximize_bruteforce(
     # are cached per record.  The reported maximum is exact.
     start = (0, 0)
     goal = (0, n)
-    points = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
-    dir_exact = {(a, b): val for _, a, b, val in dirs}
+    dir_exact = {(a, b): val for a, b, val in dirs}
 
     class _Rec:
         __slots__ = ("lo", "width", "link", "exact")
@@ -578,36 +610,38 @@ def maximize_bruteforce(
 
     dp: dict = {start: _Rec(0, 0, None)}
     unit = 1 << 64
-    for s, a, b, val in dirs:
+    for a, b, val in dirs:
         v_lo, v_hi = val.interval(64)
         val_lo = math.floor(v_lo * unit)
         val_width = math.ceil(v_hi * unit) - val_lo
-        # all simplex points in increasing progress along (a, b), so repeated
-        # steps of the same direction chain within one pass (collinear merge)
-        order = sorted(points, key=lambda ij: a * ij[0] + b * ij[1])
-        for ij in order:
-            base = dp.get(ij)
-            if base is None:
-                continue
-            ni, nj = ij[0] + a, ij[1] + b
-            if ni < 0 or nj < 0 or ni + nj > n:
-                continue
-            w = (ni, nj)
-            cand_lo = base.lo + val_lo
-            cand_width = base.width + val_width
-            cur = dp.get(w)
-            if cur is not None:
-                if cand_lo + cand_width <= cur.lo:
-                    continue
-                if cand_lo <= cur.lo + cur.width:
-                    cand_exact = exact_of(base) + val
-                    if not (cand_exact > exact_of(cur)):
-                        continue
-                    rec = _Rec(cand_lo, cand_width, (base, (a, b)))
-                    rec.exact = cand_exact
-                    dp[w] = rec
-                    continue
-            dp[w] = _Rec(cand_lo, cand_width, (base, (a, b)))
+        # walk each lattice line along (a, b) forward from its first point,
+        # so repeated steps of the same direction chain within one pass
+        # (collinear merge); every cell has one predecessor per direction.
+        # Only line starts with an in-simplex successor matter: i >= -a,
+        # j >= -b, i + j <= top.
+        top = n - a - b
+        j_min = max(0, -b)
+        for i in range(max(0, -a), top - j_min + 1):
+            for j in range(j_min, top - i + 1):
+                if i >= a and j >= b and i + j <= n + a + b:
+                    continue  # the predecessor is in the simplex
+                base = dp.get((i, j))
+                ni, nj = i + a, j + b
+                while ni >= 0 and nj >= 0 and ni + nj <= n:
+                    w = (ni, nj)
+                    cur = dp.get(w)
+                    if base is not None:
+                        cand_lo = base.lo + val_lo
+                        cand_width = base.width + val_width
+                        if cur is None or cand_lo > cur.lo + cur.width:
+                            cur = dp[w] = _Rec(cand_lo, cand_width, (base, (a, b)))
+                        elif cand_lo + cand_width > cur.lo:
+                            cand_exact = exact_of(base) + val
+                            if cand_exact > exact_of(cur):
+                                cur = dp[w] = _Rec(cand_lo, cand_width, (base, (a, b)))
+                                cur.exact = cand_exact
+                    base = cur
+                    ni, nj = ni + a, nj + b
     if goal not in dp:
         raise ConvexOptError("no spade-evaluable chain reaches Q on this grid")
     # reconstruct and recompute the exact value of the winning chain

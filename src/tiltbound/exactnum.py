@@ -410,7 +410,12 @@ class QuadNum:
         return f"QuadNum({self.a!r}, {self.b!r}, {self.m})"
 
 
+_RATIONAL_TYPES = (int, Fraction)
+
+
 def scalar_sign(x) -> int:
+    if type(x) in _RATIONAL_TYPES:
+        return (x > 0) - (x < 0)
     if isinstance(x, QuadNum):
         return x.sign()
     if isinstance(x, RadicalSum):
@@ -420,6 +425,8 @@ def scalar_sign(x) -> int:
 
 def compare_scalars(x, y) -> int:
     """Exact three-way comparison of Fraction/QuadNum/RadicalSum values."""
+    if type(x) in _RATIONAL_TYPES and type(y) in _RATIONAL_TYPES:
+        return (x > y) - (x < y)
     if isinstance(x, RadicalSum) or isinstance(y, RadicalSum):
         return (RadicalSum.of(x) - RadicalSum.of(y)).sign()
     xa, xb, xm = (x.a, x.b, x.m) if isinstance(x, QuadNum) else (Fraction(x), Fraction(0), 0)
@@ -477,6 +484,10 @@ def scalar_interval(x, bits: int = 64) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 # RadicalSum
 # ---------------------------------------------------------------------------
+
+
+# past this precision RadicalSum.sign checks its keys once before going on
+_SIGN_KEY_CHECK_BITS = 1 << 14
 
 
 def _sqrt_bounds(m: int, bits: int) -> tuple[Fraction, Fraction]:
@@ -577,15 +588,25 @@ class RadicalSum:
             if len(rad) == 2:
                 (m, b), (k, e) = rad
                 return _sign_rad_pair(u, b, m, e, k)
-        bits = 64
-        while bits <= 1 << 14:
+        # over distinct square-free keys the sum is nonzero (the zero test
+        # above is exact), so refinement ends; start near the coefficient
+        # size to skip hopeless rounds
+        bits = max(
+            64, *(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in t.values())
+        )
+        keys_checked = False
+        while True:
             lo, hi = self.interval(bits)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
+            if bits >= _SIGN_KEY_CHECK_BITS and not keys_checked:
+                # a zero sum over keys like 4 or 8 would refine forever
+                if any(square_free_core(m)[0] != m for m in t):
+                    raise ValueError("RadicalSum keys must be square-free")
+                keys_checked = True
             bits *= 2
-        raise RuntimeError("sign refinement exhausted (nonzero guaranteed; unreachable)")
 
     def _cmp(self, other) -> int:
         return (self - RadicalSum.of(other)).sign()

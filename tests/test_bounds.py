@@ -14,6 +14,9 @@ from tiltbound.bounds import (
     bg_linear_family,
     bg_quadratic_family,
     bg_refined_family,
+    _TABLE_BOUNDARIES,
+    _band,
+    _nearest_band,
     clifford_bound,
     piecewise_check,
     spade,
@@ -154,6 +157,57 @@ def test_slope_table_derived_views():
     # shared closed endpoints belong to the lower-numbered row
     for s, case_id in ((F(11, 2), 1), (F(-11, 2), 4), (F(-97, 10), 5), (F(-193, 14), 6)):
         assert spade_case_for_slope(s).case_id == case_id
+
+
+def _contains(r, s):
+    # exact rich comparisons of Fraction and QuadNum
+    return (r.lo < s or (r.lo_closed and r.lo == s)) and (s < r.hi or (r.hi_closed and s == r.hi))
+
+
+def _reference_dispatch(s):
+    """The band rows first, then a scan of rows 1-7 in order."""
+    if isinstance(s, QuadNum) and s.is_rational:
+        s = s.as_fraction()
+    n = _nearest_band(s)
+    if n != 0:
+        case8, case9 = _band(abs(n))
+        if n < 0 and _contains(case8, s):
+            return SPADE_CASES[7]
+        if n > 0 and _contains(case9, s):
+            return SPADE_CASES[8]
+    for row in SPADE_CASES[:7]:
+        if any(_contains(r, s) for r in row.ranges):
+            return row
+    return None
+
+
+def _dispatch_or_none(s):
+    try:
+        return spade_case_for_slope(s)
+    except SlopeOutOfTable:
+        return None
+
+
+def test_bisect_dispatch_matches_row_scan():
+    eps = F(1, 10**9)
+    slopes = [b + d for b in _TABLE_BOUNDARIES for d in (0, eps, -eps)]
+    for n in range(1, 31):
+        for r in _band(n):
+            for end in (r.lo, r.hi):
+                slopes += [end, -end, end + eps, end - eps]
+    rng = random.Random(97)
+    slopes += [F(rng.randrange(-25000, 15000), rng.randrange(1, 1000)) for _ in range(20000)]
+    for _ in range(3000):
+        m = rng.choice([2, 3, 5, 6, 7, 13, 61, 69, 2374])
+        a = F(rng.randrange(-200, 121), rng.randrange(1, 10))
+        b = F(rng.randrange(-40, 40) or 1, rng.randrange(1, 10))
+        slopes.append(QuadNum(a, b, m))
+    out_of_table = 0
+    for s in slopes:
+        expected = _reference_dispatch(s)
+        assert _dispatch_or_none(s) is expected, s
+        out_of_table += expected is None
+    assert 0 < out_of_table < len(slopes)
 
 
 # -- clifford -----------------------------------------------------------------------

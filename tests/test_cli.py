@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
-from tiltbound.cli import main
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tiltbound.cli import MAX_GRID, MAX_SAMPLES, main
 from tiltbound.exactnum import parse_scalar, compare_scalars
 
 
@@ -167,3 +172,99 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "1/4"
+
+
+def test_option_spelled_with_double_dash_value_is_a_usage_error(capsys):
+    for args in (
+        ["eval", "--bound", "gamma", "--at=--"],
+        ["eval", "--bound", "clifford", "--r=--", "--d", "1"],
+        ["wall", "first", "--mu=--"],
+        ["--precision=--", "eval", "--bound", "gamma", "--at", "1"],
+    ):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2 and "UsageError" in err, args
+
+
+def test_run_sizes_have_upper_bounds(capsys):
+    # rejected before any suite or sample runs
+    code, _, err = run_cli(["verify", "--suite", "q00", "--grid", str(MAX_GRID + 1)], capsys)
+    assert code == 2 and "UsageError" in err
+    code, _, err = run_cli(["emit", "--figure", "bg", "--samples", str(MAX_SAMPLES + 1)], capsys)
+    assert code == 2 and "UsageError" in err
+    code, _, err = run_cli(["emit", "--figure", "bg", "--samples", "100000000000"], capsys)
+    assert code == 2 and "UsageError" in err
+
+
+def test_malformed_values_are_domain_errors(capsys):
+    for args, name in (
+        (["eval", "--bound", "spade", "--at", "1", "--y", "1/0"], "ParseError"),
+        (["wall", "first", "--mu", "1/0"], "ParseError"),
+        (["wall", "nested", "--chern", "[1]", "--alpha", "1", "--beta", "0"], "ChernError"),
+        (["wall", "nested", "--chern", '{"context": "X24", "c": [1, 0, 0, 0]}', "--alpha", "1", "--beta", "0"], "ChernError"),
+        (["emit", "--figure", "bg", "--samples", "2", "--out", "/nonexistent-dir/x.csv"], "FileNotFoundError"),
+    ):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2 and name in err, args
+
+
+def test_bg_x24_accepts_quadratic_irrationals(capsys):
+    code, out, _ = run_cli(["eval", "--bound", "bg-x24-quadratic", "--at", "1+1*sqrt(2)"], capsys)
+    assert code == 0
+    # reduced slope sqrt(2) - 1 lies on the piece 5x^2/8 - 1/8
+    assert compare_scalars(parse_scalar(out.splitlines()[0]), parse_scalar("7/4-5/4*sqrt(2)")) == 0
+    code, _, err = run_cli(["eval", "--bound", "bg-x24-linear", "--at", "1*sqrt(2)"], capsys)
+    assert code == 2 and "OutOfDomain" in err
+
+
+_VALUES = st.sampled_from(
+    ["--", "", "0", "1", "-1", "7/2", "-7/2", "1/0", "abc", "1+1*sqrt(2)", "1/2*sqrt(2)",
+     "1*sqrt(0)", "1*sqrt(-2)", "1e999999", "[1]", "{}", '{"context": "X24", "c": ["1", "0", "0", "0"]}']
+) | st.fractions(min_value=-100, max_value=100, max_denominator=50).map(str)
+
+
+@st.composite
+def _argv(draw):
+    """argv within the documented grammar; values may be hostile, but verify
+    and emit sizes stay rejected or tiny so no large run starts."""
+    argv = []
+
+    def opt(name, value):
+        if draw(st.booleans()):
+            argv.append(f"{name}={value}")
+        else:
+            argv.extend([name, value])
+
+    if draw(st.booleans()):
+        opt("--precision", draw(st.sampled_from(["--", "3", "8", "65", "x"])))
+    command = draw(st.sampled_from(["eval", "wall first", "wall nested", "emit", "verify"]))
+    argv.extend(command.split())
+    if command == "eval":
+        kinds = ["clifford", "bg-surface", "bg-x24-linear", "bg-x24-quadratic", "spade", "gamma"]
+        opt("--bound", draw(st.sampled_from(kinds)))
+        for name in ("--at", "--r", "--d", "--y"):
+            if draw(st.booleans()):
+                opt(name, draw(_VALUES | st.integers(-100, 100).map(str)))
+        if draw(st.booleans()):
+            argv.append("--fallback")
+    elif command == "wall first":
+        opt("--mu", draw(_VALUES))
+    elif command == "wall nested":
+        for name in ("--chern", "--alpha", "--beta"):
+            opt(name, draw(_VALUES))
+    elif command == "emit":
+        opt("--figure", draw(st.sampled_from(["gamma", "clifford", "bg", "x"])))
+        small = st.integers(-3, 6) | st.integers(MAX_SAMPLES + 1, 10**15)
+        opt("--samples", draw(small.map(str) | st.just("--")))
+    else:
+        opt("--suite", draw(st.sampled_from(["all", "q00", "radicals", "--"])))
+        rejected = st.integers(-(10**9), 31) | st.integers(MAX_GRID + 1, 10**15)
+        opt("--grid", draw(rejected.map(str) | st.just("--")))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_argv())
+def test_hostile_argv_exits_0_or_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2), argv

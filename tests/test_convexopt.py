@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,9 +10,11 @@ from tiltbound.bounds import (
     _FALLBACK_CASE,
     SPADE_CASES,
     Interval,
+    SlopeOutOfTable,
     SlopeOutsideTheorem,
     _band,
     clifford_bound,
+    spade,
 )
 from tiltbound.convexopt import (
     ConvexChain,
@@ -19,13 +22,14 @@ from tiltbound.convexopt import (
     GridTooLarge,
     ORIGIN,
     PlanePoint,
+    _cone_order,
     clifford_chain_bound,
     maximize_bruteforce,
     maximize_reduced,
     spade_sum,
     triangle_from_first_wall,
 )
-from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars
+from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars, scalar_sign, sqrt_exact
 
 
 # -- chains -----------------------------------------------------------------------
@@ -281,3 +285,132 @@ def test_weak_triangle_inequality_within_case_regions():
         rhs = RadicalSum.of(spade((b.x, b.y)))
         assert (lhs - rhs).sign() >= 0, (s1, s2)
         count += 1
+
+
+# -- the brute force's integer cone order --------------------------------------------------
+
+
+def _reference_cone(p, q, n):
+    """Primitive (a, b) in [-n, n]^2 with y(a*P + b*Q) > 0 and slope in
+    [slope(PQ), slope(OP)], by a stable exact sort on decreasing slope."""
+    s_op, s_pq = p.slope(), (q - p).slope()
+    recs = []
+    for a in range(-n, n + 1):
+        for b in range(-n, n + 1):
+            if (a, b) == (0, 0) or math.gcd(a, b) != 1:
+                continue
+            vy = a * p.y + b * q.y
+            if scalar_sign(vy) <= 0:
+                continue
+            s = (a * p.x + b * q.x) / vy
+            if compare_scalars(s, s_pq) < 0 or compare_scalars(s, s_op) > 0:
+                continue
+            recs.append((s, a, b))
+    recs.sort(key=lambda rec: rec[0], reverse=True)
+    return [(a, b) for _, a, b in recs]
+
+
+def _random_triangle(rng, scalar):
+    """P, Q with slope(OP) > slope(OQ) > slope(PQ) and y(P) < y(Q), y(P) > 0."""
+    while True:
+        p = PlanePoint(scalar(rng), abs(scalar(rng)))
+        q = PlanePoint(scalar(rng), abs(scalar(rng)))
+        if scalar_sign(p.y) <= 0 or scalar_sign((q - p).y) <= 0:
+            continue
+        s_op, s_oq, s_pq = p.slope(), q.slope(), (q - p).slope()
+        if compare_scalars(s_op, s_oq) > 0 and compare_scalars(s_oq, s_pq) > 0:
+            return p, q
+
+
+def _rational(rng):
+    return F(rng.randrange(-60, 61), rng.randrange(1, 9))
+
+
+def _quadratic(rng):
+    return QuadNum(_rational(rng), F(rng.randrange(-20, 21), rng.randrange(1, 5)), 2)
+
+
+def test_cone_order_matches_slope_sort_on_random_triangles():
+    rng = random.Random(71)
+    for scalar in (_rational, _quadratic):
+        for _ in range(12):
+            p, q = _random_triangle(rng, scalar)
+            n = rng.randrange(1, 13)
+            assert list(_cone_order(n)) == _reference_cone(p, q, n), (p, q, n)
+
+
+def test_cone_order_matches_slope_sort_on_grids_1_to_40():
+    tri = triangle_from_first_wall((1, 16))
+    for n in range(1, 41):
+        assert list(_cone_order(n)) == _reference_cone(tri.p, tri.q, n), n
+
+
+def test_bruteforce_on_quadnum_triangle_scales_the_rational_one():
+    # every coordinate is sqrt(2) times a rational one; both maxima are
+    # homogeneous of degree 1, so they scale by sqrt(2)
+    r2 = QuadNum(0, 1, 2)
+    p0, q0 = PlanePoint(F(19, 100), 1), PlanePoint(F(-1, 15), F(10, 3))
+    p, q = p0.scale(r2), q0.scale(r2)
+    for res, res0 in (
+        (maximize_reduced(ORIGIN, p, q), maximize_reduced(ORIGIN, p0, q0)),
+        (maximize_bruteforce(ORIGIN, p, q, 8), maximize_bruteforce(ORIGIN, p0, q0, 8)),
+    ):
+        expected = RadicalSum.of(0)
+        for m, c in RadicalSum.of(res0.value).terms.items():
+            expected = expected + RadicalSum.of(sqrt_exact(2 * m) * c)
+        assert (RadicalSum.of(res.value) - expected).is_zero()
+        assert res.chain.vertices == tuple(v.scale(r2) for v in res0.chain.vertices)
+
+
+def test_spade_on_quadnum_point_adds_across_radicands():
+    r2 = QuadNum(0, 1, 2)
+    value = spade((F(19, 100) * r2, r2))
+    # sqrt(2) * spade((19/100, 1)) = sqrt(2) * (19/200 + 7*sqrt(4089)/200)
+    assert RadicalSum.of(value) == RadicalSum({2: F(19, 200), 8178: F(7, 200)})
+
+
+def _reference_bruteforce(p, q, n):
+    """The DP as first written: every simplex point sorted by progress along
+    each direction, exact RadicalSum comparisons, strict improvement only."""
+    dirs = []
+    for a, b in _reference_cone(p, q, n):
+        try:
+            val = spade((a * p.x + b * q.x, a * p.y + b * q.y))
+        except SlopeOutOfTable:
+            continue
+        dirs.append((a, b, RadicalSum.of(val).scale(F(1, n))))
+    points = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
+    dp = {(0, 0): (RadicalSum.of(0), ())}
+    for a, b, val in dirs:
+        for i, j in sorted(points, key=lambda ij: a * ij[0] + b * ij[1]):
+            if (i, j) not in dp or not (0 <= i + a and 0 <= j + b and i + j + a + b <= n):
+                continue
+            value, steps = dp[(i, j)]
+            cand = value + val
+            cur = dp.get((i + a, j + b))
+            if cur is None or cand > cur[0]:
+                dp[(i + a, j + b)] = (cand, steps + ((a, b),))
+    value, steps = dp[(0, n)]
+    verts = [ORIGIN]
+    for a, b in steps:
+        verts.append(verts[-1] + PlanePoint((a * p.x + b * q.x) / n, (a * p.y + b * q.y) / n))
+    return value, ConvexChain(verts).merged()
+
+
+def test_bruteforce_matches_sorted_reference_dp():
+    rng = random.Random(83)
+    triangles = [(tri.p, tri.q) for tri in (triangle_from_first_wall((1, 16)),)]
+    # single-case hulls of rows 4, 3, 6 and the band of row 9
+    for lo, hi in ((F(-29, 10), F(-6, 10)), (F(-24, 100), F(24, 100)), (F(-134, 10), F(-125, 10)), (F(31, 10), F(39, 10))):
+        s_pq, s_oq, s_op = (lo + (hi - lo) * F(c, 48) for c in sorted(rng.sample(range(1, 48), 3)))
+        y_p = F(rng.randrange(1, 5), rng.randrange(1, 3))
+        y_q = y_p * (s_op - s_pq) / (s_oq - s_pq)
+        triangles.append((PlanePoint(s_op * y_p, y_p), PlanePoint(s_oq * y_q, y_q)))
+    r2 = QuadNum(0, 1, 2)
+    triangles.append((PlanePoint(F(19, 100), 1).scale(r2), PlanePoint(F(-1, 15), F(10, 3)).scale(r2)))
+    for p, q in triangles:
+        for n in (7, 10):
+            value, chain = _reference_bruteforce(p, q, n)
+            res = maximize_bruteforce(ORIGIN, p, q, n)
+            assert (RadicalSum.of(res.value) - value).is_zero(), (p, q, n)
+            assert res.chain.vertices == chain.vertices, (p, q, n)

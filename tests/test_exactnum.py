@@ -352,6 +352,34 @@ def test_radicalsum_sign_under_large_cancellation():
     assert compare_scalars(x, 0) == -1
 
 
+def test_radicalsum_sign_needs_more_than_16384_bits():
+    # x = ((sqrt3 - sqrt2)(sqrt2 - 1))^3000 > 0 expanded over 1, sqrt2, sqrt3,
+    # sqrt6: 8,774-bit coefficients cancel down to a value near 10^-2642
+
+    def mul(u, v):
+        a, b, c, d = u
+        e, f, g, h = v
+        return (
+            a * e + 2 * b * f + 3 * c * g + 6 * d * h,
+            a * f + b * e + 3 * (c * h + d * g),
+            a * g + c * e + 2 * (b * h + d * f),
+            a * h + d * e + b * g + c * f,
+        )
+
+    base, x = mul((0, -1, 1, 0), (-1, 1, 0, 0)), (1, 0, 0, 0)
+    for _ in range(3000):
+        x = mul(x, base)
+    terms = RadicalSum(dict(zip((1, 2, 3, 6), x)))
+    assert terms.sign() == 1
+    assert (-terms).sign() == -1
+
+
+def test_radicalsum_sign_rejects_keys_that_are_not_square_free():
+    # 2 - 2 + sqrt(2) - sqrt(8)/2 is zero, which only the key check can tell
+    with pytest.raises(ValueError, match="square-free"):
+        RadicalSum({4: 1, 1: -2, 2: 1, 8: F(-1, 2)}).sign()
+
+
 def test_arithmetic_does_not_refactor_the_radicand(monkeypatch):
     x = QuadNum(1, 1, 999983 * 1000003)
     calls = []
