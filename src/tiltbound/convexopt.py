@@ -8,16 +8,18 @@ global sections of Harder-Narasimhan configurations.  Three tools:
   triangle O-P-Q.  Every 2-chain O->V->Q has value u*spade(D) +
   spade(Q - u*D) for V = u*D (or Q - u*D; the sum is order-free), so the
   optimizer walks the directions D in {P, Q-P} plus the exceptional-slope
-  directions, partitions each u-range by the slope-table boundaries (slope
-  is monotone along affine paths), and evaluates the value exactly at
-  every cut with the rows on both sides.  Every row is convex along an
-  affine path, so each piece's maximum sits at a cut and no interior
-  candidate is needed.
+  directions.  In the cone coordinates D = alpha*P + beta*(Q-P) the
+  triangle is 0 <= beta <= alpha <= 1, so each u-range ends in closed form
+  at 1/max(alpha, beta).  Each range is partitioned by the slope-table
+  boundaries (slope is monotone along affine paths) and the value is
+  evaluated exactly at every cut with the rows on both sides.  Every row
+  is convex along an affine path, so each piece's maximum sits at a cut
+  and no interior candidate is needed.
 * ``maximize_bruteforce`` -- independent oracle: exact DP over convex
   lattice chains on the (grid_n x grid_n) refinement of the triangle.  In
-  lattice coordinates (a, b) -> a*P + b*Q the directions of a non-collapsed
-  triangle are the integer cone a+b >= 0, b >= 0, by increasing b/(a+b),
-  and each direction relaxes the DP by walking the lattice lines along it.
+  lattice coordinates (a, b) -> a*P + b*Q the directions are the integer
+  cone a+b >= 0, b >= 0, by increasing b/(a+b), and each direction relaxes
+  the DP by walking the lattice lines along it.
 * ``clifford_chain_bound`` -- the wall-triangle derivation of the Clifford
   bound (universal bound on the O->P leg, fixed case rows for the others,
   Bogomolov value in the Brill-Noether band, and the d - 46r branch on
@@ -39,7 +41,6 @@ from .bounds import (
     PlanePoint,
     SlopeOutOfTable,
     SlopeOutsideTheorem,
-    SpadeCase,
     _band,
     spade,
     spade_case_for_slope,
@@ -47,6 +48,7 @@ from .bounds import (
 )
 from .chern import CurveClass
 from .exactnum import (
+    QuadNum,
     RadicalSum,
     compare_scalars,
     format_scalar,
@@ -100,11 +102,9 @@ class ConvexChain:
         vs = tuple(vertices)
         if not vs or not vs[0].is_zero():
             raise ValueError("chain must start at the origin")
-        for a, b in zip(vs, vs[1:]):
-            inc = b - a
-            if scalar_sign(inc.y) <= 0:
-                raise ValueError("chain increments need y > 0")
         incs = [b - a for a, b in zip(vs, vs[1:])]
+        if any(scalar_sign(inc.y) <= 0 for inc in incs):
+            raise ValueError("chain increments need y > 0")
         for u, w in zip(incs, incs[1:]):
             if compare_scalars(u.slope(), w.slope()) < 0:
                 raise ValueError("increment slopes must be non-increasing")
@@ -208,150 +208,58 @@ def _exceptional_slopes(lo: Fraction, hi: Fraction) -> list:
     return sorted(out)
 
 
-def _spade_dir(p: PlanePoint, fallback: bool):
-    """spade of a direction, or None when off-table and no fallback."""
-    try:
-        return spade(p, fallback=fallback)
-    except SlopeOutOfTable:
-        return None
-
-
-def _segment_hit(r0: PlanePoint, dr: PlanePoint, a: PlanePoint, b: PlanePoint):
-    """Smallest u > 0 with r0 + u*dr on segment [a, b], or None."""
-    # solve u*dr - s*(b-a) = a - r0
-    d1, d2 = dr, b - a
-    det = d1.x * (-d2.y) - (-d2.x) * d1.y
-    rhs = a - r0
-    if scalar_sign(det) == 0:
-        return None
-    u = (rhs.x * (-d2.y) - (-d2.x) * rhs.y) / det
-    s = (d1.x * rhs.y - rhs.x * d1.y) / det
-    if scalar_sign(u) <= 0:
-        return None
-    if compare_scalars(s, 0) < 0 or compare_scalars(s, 1) > 0:
-        return None
-    return u
-
-
-def _ray_exit(r0: PlanePoint, dr: PlanePoint, tri: tuple) -> Fraction | None:
-    """Exit parameter of r0 + u*dr from the triangle (smallest positive hit)."""
-    o, p, q = tri
-    hits = []
-    for a, b in ((o, p), (p, q), (q, o)):
-        u = _segment_hit(r0, dr, a, b)
-        if u is not None:
-            hits.append(u)
-    if not hits:
-        return None
-    best = hits[0]
-    for u in hits[1:]:
-        if compare_scalars(u, best) < 0:
-            best = u
-    return best
-
-
-@dataclass(frozen=True)
-class _PathTemplate:
-    """Objective F(t) = lin_coef*t + spade(p0 + t*dvec)."""
-
-    p0: PlanePoint
-    dvec: PlanePoint
-    lin_coef: object
-
-
-def _path_point(tpl: _PathTemplate, t) -> PlanePoint:
-    return PlanePoint(tpl.p0.x + t * tpl.dvec.x, tpl.p0.y + t * tpl.dvec.y)
-
-
-def _slope_crossing(tpl: _PathTemplate, s0: Fraction):
-    """t with slope(p0 + t*dvec) = s0, or None."""
-    den = tpl.dvec.x - s0 * tpl.dvec.y
-    num = s0 * tpl.p0.y - tpl.p0.x
-    if scalar_sign(den) == 0:
-        return None
-    return num / den
-
-
-def _case_value_at(tpl: _PathTemplate, row: SpadeCase, t) -> RadicalSum:
-    w = _path_point(tpl, t)
-    return RadicalSum.of(tpl.lin_coef * t) + RadicalSum.of(row.value(w.x, w.y))
-
-
-def _optimize_path(
-    tpl: _PathTemplate, t_lo: Fraction, t_hi: Fraction, fallback: bool, slope_cap: Fraction
-):
-    """Candidate (value, t) pairs for F over [t_lo, t_hi]: every cut where
-    the path crosses a table boundary, plus the two ends, each valued with
-    the row on either side.  slope_cap bounds the |slope| the path can
-    reach (the triangle's edge-slope hull).
+def _optimize_path(q, d, sd, u_max, fallback: bool, slope_cap: Fraction):
+    """Candidate (value, u) pairs for F(u) = u*sd + spade(Q - u*d) over
+    [0, u_max]: every cut where Q - u*d crosses a table boundary, plus the
+    two ends, each valued with the row on either side.  slope_cap bounds
+    the |slope| the path can reach (the triangle's edge-slope hull).
+    Q - u*d stays in the triangle's cone, so its y is positive on the
+    whole range.
 
     The cuts are the only candidates because every row is convex along an
     affine path with y > 0, so each piece's maximum sits at one of its
     ends.  Square-root rows (1, 3, 5, 6, 7 and the fallback): with the
-    radicand along the path written At^2 + Bt + C, 4AC - B^2 =
-    4 det(M) (p0 x dvec)^2 for M = [[xx, xy/2], [xy/2, yy]], and
+    radicand along the path written Au^2 + Bu + C, 4AC - B^2 =
+    4 det(M) (Q x d)^2 for M = [[xx, xy/2], [xy/2, yy]], and
     srt * det(M) = 10 > 0.  Ratio rows (2, 4, 8, 9): num = c*y^2 and den
-    D is linear, so (c*y^2/D)'' = 2c Y(t_pole)^2 D1^2 / D^3, and c*D > 0
+    D is linear, so (c*y^2/D)'' = 2c Y(u_pole)^2 D1^2 / D^3, and c*D > 0
     on every range and band of these rows.
     """
-    if compare_scalars(t_lo, t_hi) >= 0:
-        return []
-    # keep y(path(t)) > 0 in the interior
-    y0, dy = tpl.p0.y, tpl.dvec.y
-    if scalar_sign(dy) != 0:
-        t_zero = -y0 / dy
-        if scalar_sign(dy) < 0:
-            if compare_scalars(t_zero, t_hi) < 0:
-                t_hi = t_zero
-        else:
-            if compare_scalars(t_zero, t_lo) > 0:
-                t_lo = t_zero
-    elif scalar_sign(y0) <= 0:
-        return []
-    if compare_scalars(t_lo, t_hi) >= 0:
-        return []
 
-    def slope_at(t):
-        w = _path_point(tpl, t)
-        if scalar_sign(w.y) <= 0:
-            return None
-        return w.x / w.y
+    def point(u):
+        return PlanePoint(q.x - u * d.x, q.y - u * d.y)
 
     # breakpoints where the path crosses case boundaries; slope is monotone
     # along an affine path, so each boundary is crossed at most once
     boundaries = set(_TABLE_BOUNDARIES)
     for n in range(1, math.floor((slope_cap + 10) / 4) + 1):
         boundaries.update(end for r in _band(n) for end in (r.lo, r.hi))
-    cuts = {t_lo, t_hi}
+    cuts = {Fraction(0), u_max}
     for s0 in boundaries:
-        t = _slope_crossing(tpl, s0)
-        if t is None:
+        den = s0 * d.y - d.x  # slope(Q - u*d) = s0
+        if scalar_sign(den) == 0:
             continue
-        if compare_scalars(t_lo, t) < 0 and compare_scalars(t, t_hi) < 0:
-            cuts.add(t)
+        u = (s0 * q.y - q.x) / den
+        if scalar_sign(u) > 0 and compare_scalars(u, u_max) < 0:
+            cuts.add(u)
     ordered = sorted(cuts)
 
     candidates = []
-
-    def add_candidate(t, row):
-        try:
-            candidates.append((_case_value_at(tpl, row, t), t))
-        except (SlopeOutOfTable, ZeroDivisionError):
-            pass
-
     for a, b in zip(ordered, ordered[1:]):
-        mid = (a + b) / 2
-        s_mid = slope_at(mid)
-        if s_mid is None:
-            continue
+        mid = point((a + b) / 2)
         try:
-            row = spade_case_for_slope(s_mid)
+            row = spade_case_for_slope(mid.x / mid.y)
         except SlopeOutOfTable:
-            row = _FALLBACK_CASE if fallback else None
-        if row is None:
-            continue
-        add_candidate(a, row)
-        add_candidate(b, row)
+            if not fallback:
+                continue
+            row = _FALLBACK_CASE
+        for u in (a, b):
+            try:
+                w = point(u)
+                value = RadicalSum.of(sd * u) + RadicalSum.of(row.value(w.x, w.y))
+            except (SlopeOutOfTable, ZeroDivisionError):
+                continue
+            candidates.append((value, u))
     return candidates
 
 
@@ -367,11 +275,15 @@ def maximize_reduced(
     """Sharp maximum of spade sums over 1- and 2-segment chains in O-P-Q.
 
     Directions examined: the edges P and Q-P, plus every exceptional slope
-    (integers m and (4m^2-1)/m) crossing the triangle.  Along each
-    direction the value is convex on every slope-table piece, so it is
-    maximized over the piece ends.  Each end is evaluated exactly with both
-    adjacent rows, so the reported value is a certified upper bound for all
-    chain values.
+    (integers m and (4m^2-1)/m) crossing the triangle.  A direction is
+    d = alpha*P + beta*(Q-P) (one Cramer solve against P x (Q-P)), and the
+    triangle is 0 <= beta <= alpha <= 1 in these coordinates.  So at
+    u_max = 1/max(alpha, beta) the vertex u*d reaches edge PQ (alpha >=
+    beta) or Q - u*d reaches edge OP (beta > alpha), and Q - u*d has y > 0
+    on all of [0, u_max].  Along each direction the value is convex on
+    every slope-table piece, so it is maximized over the piece ends.  Each
+    end is evaluated exactly with both adjacent rows, so the reported value
+    is a certified upper bound for all chain values.
     """
     if not o.is_zero():
         raise ValueError("first vertex must be the origin")
@@ -399,38 +311,35 @@ def maximize_reduced(
             raise SlopeOutOfTable("collapsed triangle with off-table slope")
         return ReducedResult(best[0].to_exact(), best[1])
 
-    tri = (o, p, q)
     directions = [p, q - p]
     for s_star in _exceptional_slopes(s_pq, s_op):
         if compare_scalars(s_star, s_oq) == 0:
             continue
         directions.append(PlanePoint(s_star, 1))
     cap = scalar_interval(scalar_max(abs(s_op), abs(s_pq)), 32)[1]
+    e = q - p
+    det = p.x * e.y - p.y * e.x
 
     for d in directions:
-        sd = _spade_dir(d, fallback)
-        if sd is None:
+        try:
+            sd = spade(d, fallback=fallback)
+        except SlopeOutOfTable:
             continue
-        if d is p or d is directions[1]:
-            u_max: Fraction | None = Fraction(1)
-        else:
-            u_max = _ray_exit(ORIGIN, d, tri)
-            if u_max is None:
-                u_max = _ray_exit(q, PlanePoint(-d.x, -d.y), tri)
-            if u_max is None:
-                continue
-        tpl = _PathTemplate(q, PlanePoint(-d.x, -d.y), sd)
-        for value, u in _optimize_path(tpl, Fraction(0), u_max, fallback, cap):
-            rs = RadicalSum.of(value)
-            if best is None or rs > best[0]:
+        alpha = (d.x * e.y - d.y * e.x) / det
+        beta = (p.x * d.y - p.y * d.x) / det
+        u_max = 1 / scalar_max(alpha, beta)
+        if isinstance(u_max, QuadNum) and u_max.is_rational:
+            u_max = u_max.as_fraction()  # sd * u: RadicalSum * QuadNum is undefined
+        for value, u in _optimize_path(q, d, sd, u_max, fallback, cap):
+            if best is None or value > best[0]:
                 v1 = d.scale(u)
                 v2 = q - v1
-                if scalar_sign(v2.y) <= 0 or v2.is_zero() or v1.is_zero():
+                if v1.is_zero():
                     chain = ConvexChain([ORIGIN, q])
                 else:
                     vertex = v1 if compare_scalars(v1.slope(), v2.slope()) >= 0 else v2
                     chain = ConvexChain([ORIGIN, vertex, q])
-                best = (rs, chain)
+                best = (value, chain)
     if best is None:
         raise SlopeOutOfTable("no spade-evaluable chain in this triangle")
     return ReducedResult(best[0].to_exact(), best[1])
@@ -496,10 +405,15 @@ def _cone_order(n: int) -> tuple:
     """Primitive (a, b) in [-n, n]^2 with a+b >= 0 and b >= 0, by increasing
     b/(a+b), with a+b = 0 last.
 
-    For a non-collapsed triangle a*P + b*Q = (a+b)*P + b*(Q-P), and P and
-    Q-P (both with y > 0, slope(OP) > slope(PQ)) span the cone of vectors
-    with y > 0 and slope in [slope(PQ), slope(OP)].  So this is that cone's
-    direction set, by strictly decreasing slope, for every such triangle.
+    In cone coordinates a*P + b*Q = (a+b)*P + b*(Q-P).  For a non-collapsed
+    triangle P and Q-P (both with y > 0, slope(OP) > slope(PQ)) span the
+    cone of vectors with y > 0 and slope in [slope(PQ), slope(OP)], so this
+    is that cone's direction set, by strictly decreasing slope, for every
+    such triangle.  A collapsed triangle (slope(OP) = slope(OQ)) has
+    Q = lam*P with lam = y(Q)/y(P) > 1, so every direction here is
+    ((a+b) + b*(lam-1))*P with y > 0, and by homogeneity every chain along
+    that one ray is worth spade(Q): any of its direction sets and orders
+    gives the same maximum and the merged chain O->Q.
     """
     cone = [
         (a, b)
@@ -518,11 +432,11 @@ def maximize_bruteforce(
     {(i*P + j*Q)/grid_n : i, j >= 0, i + j <= grid_n}, any segment count.
 
     Deterministic dynamic program over the primitive directions (a, b) of
-    the triangle's cone by strictly decreasing slope; for a non-collapsed
-    triangle this order is ``_cone_order``, from the integers alone.  Each
-    direction walks every lattice line along it from the line's first
-    point, so unbounded reuse of a direction within its pass realizes the
-    collinear merge.  Chains with an increment off the slope table are
+    the triangle's cone by strictly decreasing slope, in the order
+    ``_cone_order`` takes from the integers alone (collapsed triangles
+    included).  Each direction walks every lattice line along it from the
+    line's first point, so unbounded reuse of a direction within its pass
+    realizes the collinear merge.  Chains with an increment off the slope table are
     excluded (or valued with the universal fallback when requested).
     """
     if grid_n > 60:
@@ -544,29 +458,8 @@ def maximize_bruteforce(
         raise DegenerateTriangle("need slope(OP) > slope(OQ) > slope(PQ)")
 
     n = grid_n
-    # primitive directions (a, b) whose scaled vector a*P + b*Q has y > 0
-    # and slope within [slope(PQ), slope(OP)], by decreasing slope
-    if collapsed:
-        # every direction with y > 0 has the one slope; the stable exact
-        # sort keeps the (a, b) construction order
-        cone = []
-        for a in range(-n, n + 1):
-            for b in range(-n, n + 1):
-                if (a, b) == (0, 0) or math.gcd(abs(a), abs(b)) != 1:
-                    continue
-                vy = a * p.y + b * q.y
-                if scalar_sign(vy) <= 0:
-                    continue
-                s = (a * p.x + b * q.x) / vy
-                if compare_scalars(s, s_pq) < 0 or compare_scalars(s, s_op) > 0:
-                    continue
-                cone.append((s, a, b))
-        cone.sort(key=lambda rec: rec[0], reverse=True)
-        cone = [(a, b) for _, a, b in cone]
-    else:
-        cone = _cone_order(n)
     dirs = []
-    for a, b in cone:
+    for a, b in _cone_order(n):
         try:
             val = spade((a * p.x + b * q.x, a * p.y + b * q.y), fallback=fallback)
         except SlopeOutOfTable:

@@ -455,9 +455,7 @@ def suite_breakpoints(perturb: bool = False):
         }.items():
             va = SPADE_CASES[i].value(s, Fraction(1))
             vb = SPADE_CASES[j].value(s, Fraction(1))
-            gaps[format_scalar(s)] = format_scalar(
-                vb - va if not isinstance(vb - va, QuadNum) else (vb - va)
-            )
+            gaps[format_scalar(s)] = format_scalar(vb - va)
             samples += 1
         return True, samples, {"exceptional_gaps": gaps}
 
@@ -496,7 +494,7 @@ def _mu_samples(count: int, seed: int = 20240801):
             mu = Fraction(num, 64)
         if mu not in out:
             out.append(mu)
-    return out[:count] if len(out) >= count else out
+    return out[:count]
 
 
 def suite_clifford(mu_samples: int = 200, perturb: bool = False):

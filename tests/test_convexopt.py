@@ -15,9 +15,12 @@ from tiltbound.bounds import (
     _band,
     clifford_bound,
     spade,
+    spade_fallback,
 )
+from tiltbound import convexopt
 from tiltbound.convexopt import (
     ConvexChain,
+    ConvexOptError,
     DegenerateTriangle,
     GridTooLarge,
     ORIGIN,
@@ -226,10 +229,20 @@ def test_bruteforce_trivial_grids():
 
 
 def test_bruteforce_degenerate_collapse():
+    # a collapsed triangle has Q = lam*P with lam > 1: every chain on that
+    # ray is worth spade(Q) and merges to O->Q, at every grid
     q = PlanePoint(-48, 4)
     p_on = PlanePoint(-24, 2)
-    res = maximize_bruteforce(ORIGIN, p_on, q, 6)
-    assert compare_scalars(res.value, F(4, 3)) == 0
+    off_p, off_q = PlanePoint(10, 1), PlanePoint(30, 3)  # slope 10: off the table
+    for n in range(1, 10):
+        res = maximize_bruteforce(ORIGIN, p_on, q, n)
+        assert compare_scalars(res.value, F(4, 3)) == 0, n
+        assert res.chain.vertices == (ORIGIN, q), n
+        with pytest.raises(ConvexOptError):
+            maximize_bruteforce(ORIGIN, off_p, off_q, n)
+        res = maximize_bruteforce(ORIGIN, off_p, off_q, n, fallback=True)
+        assert compare_scalars(res.value, spade_fallback(off_q)) == 0, n
+        assert res.chain.vertices == (ORIGIN, off_q), n
 
 
 def test_bruteforce_grid_guard():
@@ -343,6 +356,41 @@ def test_cone_order_matches_slope_sort_on_grids_1_to_40():
     tri = triangle_from_first_wall((1, 16))
     for n in range(1, 41):
         assert list(_cone_order(n)) == _reference_cone(tri.p, tri.q, n), n
+
+
+def test_reduced_exit_reaches_the_far_edge():
+    # every direction d leaves the triangle at u_max: u*d lands on edge PQ
+    # when slope(d) >= slope(OQ), else Q - u*d lands on edge OP; Q - u*d
+    # keeps y > 0 on [0, u_max] (affine in u, so the ends decide)
+    rng = random.Random(89)
+    r2 = QuadNum(0, 1, 2)
+    triangles = [_random_triangle(rng, _rational) for _ in range(40)]
+    triangles += [(p.scale(r2), q.scale(r2)) for p, q in triangles[:15]]
+    calls = []
+
+    def record(q, d, sd, u_max, fallback, cap):
+        calls.append((d, u_max))
+        return []
+
+    for p, q in triangles:
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convexopt, "_optimize_path", record)
+            try:
+                maximize_reduced(ORIGIN, p, q, fallback=True)
+            except SlopeOutOfTable:
+                pass  # spade(Q) itself was not evaluable
+        assert len(calls) >= 2, (p, q)
+        for d, u_max in calls:
+            assert not (isinstance(u_max, QuadNum) and u_max.is_rational), (p, q, d)
+            v, w = d.scale(u_max), q - d.scale(u_max)
+            assert scalar_sign(q.y) > 0 and scalar_sign(w.y) > 0, (p, q, d)
+            if compare_scalars(d.slope(), q.slope()) > 0:
+                s = (v.y - p.y) / (q.y - p.y)  # v = P + s*(Q - P)
+                assert v.x == p.x + s * (q.x - p.x) and 0 <= s <= 1, (p, q, d)
+            else:
+                t = w.y / p.y  # w = t*P
+                assert w.x == t * p.x and 0 <= t <= 1, (p, q, d)
 
 
 def test_bruteforce_on_quadnum_triangle_scales_the_rational_one():
