@@ -16,13 +16,14 @@ from typing import Sequence
 
 from .chern import CurveClass
 from .exactnum import (
+    _poly_min_on_interval,
     Poly1,
     QuadNum,
     RadicalSum,
     compare_scalars,
     floor_scalar,
     format_scalar,
-    scalar_min,
+    rational_or_quad,
     scalar_sign,
     sqrt_exact,
 )
@@ -146,11 +147,9 @@ class SpadeCase:
         out = self.lin[0] * x + self.lin[1] * y
         if self.srt is not None:
             xx, xy, yy = self.q
-            rad = xx * x * x + xy * x * y + yy * y * y
+            rad = rational_or_quad(xx * x * x + xy * x * y + yy * y * y)
             if isinstance(rad, QuadNum):
-                if not rad.is_rational:
-                    raise SlopeOutOfTable("nested radical: use the closed-form optimizer")
-                rad = rad.as_fraction()
+                raise SlopeOutOfTable("nested radical: use the closed-form optimizer")
             if rad < 0:
                 raise SlopeOutOfTable("negative radicand outside the case range")
             root = self.srt * sqrt_exact(rad)
@@ -296,8 +295,7 @@ def _nearest_band(s) -> int:
 
 def spade_case_for_slope(s) -> SpadeCase:
     """Slope-table dispatch; band rows (cases 8, 9) own their endpoints."""
-    if isinstance(s, QuadNum) and s.is_rational:
-        s = s.as_fraction()
+    s = rational_or_quad(s)
     n = _nearest_band(s)
     if n != 0:
         case8, case9 = _band(abs(n))
@@ -506,8 +504,7 @@ def classical_bogomolov(x):
 
 def bg_bound_surface(x):
     """Surface Bogomolov-Gieseker bound; domain 0 < x < 1 strictly."""
-    if isinstance(x, QuadNum) and x.is_rational:
-        x = x.as_fraction()
+    x = rational_or_quad(x)
     if compare_scalars(x, 0) <= 0 or compare_scalars(x, 1) >= 0:
         raise OutOfDomain("bg_bound_surface needs 0 < x < 1")
     return bg_quadratic_family.evaluate(x)
@@ -521,10 +518,7 @@ def bg_bound_threefold(x, family: str = "quadratic"):
     linear theorem on |x| <= 1; refined: minimum of the applicable refined
     pieces.
     """
-    if isinstance(x, QuadNum) and x.is_rational:
-        x = x.as_fraction()
-    if not isinstance(x, QuadNum):
-        x = Fraction(x)
+    x = rational_or_quad(x)
     if family == "quadratic":
         t = x - floor_scalar(x)
         if scalar_sign(t) == 0:
@@ -543,7 +537,7 @@ def bg_bound_threefold(x, family: str = "quadratic"):
                 continue
         if not vals:
             raise OutOfDomain(f"no refined piece covers |x| = {abs(x)}")
-        return scalar_min(*vals)
+        return min(vals)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -621,25 +615,14 @@ def _dominance(f: PiecewiseBound, g: PiecewiseBound) -> CheckReport:
                         equal_points.append(x)
                 equal_points.append("interval")
                 continue
-            # sign of diff on the overlap hull: endpoints, roots, critical points.
-            # A strictly negative endpoint value fails dominance even at an
-            # open end (continuity carries the sign inside).
-            roots = [r for r in diff.real_roots() if ov.contains(r)]
-            for x in (ov.lo, ov.hi):
-                v = diff.evaluate(x)
-                if scalar_sign(v) < 0:
-                    ok = False
-                    witness = (x, v)
-            dd = diff.derivative()
-            if dd.degree() >= 1:
-                for r in dd.real_roots():
-                    if ov.contains(r):
-                        v = diff.evaluate(r)
-                        if scalar_sign(v) < 0:
-                            ok = False
-                            witness = (r, v)
-            for r in roots:
-                equal_points.append(r)
+            # dominance fails where diff's minimum over the overlap hull is
+            # negative, even at an open end (continuity carries the sign
+            # inside); the witness is the smallest such minimum
+            v, x = _poly_min_on_interval(diff, ov.lo, ov.hi)
+            if scalar_sign(v) < 0 and (witness is None or v < witness[1]):
+                ok = False
+                witness = (x, v)
+            equal_points.extend(r for r in diff.real_roots() if ov.contains(r))
     # dedupe exact equality points
     uniq = []
     has_interval = any(isinstance(e, str) for e in equal_points)

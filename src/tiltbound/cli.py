@@ -226,13 +226,8 @@ def main(argv=None) -> int:
             if isinstance(value, list):
                 raise UsageError(f"--{name} needs a value")
         return args.func(args)
-    except UsageError as exc:
-        print(f"UsageError: {exc}", file=sys.stderr)
-        return 2
-    except (BoundsError, WallError, TiltError, ChernError, ConvexOptError, ExactError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, BoundsError, WallError, TiltError, ChernError, ConvexOptError, ExactError,
+            ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -48,12 +48,10 @@ from .bounds import (
 )
 from .chern import CurveClass
 from .exactnum import (
-    QuadNum,
     RadicalSum,
     compare_scalars,
     format_scalar,
     scalar_interval,
-    scalar_max,
     scalar_sign,
 )
 from .walls import bn_threshold
@@ -256,7 +254,7 @@ def _optimize_path(q, d, sd, u_max, fallback: bool, slope_cap: Fraction):
         for u in (a, b):
             try:
                 w = point(u)
-                value = RadicalSum.of(sd * u) + RadicalSum.of(row.value(w.x, w.y))
+                value = RadicalSum.of(sd) * u + RadicalSum.of(row.value(w.x, w.y))
             except (SlopeOutOfTable, ZeroDivisionError):
                 continue
             candidates.append((value, u))
@@ -316,7 +314,7 @@ def maximize_reduced(
         if compare_scalars(s_star, s_oq) == 0:
             continue
         directions.append(PlanePoint(s_star, 1))
-    cap = scalar_interval(scalar_max(abs(s_op), abs(s_pq)), 32)[1]
+    cap = scalar_interval(max(abs(s_op), abs(s_pq)), 32)[1]
     e = q - p
     det = p.x * e.y - p.y * e.x
 
@@ -327,9 +325,7 @@ def maximize_reduced(
             continue
         alpha = (d.x * e.y - d.y * e.x) / det
         beta = (p.x * d.y - p.y * d.x) / det
-        u_max = 1 / scalar_max(alpha, beta)
-        if isinstance(u_max, QuadNum) and u_max.is_rational:
-            u_max = u_max.as_fraction()  # sd * u: RadicalSum * QuadNum is undefined
+        u_max = 1 / max(alpha, beta)
         for value, u in _optimize_path(q, d, sd, u_max, fallback, cap):
             if best is None or value > best[0]:
                 v1 = d.scale(u)

@@ -18,9 +18,11 @@ this module provides
   polynomially and R >= 0 on a stated slope domain.
 
 Everything is immutable and pure; floats appear only in ``__float__``
-conveniences, never in decision paths of the exact API.  A comparison is
-decided by exact algebra or, for sums of three or more radicals, by the one
-certified enclosure ``RadicalSum.interval``.
+conveniences, never in decision paths of the exact API.  Only this module
+decides order: at most two radicals by ``_sign_rad_pair``, larger sums by the
+certified enclosure ``RadicalSum.interval``; ``ExactOrder`` derives the rich
+comparisons (so ``min``, ``max``, ``sorted`` apply).  ``rational_or_quad`` is
+the one demotion of a rational ``QuadNum`` to a Fraction.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ __all__ = [
     "sqrt_exact",
     "QuadNum",
     "RadicalSum",
+    "ExactOrder",
     "qn_compare",
     "compare_scalars",
     "scalar_sign",
-    "scalar_min",
-    "scalar_max",
+    "rational_or_quad",
     "floor_scalar",
     "parse_rat",
     "format_rat",
@@ -113,27 +115,27 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n."""
+# Pollard rho steps one square_free_core call may take, about 2.5 s at 128
+# bits: a product of two 40-bit primes factors, of two primes near 2^64 does not
+_RHO_STEPS = 1 << 20
+
+
+def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
+    """A nontrivial factor of composite odd n and the rho steps left."""
     rng = random.Random(0xC0FFEE ^ n)
-    while True:
+    while budget:
         c = rng.randrange(1, n)
         x = y = rng.randrange(2, n)
         d = 1
-        while d == 1:
+        while d == 1 and budget:
+            budget -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def _prime_factor(n: int) -> int:
-    """A prime factor of n > 1, which has no factor in _SMALL_PRIMES."""
-    while not _is_probable_prime(n):
-        n = _pollard_rho(n)
-    return n
+        if 1 < d < n:
+            return d, budget
+    raise ExactError(f"no factor of a {n.bit_length()}-bit radicand within {_RHO_STEPS} rho steps")
 
 
 def square_free_core(n: int) -> tuple[int, int]:
@@ -141,14 +143,20 @@ def square_free_core(n: int) -> tuple[int, int]:
 
     Each prime factor p is found once and divided out to its full power:
     first the primes of ``_SMALL_PRIMES``, then one Miller-Rabin + Pollard rho
-    prime of the remaining cofactor at a time.
+    prime of the remaining cofactor at a time, with ``_RHO_STEPS`` rho steps
+    in all before ExactError.
     """
     if n <= 0:
         raise ValueError("square_free_core requires n > 0")
     core, sq = 1, 1
     small = iter(_SMALL_PRIMES)
+    budget = _RHO_STEPS
     while n > 1:
-        p = next(small, 0) or _prime_factor(n)
+        p = next(small, 0)
+        if not p:
+            p = n
+            while not _is_probable_prime(p):
+                p, budget = _pollard_rho(p, budget)
         e = 0
         while n % p == 0:
             n //= p
@@ -183,7 +191,7 @@ def _sgn(x: Fraction) -> int:
 
 
 def _sign_single(u: Fraction, b: Fraction, m: int) -> int:
-    """Exact sign of u + b*sqrt(m), m square-free > 1."""
+    """Exact sign of u + b*sqrt(m), m square-free > 1 unless b == 0."""
     if b == 0:
         return _sgn(u)
     if u == 0:
@@ -198,7 +206,9 @@ def _sign_single(u: Fraction, b: Fraction, m: int) -> int:
 
 
 def _sign_rad_pair(u: Fraction, b: Fraction, m: int, e: Fraction, k: int) -> int:
-    """Exact sign of u + b*sqrt(m) + e*sqrt(k) with m != k square-free > 1."""
+    """Exact sign of u + b*sqrt(m) + e*sqrt(k); m != k square-free > 1, except
+    that a radicand whose coefficient is 0 may be anything.  The one dispatch
+    of the zero-radical cases."""
     if b == 0 and e == 0:
         return _sgn(u)
     if e == 0:
@@ -234,7 +244,25 @@ def _sign_rad_pair(u: Fraction, b: Fraction, m: int, e: Fraction, k: int) -> int
 # ---------------------------------------------------------------------------
 
 
-class QuadNum:
+class ExactOrder:
+    """Rich comparisons from ``self._cmp(other)``, an exact -1/0/1."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+
+class QuadNum(ExactOrder):
     """Exact a + b*sqrt(m); m square-free natural, m == 0 iff b == 0."""
 
     __slots__ = ("a", "b", "m")
@@ -283,7 +311,7 @@ class QuadNum:
         return self.a
 
     def sign(self) -> int:
-        return _sign_single(self.a, self.b, self.m) if self.m else _sgn(self.a)
+        return _sign_single(self.a, self.b, self.m)
 
     def interval(self, bits: int = 64) -> tuple[Fraction, Fraction]:
         """Certified enclosure with width <= |b|/2**bits."""
@@ -381,18 +409,6 @@ class QuadNum:
             return hash(self.a)
         return hash((self.a, self.b, self.m))
 
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
@@ -433,11 +449,7 @@ def compare_scalars(x, y) -> int:
     ya, yb, ym = (y.a, y.b, y.m) if isinstance(y, QuadNum) else (Fraction(y), Fraction(0), 0)
     u = xa - ya
     if xm == ym:
-        return _sign_single(u, xb - yb, xm) if xm else _sgn(u)
-    if xm == 0:
-        return _sign_single(u, -yb, ym)
-    if ym == 0:
-        return _sign_single(u, xb, xm)
+        return _sign_single(u, xb - yb, xm)
     return _sign_rad_pair(u, xb, xm, -yb, ym)
 
 
@@ -446,20 +458,12 @@ def qn_compare(x, y) -> int:
     return compare_scalars(x, y)
 
 
-def scalar_min(*xs):
-    best = xs[0]
-    for x in xs[1:]:
-        if compare_scalars(x, best) < 0:
-            best = x
-    return best
-
-
-def scalar_max(*xs):
-    best = xs[0]
-    for x in xs[1:]:
-        if compare_scalars(x, best) > 0:
-            best = x
-    return best
+def rational_or_quad(x) -> Scalar:
+    """A Fraction for an int, a Fraction or a rational QuadNum; otherwise the
+    irrational QuadNum itself."""
+    if isinstance(x, QuadNum):
+        return x if x.b else x.a
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def floor_scalar(x) -> int:
@@ -495,7 +499,7 @@ def _sqrt_bounds(m: int, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
 
 
-class RadicalSum:
+class RadicalSum(ExactOrder):
     """Finite sum q + sum c_i*sqrt(m_i) over distinct square-free m_i > 1.
 
     The key-1 entry holds the rational part.  Zero testing is exact by
@@ -550,7 +554,18 @@ class RadicalSum:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return NotImplemented
+        if not isinstance(other, QuadNum):
+            return NotImplemented
+        # sqrt(m)*sqrt(k) = g*sqrt((m/g)(k/g)) with g = gcd(m, k): the product
+        # key is square-free again, so nothing is factored
+        k = other.m or 1
+        t: dict[int, Fraction] = {}
+        for m, c in self.terms.items():
+            g = math.gcd(m, k)
+            mk = (m // g) * (k // g)
+            t[m] = t.get(m, 0) + c * other.a
+            t[mk] = t.get(mk, 0) + c * other.b * g
+        return RadicalSum(t)
 
     __rmul__ = __mul__
 
@@ -575,22 +590,13 @@ class RadicalSum:
 
     def sign(self) -> int:
         t = self.terms
-        if not t:
-            return 0
-        if len(t) == 1:
-            ((m, c),) = t.items()
-            return _sgn(c)
-        if len(t) <= 3:
-            rad = [(m, c) for m, c in t.items() if m != 1]
-            u = t.get(1, Fraction(0))
-            if len(rad) == 1:
-                return _sign_single(u, rad[0][1], rad[0][0])
-            if len(rad) == 2:
-                (m, b), (k, e) = rad
-                return _sign_rad_pair(u, b, m, e, k)
-        # over distinct square-free keys the sum is nonzero (the zero test
-        # above is exact), so refinement ends; start near the coefficient
-        # size to skip hopeless rounds
+        rad = [m for m in t if m != 1]
+        if len(rad) <= 2:
+            m, k = (*rad, 0, 0)[:2]
+            return _sign_rad_pair(t.get(1, 0), t.get(m, 0), m, t.get(k, 0), k)
+        # three or more nonzero radicals over distinct square-free keys never
+        # sum to zero, so refinement ends; start near the coefficient size to
+        # skip hopeless rounds
         bits = max(
             64, *(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in t.values())
         )
@@ -618,18 +624,6 @@ class RadicalSum:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def to_exact(self) -> Scalar | "RadicalSum":
         """Collapse to Fraction or QuadNum when at most one radical survives."""
@@ -1142,33 +1136,32 @@ class RatFunc1:
 # ---------------------------------------------------------------------------
 
 
-def _poly_min_on_interval(g: Poly1, lo, hi):
-    """Exact minimum of g over [lo, hi]; endpoints may be QuadNum."""
-    candidates = [g.evaluate(lo), g.evaluate(hi)]
+def _poly_min_on_interval(g: Poly1, lo, hi) -> tuple:
+    """Exact (minimum, minimizer) of g over [lo, hi]; endpoints may be QuadNum.
+
+    The candidates are lo, hi and the critical points between them, in that
+    order; the first of equal minima wins."""
     dg = g.derivative()
     if dg.degree() > 2:
         raise NotImplementedError("positivity check supports degree <= 3")
+    xs = [lo, hi]
     if dg.degree() >= 1:
-        for r in dg.real_roots():
-            if compare_scalars(lo, r) <= 0 <= compare_scalars(hi, r):
-                candidates.append(g.evaluate(r))
-    return scalar_min(*candidates)
+        xs += [r for r in dg.real_roots() if compare_scalars(lo, r) <= 0 <= compare_scalars(hi, r)]
+    return min(((g.evaluate(x), x) for x in xs), key=lambda vx: vx[0])
 
 
 def radical_identity_check(
     discriminant: MPoly,
     claimed_root: MPoly,
     positivity_domain: tuple,
-    ratio_num: str = "d",
-    ratio_den: str = "r",
 ) -> bool:
     """Certify sqrt(discriminant) == claimed_root on a slope domain.
 
     Both polynomials must already be cleared of denominators and homogeneous
     with deg(discriminant) == 2*deg(claimed_root); otherwise NotHomogeneous.
     Returns True iff claimed_root**2 equals discriminant coefficient-wise AND
-    claimed_root >= 0 on the stated domain of the ratio ratio_num/ratio_den
-    (certified by exact endpoint and critical-point evaluation).
+    claimed_root >= 0 on the stated domain of the ratio d/r (certified by
+    exact endpoint and critical-point evaluation).
     """
     if discriminant.vars != claimed_root.vars:
         raise ValueError("variable universes differ")
@@ -1186,6 +1179,6 @@ def radical_identity_check(
             ]
         )
     else:
-        g = claimed_root.restrict_to_ratio(ratio_num, ratio_den)
+        g = claimed_root.restrict_to_ratio("d", "r")
     lo, hi = positivity_domain
-    return scalar_sign(_poly_min_on_interval(g, lo, hi)) >= 0
+    return scalar_sign(_poly_min_on_interval(g, lo, hi)[0]) >= 0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ChernVec, X24, exp_twist
-from .exactnum import QuadNum, compare_scalars, floor_scalar, format_scalar, scalar_sign
+from .exactnum import ExactOrder, QuadNum, compare_scalars, floor_scalar, format_scalar, scalar_sign
 
 __all__ = [
     "TiltError",
@@ -72,7 +72,7 @@ class TiltParams:
                 object.__setattr__(self, name, Fraction(x))
 
 
-class SlopeValue:
+class SlopeValue(ExactOrder):
     """A slope: an exact finite value or +infinity (torsion denominators)."""
 
     __slots__ = ("value",)
@@ -117,18 +117,6 @@ class SlopeValue:
 
     def __hash__(self):
         return hash(None) if self.is_infinite else hash(self.value)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def __repr__(self):
         return "SlopeValue(+inf)" if self.is_infinite else f"SlopeValue({format_scalar(self.value)})"
@@ -182,9 +170,9 @@ def linear_params_from_canonical(p: TiltParams) -> TiltParams:
     return TiltParams((p.alpha * p.alpha + p.beta * p.beta) / 2, p.beta)
 
 
-def k3_alpha_from_canonical(p: TiltParams, h2: int = 8):
-    """K3-chart absorbed alpha: H^2 (alpha^2+beta^2)/2."""
-    return h2 * (p.alpha * p.alpha + p.beta * p.beta) / 2
+def k3_alpha_from_canonical(p: TiltParams):
+    """K3-chart absorbed alpha: H^2 (alpha^2+beta^2)/2 with H^2 = 8."""
+    return 8 * (p.alpha * p.alpha + p.beta * p.beta) / 2
 
 
 def bn_slope(v: ChernVec) -> SlopeValue:

@@ -46,7 +46,6 @@ from .exactnum import (
     compare_scalars,
     format_scalar,
     poly_equal,
-    qn_compare,
     radical_identity_check,
     scalar_sign,
 )
@@ -123,7 +122,13 @@ def _cleared_delta_polys(prime: bool, perturb: bool):
     return disc, claimed
 
 
-def suite_radicals(perturb: bool = False, k_per_range: int = 200):
+# sample sizes of the radicals, clifford and walls suites
+_K_PER_RANGE = 200
+_MU_SAMPLES = 200
+_LATTICE_BOUND = 20
+
+
+def suite_radicals(perturb: bool = False):
     reports = []
 
     def check_delta():
@@ -158,8 +163,8 @@ def suite_radicals(perturb: bool = False, k_per_range: int = 200):
         for side, table in _INTERSECT_RANGES.items():
             for lo, hi, n in table:
                 piece = walls.gamma_piece(n)
-                for k_idx in range(k_per_range):
-                    k = lo + (hi - lo) * Fraction(k_idx, k_per_range)
+                for k_idx in range(_K_PER_RANGE):
+                    k = lo + (hi - lo) * Fraction(k_idx, _K_PER_RANGE)
                     x = walls.line_gamma_intersection(k, side)
                     residual = k * x - piece.evaluate(x)
                     samples += 1
@@ -234,7 +239,7 @@ def suite_q00(grid_denominator: int = 64, perturb: bool = False):
         left = roots[0]
         expected = QuadNum(Fraction(79, 275), Fraction(-3, 275), 2374)
         ok = compare_scalars(left, expected) == 0
-        ok = ok and qn_compare(expected, Fraction(-1, 4)) > 0
+        ok = ok and compare_scalars(expected, Fraction(-1, 4)) > 0
         # hom-line consistency: the stated hom bound is exactly 4/5 of the
         # refined-line inequality for the evaluation twist
         hom, rk, b, a = MPoly.variables("hom", "rk", "b", "a")
@@ -305,7 +310,7 @@ def suite_q00(grid_denominator: int = 64, perturb: bool = False):
             count += 1
             if scalar_sign(5 * x_minus * x_minus - 8 * delta * x_minus - 1) != 0:
                 return False, count, {"delta": format_scalar(delta)}
-            if qn_compare(x_minus, 0) >= 0:
+            if compare_scalars(x_minus, 0) >= 0:
                 return False, count, {"delta": format_scalar(delta), "sign": "nonnegative"}
             # |x_minus - limit| must shrink monotonically
             g = RadicalSum.of(x_minus) - RadicalSum.of(limit)
@@ -468,8 +473,8 @@ def suite_breakpoints(perturb: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _mu_samples(count: int, seed: int = 20240801):
-    rng = random.Random(seed)
+def _mu_samples():
+    rng = random.Random(20240801)
     fixed = [
         Fraction(0),
         Fraction(1),
@@ -485,7 +490,7 @@ def _mu_samples(count: int, seed: int = 20240801):
         Fraction(2025, 1000),
     ]
     out = list(dict.fromkeys(fixed))
-    while len(out) < count:
+    while len(out) < _MU_SAMPLES:
         if rng.random() < 0.5:
             num = rng.randrange(0, 16 * 64 + 1)
             mu = Fraction(num, 64)
@@ -494,20 +499,18 @@ def _mu_samples(count: int, seed: int = 20240801):
             mu = Fraction(num, 64)
         if mu not in out:
             out.append(mu)
-    return out[:count]
+    return out
 
 
-def suite_clifford(mu_samples: int = 200, perturb: bool = False):
-    if mu_samples < 16:
-        raise ValueError("mu_samples must be >= 16")
+def suite_clifford(perturb: bool = False):
     reports = []
 
     def check_consistency():
         samples = 0
-        for mu in _mu_samples(mu_samples):
+        for mu in _mu_samples():
             r, d = mu.denominator, mu.numerator
             expected = clifford_bound((r, d))
-            if perturb and 48 <= mu <= 64 and qn_compare(mu, bounds.CLIFFORD_BREAK) > 0:
+            if perturb and 48 <= mu <= 64 and compare_scalars(mu, bounds.CLIFFORD_BREAK) > 0:
                 expected = d - 45 * r  # one-coefficient perturbation of the branch
             got = clifford_chain_bound(r, d)
             samples += 1
@@ -520,7 +523,7 @@ def suite_clifford(mu_samples: int = 200, perturb: bool = False):
                 }
             # the max-branch switch location agrees with the sqrt(69) breakpoint
             if 48 <= mu <= 64:
-                beyond = qn_compare(mu, bounds.CLIFFORD_BREAK) > 0
+                beyond = compare_scalars(mu, bounds.CLIFFORD_BREAK) > 0
                 if beyond and got.branch != "max_branch_linear":
                     return False, samples, {"mu": format_scalar(mu), "branch": got.branch}
         return True, samples, None
@@ -531,7 +534,7 @@ def suite_clifford(mu_samples: int = 200, perturb: bool = False):
         samples = 0
         for num in range(0, 130):
             mu = Fraction(num, 64)
-            if qn_compare(mu, bn_threshold()) >= 0:
+            if compare_scalars(mu, bn_threshold()) >= 0:
                 continue
             r, d = mu.denominator, mu.numerator
             tri = triangle_from_first_wall((r, d))
@@ -648,7 +651,7 @@ def suite_prop52(perturb: bool = False):
             cubic = Poly1([1, -1, 16, -24])
         lo = Fraction(0)
         hi = (4 - QuadNum(0, 1, 13)) / 3
-        ok2 = scalar_sign(_poly_min_on_interval(cubic, lo, hi)) >= 0
+        ok2 = scalar_sign(_poly_min_on_interval(cubic, lo, hi)[0]) >= 0
         return ok and ok2, 2, None if (ok and ok2) else {"identity": ok, "dominance": ok2}
 
     reports.append(_run("prop52_case1_recomposition", check_case1))
@@ -665,7 +668,7 @@ def suite_prop52(perturb: bool = False):
         cubic = Poly1([4, -35, 38, -11])
         lo = (QuadNum(0, 1, 69) - 8) / 5
         hi = (8 - QuadNum(0, 1, 61)) / 3
-        ok = ok and scalar_sign(_poly_min_on_interval(cubic, lo, hi)) >= 0
+        ok = ok and scalar_sign(_poly_min_on_interval(cubic, lo, hi)[0]) >= 0
         return ok, 2, None
 
     reports.append(_run("prop52_case2_recomposition", check_case2))
@@ -679,7 +682,7 @@ def suite_prop52(perturb: bool = False):
         quad = Poly1([1, -8, 3])
         lo = (8 - QuadNum(0, 1, 61)) / 3
         hi = (4 - QuadNum(0, 1, 13)) / 3
-        ok = ok and scalar_sign(_poly_min_on_interval(quad, lo, hi)) >= 0
+        ok = ok and scalar_sign(_poly_min_on_interval(quad, lo, hi)[0]) >= 0
         return ok, 2, None if ok else {"lead": format_scalar(lead)}
 
     reports.append(_run("prop52_case3_recomposition", check_case3))
@@ -717,9 +720,7 @@ def suite_prop52(perturb: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def suite_walls(lattice_bound: int = 20, perturb: bool = False):
-    if lattice_bound > 50:
-        raise ValueError("lattice_bound must be <= 50")
+def suite_walls(perturb: bool = False):
     reports = []
 
     def check_secant():
@@ -739,7 +740,7 @@ def suite_walls(lattice_bound: int = 20, perturb: bool = False):
         thr = bn_threshold()
         ok = scalar_sign(BN_THRESHOLD_POLY.evaluate(thr)) == 0
         below, above = Fraction(2024, 1000), Fraction(2025, 1000)
-        ok = ok and qn_compare(below, thr) < 0 and qn_compare(above, thr) > 0
+        ok = ok and compare_scalars(below, thr) < 0 and compare_scalars(above, thr) > 0
         ok = ok and first_wall_bounds(below).bn_semistable
         ok = ok and not first_wall_bounds(above).bn_semistable
         return ok, 4, None
@@ -778,8 +779,8 @@ def suite_walls(lattice_bound: int = 20, perturb: bool = False):
 
     def check_lattice():
         samples = 0
-        for r in range(1, lattice_bound + 1):
-            for c in range(-lattice_bound, lattice_bound + 1):
+        for r in range(1, _LATTICE_BOUND + 1):
+            for c in range(-_LATTICE_BOUND, _LATTICE_BOUND + 1):
                 s_max = (4 * c * c + 1) // r
                 ch2_over_r = Fraction(s_max - r, r)
                 samples += 1

@@ -23,9 +23,9 @@ from .exactnum import (
     Poly1,
     QuadNum,
     Scalar,
-    compare_scalars,
     floor_scalar,
     format_scalar,
+    rational_or_quad,
     scalar_sign,
 )
 from .tilt import TiltParams
@@ -123,7 +123,8 @@ def nested_wall_line(v: ChernVec, p0: TiltParams) -> WallLine:
 
 
 def gamma_piece_index(x) -> int:
-    """Nearest integer n with x in [n - 1/2, n + 1/2] (ties go down)."""
+    """Nearest integer n with x in [n - 1/2, n + 1/2]: floor(x + 1/2), so
+    n + 1/2 goes up to n + 1 (the pieces of n and n + 1 agree there)."""
     return floor_scalar(x + Fraction(1, 2))
 
 
@@ -134,16 +135,10 @@ def gamma_piece(n: int) -> Poly1:
 
 def gamma_curve(x) -> Scalar:
     """Exact Gamma(x) with the integer-point convention Gamma(n) = 4n^2."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, QuadNum) and x.is_rational:
-        x = x.as_fraction()
+    x = rational_or_quad(x)
     if isinstance(x, Fraction) and x.denominator == 1:
         return 4 * x * x
-    n = gamma_piece_index(x)
-    if compare_scalars(x, n) == 0:  # QuadNum that is secretly an integer
-        return Fraction(4 * n * n)
-    return gamma_piece(n).evaluate(x)
+    return gamma_piece(gamma_piece_index(x)).evaluate(x)
 
 
 # line_gamma_intersection dispatch: (k-range closure, piece index) per side,
@@ -217,11 +212,10 @@ class FirstWallBounds:
     exceptional_case: str | None = None
 
 
-def first_wall_bounds(mu, assume_maximal: bool = False) -> FirstWallBounds:
+def first_wall_bounds(mu) -> FirstWallBounds:
     """Endpoint bounds beta1 >= mu/32 - 4, beta2 <= mu/32, widened on the
     three vertical-segment windows; bn_semistable is the exact sign test of
-    the y-intercept t.  assume_maximal skips the exception table and returns
-    the extremal pair used by the Clifford triangle construction."""
+    the y-intercept t."""
     mu = Fraction(mu)
     if not 0 <= mu <= 64:
         raise OutOfRange("mu must lie in [0, 64]")
@@ -230,8 +224,6 @@ def first_wall_bounds(mu, assume_maximal: bool = False) -> FirstWallBounds:
     # within [0, 64], positivity of the quadratic happens exactly below the
     # lower root (256 - 32*sqrt(61))/3
     bn = BN_THRESHOLD_POLY.evaluate(mu) > 0
-    if assume_maximal:
-        return FirstWallBounds(beta1, beta2, bn, None)
     tag = None
     if 31 <= mu <= 32:
         beta2 = Fraction(1)

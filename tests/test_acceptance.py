@@ -236,10 +236,7 @@ def test_acceptance_11_strictness():
 @_criterion(12, "negative-controls", 120.0)
 def test_acceptance_12_negative_controls():
     for name in SUITE_NAMES:
-        params = {}
-        if name == "clifford":
-            params = {"mu_samples": 32}
-        ctrl = negative_control(name, **params)
+        ctrl = negative_control(name)
         assert ctrl.status == "pass", name
         assert ctrl.witness["failing_checks"], name
 

@@ -60,6 +60,14 @@ def test_eval_huge_irrational_argument(capsys):
     assert code == 2 and "SlopeOutOfTable" in err
 
 
+def test_eval_hostile_radicand_exits_2(capsys):
+    # the product of two primes near 2^64: Pollard rho finds no factor within
+    # its step cap (about 2.5 s), so square_free_core gives up with ExactError
+    at = "1+1*sqrt(340282366939157698677334770713458594567)"
+    code, _, err = run_cli(["eval", "--bound", "gamma", "--at", at], capsys)
+    assert code == 2 and "ExactError" in err and "rho steps" in err
+
+
 def test_eval_missing_argument(capsys):
     code, _, err = run_cli(["eval", "--bound", "gamma"], capsys)
     assert code == 2 and "UsageError" in err

@@ -90,7 +90,7 @@ def test_k3_chart_dictionary():
         if alpha <= beta * beta / 2:
             continue
         p = TiltParams(alpha, beta)
-        a_k3 = k3_alpha_from_canonical(p, h2=8)
+        a_k3 = k3_alpha_from_canonical(p)
         nu_can = nu_tilt(v, p)
         nu_k3 = nu_tilt(v, TiltParams(a_k3, beta), chart="k3")
         if nu_can.is_infinite:

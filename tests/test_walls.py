@@ -161,11 +161,6 @@ def test_first_wall_exceptions():
     assert fw.beta2_max == F(65, 64)
 
 
-def test_first_wall_assume_maximal():
-    fw = first_wall_bounds(F(127, 2), assume_maximal=True)
-    assert fw.beta2_max == F(127, 64) and fw.exceptional_case is None
-
-
 def test_first_wall_out_of_range():
     with pytest.raises(OutOfRange):
         first_wall_bounds(65)
