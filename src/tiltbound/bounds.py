@@ -20,6 +20,7 @@ from .exactnum import (
     Poly1,
     QuadNum,
     RadicalSum,
+    as_fraction,
     compare_scalars,
     floor_scalar,
     format_scalar,
@@ -31,6 +32,7 @@ from .exactnum import (
 __all__ = [
     "BoundsError",
     "SlopeOutOfTable",
+    "NestedRadical",
     "SlopeOutsideTheorem",
     "OutOfDomain",
     "PlanePoint",
@@ -60,6 +62,11 @@ class BoundsError(Exception):
 
 class SlopeOutOfTable(BoundsError):
     """x/y falls in none of the nine spade ranges."""
+
+
+class NestedRadical(BoundsError):
+    """A square-root row at a point whose radicand is irrational: its value
+    would need a nested radical, which the exact scalars cannot hold."""
 
 
 class SlopeOutsideTheorem(BoundsError):
@@ -103,7 +110,7 @@ class PlanePoint:
         for name in ("x", "y"):
             v = getattr(self, name)
             if not isinstance(v, QuadNum):
-                object.__setattr__(self, name, Fraction(v))
+                object.__setattr__(self, name, as_fraction(v))
 
     def __add__(self, other: "PlanePoint") -> "PlanePoint":
         return PlanePoint(self.x + other.x, self.y + other.y)
@@ -149,7 +156,7 @@ class SpadeCase:
             xx, xy, yy = self.q
             rad = rational_or_quad(xx * x * x + xy * x * y + yy * y * y)
             if isinstance(rad, QuadNum):
-                raise SlopeOutOfTable("nested radical: use the closed-form optimizer")
+                raise NestedRadical(f"nested radical sqrt({format_scalar(rad)})")
             if rad < 0:
                 raise SlopeOutOfTable("negative radicand outside the case range")
             root = self.srt * sqrt_exact(rad)

@@ -7,14 +7,14 @@ global sections of Harder-Narasimhan configurations.  Three tools:
 * ``maximize_reduced`` -- sharp maximum over 1- and 2-segment chains in a
   triangle O-P-Q.  Every 2-chain O->V->Q has value u*spade(D) +
   spade(Q - u*D) for V = u*D (or Q - u*D; the sum is order-free), so the
-  optimizer walks the directions D in {P, Q-P} plus the exceptional-slope
-  directions.  In the cone coordinates D = alpha*P + beta*(Q-P) the
-  triangle is 0 <= beta <= alpha <= 1, so each u-range ends in closed form
-  at 1/max(alpha, beta).  Each range is partitioned by the slope-table
-  boundaries (slope is monotone along affine paths) and the value is
-  evaluated exactly at every cut with the rows on both sides.  Every row
-  is convex along an affine path, so each piece's maximum sits at a cut
-  and no interior candidate is needed.
+  optimizer walks the directions D in {P, Q-P} plus every slope-table
+  boundary inside the cone (slope(PQ), slope(OP)), each valued with the
+  rows on both sides of it.  In the cone coordinates D = alpha*P +
+  beta*(Q-P) the triangle is 0 <= beta <= alpha <= 1, so each u-range ends
+  in closed form at 1/max(alpha, beta).  The same boundaries cut each range
+  (slope is monotone along affine paths), and the value is evaluated
+  exactly at every cut with the rows on both sides.  Every row is convex
+  along an affine path, so each piece's maximum sits at a cut.
 * ``maximize_bruteforce`` -- independent oracle: exact DP over convex
   lattice chains on the (grid_n x grid_n) refinement of the triangle.  In
   lattice coordinates (a, b) -> a*P + b*Q the directions are the integer
@@ -37,6 +37,7 @@ from .bounds import (
     _FALLBACK_CASE,
     _TABLE_BOUNDARIES,
     SPADE_CASES,
+    NestedRadical,
     OutOfDomain,
     PlanePoint,
     SlopeOutOfTable,
@@ -50,8 +51,8 @@ from .chern import CurveClass
 from .exactnum import (
     RadicalSum,
     compare_scalars,
+    floor_scalar,
     format_scalar,
-    scalar_interval,
     scalar_sign,
 )
 from .walls import bn_threshold
@@ -194,25 +195,38 @@ def triangle_from_first_wall(e: CurveClass | tuple) -> WallTriangle:
 # sharp reduced maximization
 # ---------------------------------------------------------------------------
 
-def _exceptional_slopes(lo: Fraction, hi: Fraction) -> list:
-    """m and (4m^2-1)/m for nonzero integers m, inside (lo, hi)."""
-    out = set()
-    m = 1
-    while m <= max(abs(lo), abs(hi)) + 1:
-        for s in (Fraction(m), Fraction(-m), Fraction(4 * m * m - 1, m), Fraction(-(4 * m * m - 1), m)):
-            if lo < s < hi:
-                out.add(s)
-        m += 1
-    return sorted(out)
+def _triangle_slopes(o: PlanePoint, p: PlanePoint, q: PlanePoint) -> tuple:
+    """(slope(OP), slope(OQ), slope(PQ) or None if y(Q) <= y(P), collapsed)
+    of O-P-Q with O the origin and y(P), y(Q) > 0; unless collapsed
+    (slope(OP) = slope(OQ)) it needs slope(OP) > slope(OQ) > slope(PQ)."""
+    if not o.is_zero():
+        raise ValueError("first vertex must be the origin")
+    if scalar_sign(p.y) <= 0 or scalar_sign(q.y) <= 0:
+        raise DegenerateTriangle("P and Q must have y > 0")
+    s_op, s_oq = p.slope(), q.slope()
+    s_pq = (q - p).slope() if scalar_sign((q - p).y) > 0 else None
+    collapsed = compare_scalars(s_op, s_oq) == 0
+    if not collapsed and (
+        s_pq is None or compare_scalars(s_op, s_oq) <= 0 or compare_scalars(s_oq, s_pq) <= 0
+    ):
+        raise DegenerateTriangle("need y(Q) > y(P) and slope(OP) > slope(OQ) > slope(PQ)")
+    return s_op, s_oq, s_pq, collapsed
 
 
-def _optimize_path(q, d, sd, u_max, fallback: bool, slope_cap: Fraction):
+def _row_or_fallback(s, fallback: bool):
+    """The row owning slope s; off the table the fallback row if requested."""
+    try:
+        return spade_case_for_slope(s)
+    except SlopeOutOfTable:
+        return _FALLBACK_CASE if fallback else None
+
+
+def _optimize_path(q, d, sd, u_max, fallback: bool, boundaries: list):
     """Candidate (value, u) pairs for F(u) = u*sd + spade(Q - u*d) over
-    [0, u_max]: every cut where Q - u*d crosses a table boundary, plus the
-    two ends, each valued with the row on either side.  slope_cap bounds
-    the |slope| the path can reach (the triangle's edge-slope hull).
+    [0, u_max]: every cut where Q - u*d crosses one of the cone's table
+    boundaries, plus the two ends, each valued with the row on either side.
     Q - u*d stays in the triangle's cone, so its y is positive on the
-    whole range.
+    whole range and its slope stays in [slope(PQ), slope(OP)].
 
     The cuts are the only candidates because every row is convex along an
     affine path with y > 0, so each piece's maximum sits at one of its
@@ -227,34 +241,31 @@ def _optimize_path(q, d, sd, u_max, fallback: bool, slope_cap: Fraction):
     def point(u):
         return PlanePoint(q.x - u * d.x, q.y - u * d.y)
 
-    # breakpoints where the path crosses case boundaries; slope is monotone
-    # along an affine path, so each boundary is crossed at most once
-    boundaries = set(_TABLE_BOUNDARIES)
-    for n in range(1, math.floor((slope_cap + 10) / 4) + 1):
-        boundaries.update(end for r in _band(n) for end in (r.lo, r.hi))
-    cuts = {Fraction(0), u_max}
+    # slope is monotone along an affine path, so each boundary is crossed
+    # at most once
+    cuts = {Fraction(0): None, u_max: None}  # u -> boundary slope there
     for s0 in boundaries:
         den = s0 * d.y - d.x  # slope(Q - u*d) = s0
         if scalar_sign(den) == 0:
             continue
         u = (s0 * q.y - q.x) / den
         if scalar_sign(u) > 0 and compare_scalars(u, u_max) < 0:
-            cuts.add(u)
+            cuts[u] = s0
     ordered = sorted(cuts)
 
     candidates = []
     for a, b in zip(ordered, ordered[1:]):
         mid = point((a + b) / 2)
-        try:
-            row = spade_case_for_slope(mid.x / mid.y)
-        except SlopeOutOfTable:
-            if not fallback:
-                continue
-            row = _FALLBACK_CASE
+        row = _row_or_fallback(mid.x / mid.y, fallback)
+        if row is None:
+            continue
         for u in (a, b):
+            w, s0 = point(u), cuts[u]
             try:
-                w = point(u)
-                value = RadicalSum.of(sd) * u + RadicalSum.of(row.value(w.x, w.y))
+                # at a cut w = y(w) * (s0, 1) with s0 rational: valued on
+                # that ray, an irrational w needs no nested radical
+                at = row.value(w.x, w.y) if s0 is None else RadicalSum.of(row.value(s0, 1)) * w.y
+                value = RadicalSum.of(sd) * u + RadicalSum.of(at)
             except (SlopeOutOfTable, ZeroDivisionError):
                 continue
             candidates.append((value, u))
@@ -272,36 +283,26 @@ def maximize_reduced(
 ) -> ReducedResult:
     """Sharp maximum of spade sums over 1- and 2-segment chains in O-P-Q.
 
-    Directions examined: the edges P and Q-P, plus every exceptional slope
-    (integers m and (4m^2-1)/m) crossing the triangle.  A direction is
-    d = alpha*P + beta*(Q-P) (one Cramer solve against P x (Q-P)), and the
-    triangle is 0 <= beta <= alpha <= 1 in these coordinates.  So at
-    u_max = 1/max(alpha, beta) the vertex u*d reaches edge PQ (alpha >=
-    beta) or Q - u*d reaches edge OP (beta > alpha), and Q - u*d has y > 0
-    on all of [0, u_max].  Along each direction the value is convex on
-    every slope-table piece, so it is maximized over the piece ends.  Each
-    end is evaluated exactly with both adjacent rows, so the reported value
-    is a certified upper bound for all chain values.
+    The cone's boundaries are the slope-table boundaries strictly inside
+    (slope(PQ), slope(OP)).  Rays from O and from Q at these slopes cut the
+    triangle into cells; every row is convex along an affine path, so on
+    each cell the chain value is convex and its supremum sits at a cell
+    vertex, valued with that cell's rows.  So the directions are P, Q-P and
+    every cone boundary but slope(OQ), each valued with the largest of the
+    rows owning its slope or the cone cells on either side (off the table,
+    the fallback row when requested), and the same boundaries cut each
+    direction's u-range.  In the cone coordinates d = alpha*P + beta*(Q-P)
+    the triangle is 0 <= beta <= alpha <= 1, so at u_max =
+    1/max(alpha, beta) the vertex u*d reaches edge PQ (alpha >= beta) or
+    Q - u*d reaches edge OP (beta > alpha), and Q - u*d has y > 0 on all of
+    [0, u_max].  Each cut is valued exactly with both adjacent rows, so the
+    value is a certified upper bound for all chain values; a candidate that
+    needs a nested radical raises NestedRadical instead of being skipped.
     """
-    if not o.is_zero():
-        raise ValueError("first vertex must be the origin")
-    if scalar_sign(q.y) <= 0:
-        raise DegenerateTriangle("Q must have y > 0")
-    s_oq = q.slope()
-    if scalar_sign(p.y) <= 0:
-        raise DegenerateTriangle("P must have y > 0 (degenerate wall)")
-    s_op = p.slope()
-    s_pq = (q - p).slope() if scalar_sign((q - p).y) > 0 else None
-    collapsed = compare_scalars(s_op, s_oq) == 0
-    if not collapsed:
-        if s_pq is None:
-            raise DegenerateTriangle("edge PQ must rise (y(Q) > y(P))")
-        if not (compare_scalars(s_op, s_oq) > 0 and compare_scalars(s_oq, s_pq) > 0):
-            raise DegenerateTriangle("need slope(OP) > slope(OQ) > slope(PQ)")
+    s_op, s_oq, s_pq, collapsed = _triangle_slopes(o, p, q)
     best: tuple | None = None
     try:
-        single = spade(q, fallback=fallback)
-        best = (RadicalSum.of(single), ConvexChain([ORIGIN, q]))
+        best = (RadicalSum.of(spade(q, fallback=fallback)), ConvexChain([ORIGIN, q]))
     except SlopeOutOfTable:
         pass
     if collapsed:
@@ -309,24 +310,34 @@ def maximize_reduced(
             raise SlopeOutOfTable("collapsed triangle with off-table slope")
         return ReducedResult(best[0].to_exact(), best[1])
 
-    directions = [p, q - p]
-    for s_star in _exceptional_slopes(s_pq, s_op):
-        if compare_scalars(s_star, s_oq) == 0:
-            continue
-        directions.append(PlanePoint(s_star, 1))
-    cap = scalar_interval(max(abs(s_op), abs(s_pq)), 32)[1]
+    # band n's boundaries have |slope| >= 4n - 1/n >= 4n - 1
+    ends = set(_TABLE_BOUNDARIES)
+    for n in range(1, (floor_scalar(max(-s_pq, s_op)) + 1) // 4 + 1):
+        ends.update(end for r in _band(n) for end in (r.lo, r.hi))
+    inner = [s for s in sorted(ends) if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0]
+    slopes = [s_pq, *inner, s_op]
+    owners = [_row_or_fallback(s, fallback) for s in slopes]
+    cells = [_row_or_fallback((a + b) / 2, fallback) for a, b in zip(slopes, slopes[1:])]
+    # (direction, index in slopes); P and Q-P first, so ties keep their chain
+    directions = [(p, len(inner) + 1), (q - p, 0)]
+    directions += [(PlanePoint(s, 1), k) for k, s in enumerate(inner, 1) if compare_scalars(s, s_oq) != 0]
     e = q - p
     det = p.x * e.y - p.y * e.x
 
-    for d in directions:
-        try:
-            sd = spade(d, fallback=fallback)
-        except SlopeOutOfTable:
+    for d, k in directions:
+        values = []
+        for row in {owners[k], *cells[max(k - 1, 0) : k + 1]} - {None}:
+            try:
+                values.append(RadicalSum.of(row.value(d.x, d.y)))
+            except SlopeOutOfTable:
+                pass
+        if not values:
             continue
+        sd = max(values)
         alpha = (d.x * e.y - d.y * e.x) / det
         beta = (p.x * d.y - p.y * d.x) / det
         u_max = 1 / max(alpha, beta)
-        for value, u in _optimize_path(q, d, sd, u_max, fallback, cap):
+        for value, u in _optimize_path(q, d, sd, u_max, fallback, inner):
             if best is None or value > best[0]:
                 v1 = d.scale(u)
                 v2 = q - v1
@@ -432,33 +443,22 @@ def maximize_bruteforce(
     ``_cone_order`` takes from the integers alone (collapsed triangles
     included).  Each direction walks every lattice line along it from the
     line's first point, so unbounded reuse of a direction within its pass
-    realizes the collinear merge.  Chains with an increment off the slope table are
-    excluded (or valued with the universal fallback when requested).
+    realizes the collinear merge.  Increments off the slope table (unless
+    the fallback values them) or needing a nested radical are excluded.
     """
     if grid_n > 60:
         raise GridTooLarge("grid_n must be <= 60")
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
-    if not o.is_zero():
-        raise ValueError("first vertex must be the origin")
-    if scalar_sign(p.y) <= 0 or scalar_sign(q.y) <= 0:
-        raise DegenerateTriangle("P and Q must have y > 0")
-    s_op, s_oq = p.slope(), q.slope()
-    if scalar_sign((q - p).y) <= 0:
-        raise DegenerateTriangle("edge PQ must rise")
-    s_pq = (q - p).slope()
-    collapsed = compare_scalars(s_op, s_oq) == 0
-    if not collapsed and not (
-        compare_scalars(s_op, s_oq) > 0 and compare_scalars(s_oq, s_pq) > 0
-    ):
-        raise DegenerateTriangle("need slope(OP) > slope(OQ) > slope(PQ)")
+    if _triangle_slopes(o, p, q)[2] is None:
+        raise DegenerateTriangle("edge PQ must rise (y(Q) > y(P))")
 
     n = grid_n
     dirs = []
     for a, b in _cone_order(n):
         try:
             val = spade((a * p.x + b * q.x, a * p.y + b * q.y), fallback=fallback)
-        except SlopeOutOfTable:
+        except (SlopeOutOfTable, NestedRadical):
             continue
         dirs.append((a, b, RadicalSum.of(val).scale(Fraction(1, n))))
 
@@ -470,7 +470,6 @@ def maximize_bruteforce(
     # immutable record (enclosure, parent record, step), so a later
     # improvement of a predecessor cannot corrupt snapshots, and exact values
     # are cached per record.  The reported maximum is exact.
-    start = (0, 0)
     goal = (0, n)
     dir_exact = {(a, b): val for a, b, val in dirs}
 
@@ -497,7 +496,7 @@ def maximize_bruteforce(
                 item.exact = par.exact + dir_exact[step]
         return rec.exact
 
-    dp: dict = {start: _Rec(0, 0, None)}
+    dp: dict = {(0, 0): _Rec(0, 0, None)}
     unit = 1 << 64
     for a, b, val in dirs:
         v_lo, v_hi = val.interval(64)

@@ -50,6 +50,7 @@ __all__ = [
     "qn_compare",
     "compare_scalars",
     "scalar_sign",
+    "as_fraction",
     "rational_or_quad",
     "floor_scalar",
     "parse_rat",
@@ -116,7 +117,7 @@ def _is_probable_prime(n: int) -> bool:
 
 
 # Pollard rho steps one square_free_core call may take, about 2.5 s at 128
-# bits: a product of two 40-bit primes factors, of two primes near 2^64 does not
+# bits; a product of two primes of about 40 bits can already exhaust them
 _RHO_STEPS = 1 << 20
 
 
@@ -458,12 +459,23 @@ def qn_compare(x, y) -> int:
     return compare_scalars(x, y)
 
 
+def as_fraction(x) -> Fraction:
+    """An int or a Fraction as a Fraction.  Any other type raises TypeError:
+    a binary floating-point number (1/7 typed for one seventh) or a string
+    is not an exact input."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, _RATIONAL_TYPES):
+        return Fraction(x)
+    raise TypeError(f"{type(x).__name__} is not an exact rational (int or Fraction)")
+
+
 def rational_or_quad(x) -> Scalar:
     """A Fraction for an int, a Fraction or a rational QuadNum; otherwise the
-    irrational QuadNum itself."""
+    irrational QuadNum itself (TypeError for any other type)."""
     if isinstance(x, QuadNum):
         return x if x.b else x.a
-    return x if type(x) is Fraction else Fraction(x)
+    return as_fraction(x)
 
 
 def floor_scalar(x) -> int:

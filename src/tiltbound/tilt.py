@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ChernVec, X24, exp_twist
-from .exactnum import ExactOrder, QuadNum, compare_scalars, floor_scalar, format_scalar, scalar_sign
+from .exactnum import ExactOrder, QuadNum, as_fraction, compare_scalars, floor_scalar, format_scalar, scalar_sign
 
 __all__ = [
     "TiltError",
@@ -69,7 +69,7 @@ class TiltParams:
         for name in ("alpha", "beta"):
             x = getattr(self, name)
             if not isinstance(x, QuadNum):
-                object.__setattr__(self, name, Fraction(x))
+                object.__setattr__(self, name, as_fraction(x))
 
 
 class SlopeValue(ExactOrder):

@@ -23,6 +23,7 @@ from .exactnum import (
     Poly1,
     QuadNum,
     Scalar,
+    as_fraction,
     floor_scalar,
     format_scalar,
     rational_or_quad,
@@ -182,7 +183,7 @@ def line_gamma_intersection(k, side: str) -> Scalar:
 def intersect_line_with_piece(k, n: int, upper_root: bool) -> Scalar:
     """Solve k*x = 5x^2 - 2n x + n^2 - 1 exactly; NoIntersection if no real root."""
     k = Fraction(k)
-    roots = (gamma_piece(n) - Poly1([0, k])).real_roots()
+    roots = Poly1([n * n - 1, -2 * n - k, 5]).real_roots()
     if not roots:
         raise NoIntersection(f"slope {k} misses the piece at n={n}")
     return roots[-1] if upper_root else roots[0]
@@ -216,7 +217,7 @@ def first_wall_bounds(mu) -> FirstWallBounds:
     """Endpoint bounds beta1 >= mu/32 - 4, beta2 <= mu/32, widened on the
     three vertical-segment windows; bn_semistable is the exact sign test of
     the y-intercept t."""
-    mu = Fraction(mu)
+    mu = as_fraction(mu)
     if not 0 <= mu <= 64:
         raise OutOfRange("mu must lie in [0, 64]")
     beta1 = mu / 32 - 4

@@ -10,6 +10,7 @@ from tiltbound.bounds import (
     _FALLBACK_CASE,
     SPADE_CASES,
     Interval,
+    NestedRadical,
     SlopeOutOfTable,
     SlopeOutsideTheorem,
     _band,
@@ -465,3 +466,103 @@ def test_bruteforce_matches_sorted_reference_dp():
             res = maximize_bruteforce(ORIGIN, p, q, n)
             assert (RadicalSum.of(res.value) - value).is_zero(), (p, q, n)
             assert res.chain.vertices == chain.vertices, (p, q, n)
+
+
+# -- directions from the slope table ----------------------------------------------------
+
+
+def _table_slopes_inside(lo, hi):
+    """Every range end of rows 1-9 strictly inside (lo, hi), from SPADE_CASES."""
+    ends = {end for row in SPADE_CASES[:7] for r in row.ranges for end in (r.lo, r.hi)}
+    n = 1
+    while 4 * n - 1 < max(abs(lo), abs(hi)):
+        ends.update(end for r in _band(n) for end in (r.lo, r.hi))
+        n += 1
+    return sorted(s for s in ends if lo < s < hi)
+
+
+def test_reduced_directions_are_the_cone_boundaries():
+    # P, Q-P, then every table boundary inside (slope(PQ), slope(OP)) except
+    # slope(OQ); the same list gives every direction its cuts
+    rng = random.Random(97)
+    triangles = [_random_triangle(rng, _rational) for _ in range(30)]
+    triangles.append((PlanePoint(30, 3), PlanePoint(F(371778, 13253), F(1419, 457))))
+    for p, q in triangles:
+        calls = []
+
+        def record(q_, d, sd, u_max, fallback, boundaries):
+            calls.append((d, boundaries))
+            return []
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convexopt, "_optimize_path", record)
+            try:
+                maximize_reduced(ORIGIN, p, q, fallback=True)
+            except SlopeOutOfTable:
+                pass
+        inner = _table_slopes_inside((q - p).slope(), p.slope())
+        assert [d for d, _ in calls] == [p, q - p] + [PlanePoint(s, 1) for s in inner if s != q.slope()]
+        assert all(b == inner for _, b in calls), (p, q)
+
+
+def test_reduced_reaches_a_chain_across_two_rows():
+    # O -> V -> Q has slopes 97/10 (row 1 closes there) and -107/6 (row 7
+    # opens there); neither is an integer m or (4m^2 - 1)/m
+    p, q = PlanePoint(30, 3), PlanePoint(F(371778, 13253), F(1419, 457))
+    v = PlanePoint(F(643481025, 21893956), F(33169125, 10946978))
+    assert (v.slope(), (q - v).slope()) == (F(97, 10), F(-107, 6))
+    chain_value = spade_sum(ConvexChain([ORIGIN, v, q]))
+    assert chain_value.to_exact() == F(95768783, 3127708)
+    res = maximize_reduced(ORIGIN, p, q)
+    assert (RadicalSum.of(res.value) - chain_value).sign() >= 0
+
+
+def test_reduced_bounds_the_grid40_oracle_across_rows():
+    p, q = PlanePoint(F(-1359, 58), 2), PlanePoint(F(-74811, 98), F(1914, 49))
+    red = maximize_reduced(ORIGIN, p, q, fallback=True)
+    bf = maximize_bruteforce(ORIGIN, p, q, 40, fallback=True)
+    assert compare_scalars(bf.value, red.value) <= 0
+    # the value is a supremum, not attained: its vertex V has slopes -107/6
+    # (row 7 opens) and -99/5 (band 5 of row 8 closes), and chains just past
+    # V, with both increments off the table, come within 1e-5 of it
+    v = red.chain.vertices[1]
+    assert (v.slope(), (q - v).slope()) == (F(-107, 6), F(-99, 5))
+    near = spade_sum(ConvexChain([ORIGIN, v - PlanePoint(F(1, 10**6), F(1, 10**6)), q]), fallback=True)
+    gap = RadicalSum.of(red.value) - near
+    assert gap.sign() > 0 and (gap - RadicalSum.of(F(1, 10**5))).sign() < 0
+
+
+def test_both_optimizers_reject_the_same_triangles():
+    p, q = PlanePoint(F(1, 4), F(1, 2)), PlanePoint(-48, 4)
+    bad = [
+        (PlanePoint(1, 1), p, q, ValueError),  # O is not the origin
+        (ORIGIN, PlanePoint(1, 0), q, DegenerateTriangle),  # y(P) = 0
+        (ORIGIN, p, PlanePoint(-48, -4), DegenerateTriangle),  # y(Q) < 0
+        (ORIGIN, PlanePoint(-5, 1), PlanePoint(-2, 2), DegenerateTriangle),  # slope order
+        (ORIGIN, PlanePoint(-48, 4), PlanePoint(-49, 3), DegenerateTriangle),  # PQ falls
+    ]
+    for o, p_, q_, exc in bad:
+        with pytest.raises(exc):
+            maximize_reduced(o, p_, q_)
+        with pytest.raises(exc):
+            maximize_bruteforce(o, p_, q_, 4)
+    with pytest.raises(GridTooLarge):  # the grid is checked first
+        maximize_bruteforce(PlanePoint(1, 1), p, q, 61)
+    # a collapsed triangle with y(Q) <= y(P): the reduced optimizer values O->Q
+    big, small = PlanePoint(-48, 4), PlanePoint(-24, 2)
+    assert compare_scalars(maximize_reduced(ORIGIN, big, small).value, spade(small)) == 0
+    with pytest.raises(DegenerateTriangle):
+        maximize_bruteforce(ORIGIN, big, small, 4)
+
+
+def test_reduced_refuses_candidates_that_need_a_nested_radical():
+    # some candidates sit in a square-root row at a point with an
+    # a + b*sqrt(2) radicand; skipping them (as before) reported less than an
+    # earlier exact result here, so the optimizer raises instead
+    p = PlanePoint(QuadNum(F(43, 5), 4, 2), QuadNum(F(41, 3), -8, 2))
+    q = PlanePoint(QuadNum(F(6, 5), 2, 2), QuadNum(F(19, 2), F(-19, 4), 2))
+    for fallback in (False, True):
+        with pytest.raises(NestedRadical):
+            maximize_reduced(ORIGIN, p, q, fallback=fallback)
+    # the oracle values only chains it can evaluate, so it still answers
+    maximize_bruteforce(ORIGIN, p, q, 6)

@@ -3,6 +3,12 @@
 import ast
 from pathlib import Path
 
+import pytest
+
+from tiltbound.bounds import PlanePoint, bg_bound_surface, bg_bound_threefold, spade_case_for_slope
+from tiltbound.tilt import TiltParams
+from tiltbound.walls import first_wall_bounds, gamma_curve
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "tiltbound"
 FLOAT_ATTRS = {("math", "sqrt"), ("math", "isfinite")}
 
@@ -43,3 +49,23 @@ def test_no_float_in_decision_paths():
         for line in sorted(_float_sites(ast.parse(path.read_text())))
     ]
     assert sites == []
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        gamma_curve,
+        bg_bound_surface,
+        bg_bound_threefold,
+        spade_case_for_slope,
+        lambda x: PlanePoint(x, 1),
+        lambda x: TiltParams(1, x),
+        first_wall_bounds,
+    ],
+    ids=["gamma_curve", "bg_bound_surface", "bg_bound_threefold", "spade_case_for_slope",
+         "PlanePoint", "TiltParams", "first_wall_bounds"],
+)
+def test_binary_float_input_is_refused(entry):
+    # 4 / 7 is the binary float nearest 4/7, not 4/7: refuse it, do not round it
+    with pytest.raises(TypeError):
+        entry(4 / 7)
