@@ -176,7 +176,7 @@ class SpadeCase:
 
 
 def _rng(lo, lo_c, hi, hi_c):
-    return Interval(Fraction(lo), Fraction(hi), lo_c, hi_c)
+    return Interval(as_fraction(lo), as_fraction(hi), lo_c, hi_c)
 
 
 SPADE_CASES: tuple[SpadeCase, ...] = (
@@ -504,8 +504,7 @@ bg_refined_family = (
 
 def classical_bogomolov(x):
     """The classical bound x^2/2 in the same normalization."""
-    if not isinstance(x, QuadNum):
-        x = Fraction(x)
+    x = rational_or_quad(x)
     return x * x / 2
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import format_rat, parse_rat
+from .exactnum import as_fraction, format_rat, parse_rat
 
 __all__ = [
     "ChernError",
@@ -103,7 +103,7 @@ class ChernVec:
             raise ValueError(
                 f"{self.context.name} needs {self.context.dim + 1} coefficients, got {len(self.c)}"
             )
-        object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
+        object.__setattr__(self, "c", tuple(map(as_fraction, self.c)))
 
     # H^(n-i).ch_i as a number; the only pairing the formulas ever use.
     def inum(self, i: int) -> Fraction:
@@ -132,7 +132,7 @@ class ChernVec:
 
 
 def vec(name: str, *c) -> ChernVec:
-    return ChernVec(CONTEXTS[name], tuple(Fraction(x) for x in c))
+    return ChernVec(CONTEXTS[name], c)
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,8 @@ class CurveClass:
     d: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "d", Fraction(self.d))
+        object.__setattr__(self, "r", as_fraction(self.r))
+        object.__setattr__(self, "d", as_fraction(self.d))
 
     @property
     def slope(self) -> Fraction:
@@ -170,7 +170,7 @@ def exp_twist(nums, beta) -> tuple:
 
 def twist_beta(v: ChernVec, beta) -> ChernVec:
     """Twisted character ch^(beta*H) = exp(-beta*H) * ch for rational beta."""
-    return ChernVec(v.context, exp_twist(v.c, Fraction(beta)))
+    return ChernVec(v.context, exp_twist(v.c, as_fraction(beta)))
 
 
 def grr_push_to_k3(e: CurveClass) -> ChernVec:

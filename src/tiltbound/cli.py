@@ -57,7 +57,7 @@ def cmd_eval(args) -> int:
     if kind == "clifford":
         if args.r is None or args.d is None:
             raise UsageError("clifford needs --r and --d")
-        value = clifford_bound((Fraction(args.r), Fraction(args.d)))
+        value = clifford_bound((args.r, args.d))
     else:
         if args.at is None:
             raise UsageError(f"{kind} needs --at")

@@ -23,11 +23,18 @@ decides order: at most two radicals by ``_sign_rad_pair``, larger sums by the
 certified enclosure ``RadicalSum.interval``; ``ExactOrder`` derives the rich
 comparisons (so ``min``, ``max``, ``sorted`` apply).  ``rational_or_quad`` is
 the one demotion of a rational ``QuadNum`` to a Fraction.
+
+Exact inputs only: ``as_fraction`` is the one door through which a value
+becomes a rational, at every constructor and entry point, so a binary float
+or a string raises TypeError instead of being converted; text enters through
+``parse_rat`` / ``parse_scalar``.  A Fraction passes that door as itself, so
+no constructor copies the Fractions of the library's own arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -87,9 +94,11 @@ class ParseError(ExactError):
 # square-free decomposition
 # ---------------------------------------------------------------------------
 
-# Miller-Rabin witnesses (deterministic for n < 3.3e24); square_free_core
-# divides them out before it looks for larger primes with Pollard rho
+# Miller-Rabin witnesses (deterministic for n < 3.3e24)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# square_free_core divides these out before it looks for larger primes with
+# Pollard rho, so Miller-Rabin never runs on a large composite with a small factor
+_TRIAL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -143,18 +152,21 @@ def square_free_core(n: int) -> tuple[int, int]:
     """Decompose n > 0 as ``core * sq**2`` with core square-free.
 
     Each prime factor p is found once and divided out to its full power:
-    first the primes of ``_SMALL_PRIMES``, then one Miller-Rabin + Pollard rho
-    prime of the remaining cofactor at a time, with ``_RHO_STEPS`` rho steps
-    in all before ExactError.
+    first the primes of ``_TRIAL_PRIMES``, up to the first p with p*p > n
+    (the cofactor left is then 1 or a prime), then one Miller-Rabin +
+    Pollard rho prime of the remaining cofactor at a time, with
+    ``_RHO_STEPS`` rho steps in all before ExactError.
     """
     if n <= 0:
         raise ValueError("square_free_core requires n > 0")
     core, sq = 1, 1
-    small = iter(_SMALL_PRIMES)
+    trial = iter(_TRIAL_PRIMES)
     budget = _RHO_STEPS
     while n > 1:
-        p = next(small, 0)
-        if not p:
+        p = next(trial, 0)
+        if p * p > n:  # no factor below p: n is prime
+            p = n
+        elif not p:  # past the trial primes
             p = n
             while not _is_probable_prime(p):
                 p, budget = _pollard_rho(p, budget)
@@ -170,7 +182,7 @@ def square_free_core(n: int) -> tuple[int, int]:
 
 def sqrt_exact(q: Fraction | int) -> Scalar:
     """Exact square root of a nonnegative rational, as Fraction or QuadNum."""
-    q = Fraction(q)
+    q = as_fraction(q)
     if q < 0:
         raise ValueError("sqrt_exact of a negative rational")
     if q == 0:
@@ -269,9 +281,9 @@ class QuadNum(ExactOrder):
     __slots__ = ("a", "b", "m")
 
     def __init__(self, a, b=0, m=0):
-        a = Fraction(a)
-        b = Fraction(b)
-        m = int(m)
+        a = as_fraction(a)
+        b = as_fraction(b)
+        m = operator.index(m)
         if b != 0:
             if m <= 0:
                 raise ValueError("radicand must be positive when b != 0")
@@ -437,7 +449,7 @@ def scalar_sign(x) -> int:
         return x.sign()
     if isinstance(x, RadicalSum):
         return x.sign()
-    return _sgn(Fraction(x))
+    return _sgn(as_fraction(x))
 
 
 def compare_scalars(x, y) -> int:
@@ -446,8 +458,8 @@ def compare_scalars(x, y) -> int:
         return (x > y) - (x < y)
     if isinstance(x, RadicalSum) or isinstance(y, RadicalSum):
         return (RadicalSum.of(x) - RadicalSum.of(y)).sign()
-    xa, xb, xm = (x.a, x.b, x.m) if isinstance(x, QuadNum) else (Fraction(x), Fraction(0), 0)
-    ya, yb, ym = (y.a, y.b, y.m) if isinstance(y, QuadNum) else (Fraction(y), Fraction(0), 0)
+    xa, xb, xm = (x.a, x.b, x.m) if isinstance(x, QuadNum) else (as_fraction(x), 0, 0)
+    ya, yb, ym = (y.a, y.b, y.m) if isinstance(y, QuadNum) else (as_fraction(y), 0, 0)
     u = xa - ya
     if xm == ym:
         return _sign_single(u, xb - yb, xm)
@@ -460,9 +472,10 @@ def qn_compare(x, y) -> int:
 
 
 def as_fraction(x) -> Fraction:
-    """An int or a Fraction as a Fraction.  Any other type raises TypeError:
-    a binary floating-point number (1/7 typed for one seventh) or a string
-    is not an exact input."""
+    """An int or a Fraction as a Fraction; a Fraction is returned as itself.
+    Any other type raises TypeError: a binary floating-point number (1/7
+    typed for one seventh) or a string is not an exact input.  The library's
+    only coercion to a rational; exact scalars use ``rational_or_quad``."""
     if type(x) is Fraction:
         return x
     if isinstance(x, _RATIONAL_TYPES):
@@ -489,7 +502,7 @@ def floor_scalar(x) -> int:
         A, B = int(x.a * d), int(x.b * d)
         r = math.isqrt(B * B * x.m)
         return (A + r) // d if B > 0 else (A - r - 1) // d
-    return math.floor(Fraction(x))
+    return math.floor(as_fraction(x))
 
 
 def scalar_interval(x, bits: int = 64) -> tuple[Fraction, Fraction]:
@@ -522,7 +535,7 @@ class RadicalSum(ExactOrder):
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Fraction] | None = None):
-        t = {m: Fraction(c) for m, c in (terms or {}).items() if c != 0}
+        t = {m: q for m, c in (terms or {}).items() if (q := as_fraction(c))}
         object.__setattr__(self, "terms", t)
 
     def __setattr__(self, *args):
@@ -539,7 +552,7 @@ class RadicalSum(ExactOrder):
             if x.b:
                 t[x.m] = x.b
             return cls(t)
-        return cls({1: Fraction(x)})
+        return cls({1: x})
 
     def __add__(self, other):
         o = RadicalSum.of(other)
@@ -560,7 +573,6 @@ class RadicalSum(ExactOrder):
         return RadicalSum.of(other) - self
 
     def scale(self, q) -> "RadicalSum":
-        q = Fraction(q)
         return RadicalSum({m: c * q for m, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -668,7 +680,7 @@ class RadicalSum(ExactOrder):
 
 
 def format_rat(q: Fraction) -> str:
-    q = Fraction(q)
+    q = as_fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -684,7 +696,7 @@ def format_scalar(x) -> str:
         return str(x)
     if isinstance(x, RadicalSum):
         return str(x)
-    return format_rat(Fraction(x))
+    return format_rat(x)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -728,7 +740,7 @@ def decimal_str(x, digits: int = 12) -> str:
         lo, hi = scalar_interval(x, bits=4 * digits + 32)
         q = (lo + hi) / 2
     else:
-        q = Fraction(x)
+        q = as_fraction(x)
     if q == 0:
         return "0"
     sign = "-" if q < 0 else ""
@@ -764,10 +776,10 @@ class MPoly:
         vs = tuple(variables)
         t = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
+            c = as_fraction(c)
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(operator.index, exps))
             if len(exps) != len(vs):
                 raise ValueError("exponent tuple does not match variables")
             t[exps] = t.get(exps, Fraction(0)) + c
@@ -789,7 +801,7 @@ class MPoly:
 
     @classmethod
     def const(cls, variables: Sequence[str], c) -> "MPoly":
-        return cls(variables, {tuple(0 for _ in variables): Fraction(c)})
+        return cls(variables, {tuple(0 for _ in variables): c})
 
     def _check(self, other: "MPoly") -> None:
         if self.vars != other.vars:
@@ -830,7 +842,7 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MPoly(self.vars, {e: c * Fraction(other) for e, c in self.terms.items()})
+            return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -934,7 +946,7 @@ class Poly1:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -989,7 +1001,7 @@ class Poly1:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly1([c * Fraction(other) for c in self.coeffs])
+            return Poly1([c * other for c in self.coeffs])
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -1022,7 +1034,7 @@ class Poly1:
     def compose_affine(self, p0, dp) -> "Poly1":
         """self(p0 + dp*t) as a polynomial in t."""
         out = Poly1([0])
-        lin = Poly1([Fraction(p0), Fraction(dp)])
+        lin = Poly1([p0, dp])
         for c in reversed(self.coeffs):
             out = out * lin + c
         return out

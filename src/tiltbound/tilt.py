@@ -230,8 +230,8 @@ def stability_region_predicates(p: TiltParams, a, b) -> RegionFlags:
     fl = floor_scalar(be)
     shifted = be - fl - Fraction(1, 2)
     circle = compare_scalars(al * al + shifted * shifted, Fraction(1, 4)) > 0
-    a = Fraction(a)
-    b = Fraction(b)
+    a = as_fraction(a)
+    b = as_fraction(b)
     ab = compare_scalars(a, al * al / 6 + abs(b) * al / 2) > 0
     frac = be - fl
     region = compare_scalars(al, be * be / 2 + frac * (1 - frac) / 2) > 0

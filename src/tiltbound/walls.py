@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import SPADE_CASES, _nearest_band
-from .chern import ChernVec
+from .chern import ChernVec, WrongContext
 from .exactnum import (
     Poly1,
     QuadNum,
@@ -72,21 +72,21 @@ class NoIntersection(WallError):
 
 @dataclass(frozen=True)
 class WallLine:
-    """A*alpha + B*beta + C = 0 in the (alpha, beta) parameter plane,
+    """A*alpha + B*beta + C = 0 in the (alpha, beta) parameter plane, with
+    exact scalar coefficients (QuadNums for irrational parameters),
     normalized so the first nonzero of (A, B) equals 1."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a: Scalar
+    b: Scalar
+    c: Scalar
 
     def __post_init__(self):
-        a, b, c = Fraction(self.a), Fraction(self.b), Fraction(self.c)
+        a, b, c = map(rational_or_quad, (self.a, self.b, self.c))
         if a == 0 and b == 0:
             raise ValueError("degenerate line coefficients")
         scale = a if a != 0 else b
-        object.__setattr__(self, "a", a / scale)
-        object.__setattr__(self, "b", b / scale)
-        object.__setattr__(self, "c", c / scale)
+        for name, x in zip("abc", (a, b, c)):
+            object.__setattr__(self, name, rational_or_quad(x / scale))
 
     def evaluate(self, p: TiltParams):
         return self.a * p.alpha + self.b * p.beta + self.c
@@ -103,8 +103,11 @@ class WallLine:
 
 def nested_wall_line(v: ChernVec, p0: TiltParams) -> WallLine:
     """The nested-wall line through p0 and p_H(v), as the vanishing of
-    det[(1, alpha, beta), (1, alpha0, beta0), (H^n.ch0, H^(n-2).ch2, H^(n-1).ch1)].
+    det[(1, alpha, beta), (1, alpha0, beta0), (H^n.ch0, H^(n-2).ch2, H^(n-1).ch1)];
+    v needs dimension >= 2 (WrongContext otherwise).
     """
+    if v.context.dim < 2:
+        raise WrongContext("nested wall lines need dimension >= 2")
     r, s2, s1 = v.inum(0), v.inum(2), v.inum(1)
     if r == 0 and s1 == 0 and s2 == 0:
         raise ZeroReducedCharacter("reduced character is zero")
@@ -161,7 +164,7 @@ def line_gamma_intersection(k, side: str) -> Scalar:
     side 'right' follows the positive-slope table ranges, 'left' the
     negative ones; substituting back gives k*x = piece(x) exactly.
     """
-    k = Fraction(k)
+    k = as_fraction(k)
     if side == "right":
         table = _RIGHT_RANGES
         pick_hi = True
@@ -182,7 +185,6 @@ def line_gamma_intersection(k, side: str) -> Scalar:
 
 def intersect_line_with_piece(k, n: int, upper_root: bool) -> Scalar:
     """Solve k*x = 5x^2 - 2n x + n^2 - 1 exactly; NoIntersection if no real root."""
-    k = Fraction(k)
     roots = Poly1([n * n - 1, -2 * n - k, 5]).real_roots()
     if not roots:
         raise NoIntersection(f"slope {k} misses the piece at n={n}")

@@ -23,12 +23,10 @@ from tiltbound.convexopt import (
     maximize_reduced,
 )
 from tiltbound.exactnum import (
-    MPoly,
     Poly1,
     QuadNum,
     compare_scalars,
     qn_compare,
-    radical_identity_check,
     scalar_sign,
 )
 from tiltbound.verify import (
@@ -37,14 +35,7 @@ from tiltbound.verify import (
     run_suite,
     suite_q00,
 )
-from tiltbound.walls import (
-    BN_THRESHOLD_POLY,
-    bn_threshold,
-    gamma_curve,
-    gamma_piece,
-    line_gamma_intersection,
-)
-from tiltbound.walls import _LEFT_RANGES, _RIGHT_RANGES
+from tiltbound.walls import BN_THRESHOLD_POLY, bn_threshold
 
 
 def _criterion(number, name, budget_s):
@@ -67,20 +58,17 @@ def _criterion(number, name, budget_s):
     return wrap
 
 
+def _suite_checks(suite, expected):
+    """Assert that the named checks of ``suite`` pass on their recorded
+    sample counts ({check name: samples_tested})."""
+    by_name = {r.check_name: r for r in run_suite(suite)}
+    for name, samples in expected.items():
+        assert (by_name[name].status, by_name[name].samples_tested) == ("pass", samples), name
+
+
 @_criterion(1, "radical-identities", 1.0)
 def test_acceptance_01_radical_identities():
-    r, d = MPoly.variables("r", "d")
-    c_form = 4096 * (r * r) - 32 * (r * d)
-    inner = 1280 * (r * d) - 97280 * (r * r) - 5 * (d * d)
-    claimed = 66560 * (r * r) - 1280 * (r * d) + 5 * (d * d)
-    assert radical_identity_check(
-        inner * inner - 300 * (c_form * c_form), claimed, (bn_threshold(), F(16))
-    )
-    inner_p = 1280 * (r * d) - 84992 * (r * r) - 5 * (d * d)
-    claimed_p = 5 * (d * d) - 1280 * (r * d) + 78848 * (r * r)
-    assert radical_identity_check(
-        inner_p * inner_p - 60 * (c_form * c_form), claimed_p, (F(48), F(64))
-    )
+    _suite_checks("radicals", {"radicals_sqrt_delta": 1, "radicals_sqrt_delta_prime": 1})
 
 
 @_criterion(2, "breakpoint-continuity", 1.0)
@@ -175,24 +163,14 @@ def test_acceptance_05_convex_chain_oracle():
 
 @_criterion(6, "wall-secant-and-threshold", 1.0)
 def test_acceptance_06_wall_secant_and_threshold():
-    for k in range(1, 257):
-        mu = F(64 * k, 256)
-        assert gamma_curve(mu / 32) - gamma_curve(mu / 32 - 4) == mu - 64
-    thr = bn_threshold()
-    assert thr == QuadNum(F(256, 3), F(-32, 3), 61)
-    assert scalar_sign(BN_THRESHOLD_POLY.evaluate(thr)) == 0
+    _suite_checks("walls", {"walls_gamma_secant_relation": 256, "walls_bn_threshold_root": 4})
+    assert bn_threshold() == QuadNum(F(256, 3), F(-32, 3), 61)
     assert BN_THRESHOLD_POLY == Poly1([1024, -512, 3])
 
 
 @_criterion(7, "x0-x1-residuals", 5.0)
 def test_acceptance_07_residuals():
-    for side, table in (("right", _RIGHT_RANGES), ("left", _LEFT_RANGES)):
-        for lo, hi, n in table:
-            piece = gamma_piece(n)
-            for i in range(200):
-                k = lo + (hi - lo) * F(i, 200)
-                x = line_gamma_intersection(k, side)
-                assert scalar_sign(k * x - piece.evaluate(x)) == 0
+    _suite_checks("radicals", {"radicals_x0_x1_residuals": 1600})
 
 
 @_criterion(8, "q00-chain", 120.0)
@@ -215,13 +193,7 @@ def test_acceptance_09_prop52():
 
 @_criterion(10, "mukai-gamma-lattice", 10.0)
 def test_acceptance_10_lattice():
-    violations = 0
-    for r in range(1, 21):
-        for c in range(-20, 21):
-            s_max = (4 * c * c + 1) // r
-            if compare_scalars(F(s_max - r, r), gamma_curve(F(c, r))) > 0:
-                violations += 1
-    assert violations == 0
+    _suite_checks("walls", {"walls_mukai_lattice_below_gamma": 820})
 
 
 @_criterion(11, "strictness-vs-bogomolov", 5.0)

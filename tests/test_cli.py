@@ -4,11 +4,16 @@ import json
 import subprocess
 import sys
 
+from fractions import Fraction as F
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltbound.cli import MAX_GRID, MAX_SAMPLES, main
 from tiltbound.exactnum import parse_scalar, compare_scalars
+from tiltbound.tilt import TiltParams
+from tiltbound.walls import WallLine
 
 
 def run_cli(args, capsys):
@@ -98,6 +103,36 @@ def test_wall_nested(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"alpha_coeff": "1", "beta_coeff": "1/2", "constant": "0"}
+
+
+_NESTED_V = json.dumps({"context": "X24", "c": ["1", "2", "1/2", "0"]})  # p_H(v) = (1/2, 2)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [("1+1*sqrt(2)", "1/2"), ("1/2", "1+1*sqrt(2)"), ("1*sqrt(2)", "1-1*sqrt(2)"),
+     ("3*sqrt(5)", "-1/3*sqrt(5)"), ("2*sqrt(4)", "1/2"), ("1/2", "2*sqrt(4)"),
+     ("1*sqrt(2)", "1*sqrt(3)")],
+)
+def test_wall_nested_quadratic_irrational_parameters(capsys, alpha, beta):
+    argv = ["wall", "nested", "--chern", _NESTED_V, f"--alpha={alpha}", f"--beta={beta}"]
+    code, out, err = run_cli(argv, capsys)
+    a, b = parse_scalar(alpha), parse_scalar(beta)
+    radicands = {x.m for x in (a, b) if getattr(x, "m", 0)}
+    if len(radicands) == 2:
+        assert code == 2 and "MixedRadicandError" in err
+        return
+    assert code == 0, err
+    data = json.loads(out)
+    line = WallLine(*(parse_scalar(data[k]) for k in ("alpha_coeff", "beta_coeff", "constant")))
+    assert line.evaluate(TiltParams(a, b)) == 0
+    assert line.evaluate(TiltParams(F(1, 2), 2)) == 0
+
+
+def test_wall_nested_refuses_a_curve_character(capsys):
+    chern = json.dumps({"context": "C2224", "c": ["1", "2"]})
+    code, _, err = run_cli(["wall", "nested", "--chern", chern, "--alpha", "1", "--beta", "1"], capsys)
+    assert code == 2 and "WrongContext" in err
 
 
 def test_wall_out_of_range(capsys):

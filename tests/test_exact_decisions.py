@@ -1,13 +1,32 @@
-"""No float decides anything in the library: floats live only in ``__float__``."""
+"""No float decides anything in the library: floats live only in ``__float__``,
+and ``exactnum.as_fraction`` is the one door through which a value becomes a
+rational, so a float or a string is refused, not converted."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-from tiltbound.bounds import PlanePoint, bg_bound_surface, bg_bound_threefold, spade_case_for_slope
-from tiltbound.tilt import TiltParams
-from tiltbound.walls import first_wall_bounds, gamma_curve
+from tiltbound.bounds import (
+    PlanePoint,
+    bg_bound_surface,
+    bg_bound_threefold,
+    classical_bogomolov,
+    spade_case_for_slope,
+)
+from tiltbound.chern import X24, ChernVec, CurveClass, twist_beta, vec
+from tiltbound.exactnum import (
+    MPoly,
+    Poly1,
+    QuadNum,
+    RadicalSum,
+    decimal_str,
+    floor_scalar,
+    scalar_sign,
+    sqrt_exact,
+)
+from tiltbound.tilt import TiltParams, stability_region_predicates
+from tiltbound.walls import WallLine, first_wall_bounds, gamma_curve, line_gamma_intersection
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tiltbound"
 FLOAT_ATTRS = {("math", "sqrt"), ("math", "isfinite")}
@@ -51,21 +70,78 @@ def test_no_float_in_decision_paths():
     assert sites == []
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        gamma_curve,
-        bg_bound_surface,
-        bg_bound_threefold,
-        spade_case_for_slope,
-        lambda x: PlanePoint(x, 1),
-        lambda x: TiltParams(1, x),
-        first_wall_bounds,
-    ],
-    ids=["gamma_curve", "bg_bound_surface", "bg_bound_threefold", "spade_case_for_slope",
-         "PlanePoint", "TiltParams", "first_wall_bounds"],
-)
+# the text doors parse digits; every other rational comes through as_fraction
+COERCION_DOORS = {"as_fraction", "parse_rat", "parse_scalar", "_precision"}
+
+
+def _coercion_sites(tree):
+    """One-argument ``Fraction(x)`` / ``int(x)`` on a name or attribute, outside
+    the doors: each would turn a float or a string into a number silently."""
+    stack = [(tree, None)]
+    while stack:
+        node, fn = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("Fraction", "int")
+            and len(node.args) == 1
+            and not node.keywords
+            and isinstance(node.args[0], (ast.Name, ast.Attribute))
+            and fn not in COERCION_DOORS
+        ):
+            yield node.lineno
+        stack.extend((child, fn) for child in ast.iter_child_nodes(node))
+
+
+def test_as_fraction_is_the_only_coercion():
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in sorted(_coercion_sites(ast.parse(path.read_text())))
+    ]
+    assert sites == []
+
+
+_O = ChernVec(X24, (1, 0, 0, 0))
+ENTRIES = {
+    "gamma_curve": gamma_curve,
+    "bg_bound_surface": bg_bound_surface,
+    "bg_bound_threefold": bg_bound_threefold,
+    "spade_case_for_slope": spade_case_for_slope,
+    "PlanePoint": lambda x: PlanePoint(x, 1),
+    "TiltParams": lambda x: TiltParams(1, x),
+    "first_wall_bounds": first_wall_bounds,
+    "QuadNum_coefficient": lambda x: QuadNum(0, x, 2),
+    "QuadNum_radicand": lambda x: QuadNum(0, 1, x),
+    "RadicalSum": lambda x: RadicalSum({1: 1, 2: x}),
+    "Poly1": lambda x: Poly1([1, x]),
+    "MPoly_const": lambda x: MPoly.const(("r", "d"), x),
+    "sqrt_exact": sqrt_exact,
+    "ChernVec": lambda x: ChernVec(X24, (1, x, 0, 0)),
+    "CurveClass": lambda x: CurveClass(1, x),
+    "chern_vec": lambda x: vec("X24", 1, x, 0, 0),
+    "twist_beta": lambda x: twist_beta(_O, x),
+    "WallLine": lambda x: WallLine(1, x, 0),
+    "line_gamma_intersection": lambda x: line_gamma_intersection(x, "right"),
+    "classical_bogomolov": classical_bogomolov,
+    "stability_region_predicates": lambda x: stability_region_predicates(TiltParams(1, 0), x, 0),
+    "scalar_sign": scalar_sign,
+    "floor_scalar": floor_scalar,
+    "decimal_str": decimal_str,
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
 def test_binary_float_input_is_refused(entry):
     # 4 / 7 is the binary float nearest 4/7, not 4/7: refuse it, do not round it
     with pytest.raises(TypeError):
         entry(4 / 7)
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
+def test_string_input_is_refused(entry):
+    # text is parsed by parse_rat / parse_scalar, never converted on the way in
+    with pytest.raises(TypeError):
+        entry("1/3")

@@ -52,6 +52,22 @@ def test_square_free_core_pollard_rho_path():
     assert core == 1 and sq == p * q
 
 
+def test_square_free_core_high_prime_power(monkeypatch):
+    # trial division takes 41 out first, so Miller-Rabin never runs on the
+    # 4,822-bit power, only on the 20-bit prime cofactor of the second input
+    seen = []
+    inner = exactnum._is_probable_prime
+
+    def recording(n):
+        seen.append(n)
+        return inner(n)
+
+    monkeypatch.setattr(exactnum, "_is_probable_prime", recording)
+    assert square_free_core(41**900) == (1, 41**450)
+    assert square_free_core(41**901 * 1_000_003) == (41 * 1_000_003, 41**450)
+    assert seen and max(n.bit_length() for n in seen) <= 64
+
+
 def test_quadnum_normalization():
     x = QuadNum(0, 1, 244)  # sqrt(244) = 2 sqrt(61)
     assert (x.a, x.b, x.m) == (F(0), F(2), 61)
