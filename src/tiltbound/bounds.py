@@ -10,7 +10,8 @@ homogeneous of degree 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,6 +26,7 @@ from .exactnum import (
     floor_scalar,
     format_scalar,
     rational_or_quad,
+    scalar_interval,
     scalar_sign,
     sqrt_exact,
 )
@@ -139,7 +141,7 @@ class SpadeCase:
 
     value(x, y) = lin_x*x + lin_y*y + srt*sqrt(q_xx x^2 + q_xy xy + q_yy y^2)
                 + num(x,y)/den(x,y)   (num quadratic form, den linear form)
-    with at most one of the sqrt / ratio parts present.
+    with at most one of the sqrt / ratio parts present (checked on creation).
     """
 
     case_id: int
@@ -149,6 +151,24 @@ class SpadeCase:
     q: tuple | None = None  # (xx, xy, yy)
     num: tuple | None = None  # quadratic form (xx, xy, yy)
     den: tuple | None = None  # linear form (x, y)
+    # c times the row with integer coefficients, for ``enclosure``:
+    # (c, (L_x, L_y), S, Q, N, D) with c*value = L.(x, y) + S*sqrt(Q(x, y))
+    # + N(x, y)/D(x, y); derived from the fields above
+    integral: tuple = field(init=False, repr=False, compare=False, default=())
+
+    def __post_init__(self):
+        if self.srt is not None and self.num is not None:
+            raise ValueError("a row has a square-root part or a ratio part, not both")
+        if any(v.denominator != 1 for v in (*(self.q or ()), *(self.den or ()))):
+            raise ValueError("radicand and denominator forms need integer coefficients")
+        srt = self.srt or Fraction(0)
+        c = math.lcm(*(v.denominator for v in (*self.lin, srt, *(self.num or ()))))
+
+        def ints(form, scale=1):
+            return form and tuple((scale * v).numerator for v in form)
+
+        integral = (c, ints(self.lin, c), (c * srt).numerator, ints(self.q), ints(self.num, c), ints(self.den))
+        object.__setattr__(self, "integral", integral)
 
     def value(self, x, y):
         out = self.lin[0] * x + self.lin[1] * y
@@ -173,6 +193,49 @@ class SpadeCase:
                 raise SlopeOutOfTable("ratio denominator vanishes")
             out = out + (xx * x * x + xy * x * y + yy * y * y) / denom
         return out
+
+    def enclosure(self, x, y, bits: int) -> tuple[int, int]:
+        """Integers lo <= value(x, y) * 2**bits <= hi, with no factoring.
+
+        The root is ``math.isqrt`` of the radicand shifted left by 2*bits, so
+        hi - lo <= |srt numerator| + 2, and a ratio row is exact to within
+        one unit.  Raises what ``value`` raises: SlopeOutOfTable for a
+        negative radicand or a zero denominator, NestedRadical for an
+        irrational radicand.  At a rational point the ratio is kept as a
+        numerator over ``div``, so an integer point (the brute force scales
+        its triangle to one) costs integer arithmetic only; at an irrational
+        point the linear and ratio parts are summed exactly and enclosed by
+        ``scalar_interval``.
+        """
+        c, (lx, ly), s, q, num, den = self.integral
+        rational = not (isinstance(x, QuadNum) or isinstance(y, QuadNum))
+        out, div = lx * x + ly * y, c  # c*value = out/div + the root part
+        if num is not None:
+            denom = den[0] * x + den[1] * y
+            if scalar_sign(denom) == 0:
+                raise SlopeOutOfTable("ratio denominator vanishes")
+            quad = num[0] * x * x + num[1] * x * y + num[2] * y * y
+            if rational:
+                out, div = out * denom + quad, c * denom
+            else:
+                out = out + quad / denom
+        root_lo = root_hi = 0
+        if s:
+            rad = q[0] * x * x + q[1] * x * y + q[2] * y * y
+            if not rational:
+                rad = rational_or_quad(rad)
+            if isinstance(rad, QuadNum):
+                raise NestedRadical(f"nested radical sqrt({format_scalar(rad)})")
+            if rad < 0:
+                raise SlopeOutOfTable("negative radicand outside the case range")
+            r = math.isqrt((rad.numerator << 2 * bits) // rad.denominator)
+            root_lo, root_hi = sorted((s * r, s * (r + 1)))  # div == c here
+        out_lo = out_hi = out
+        if isinstance(out, QuadNum):
+            # an irrational point: enclose the exact part to width < 1
+            out_lo, out_hi = scalar_interval(out, bits + out.b.numerator.bit_length())
+        unit = 1 << bits
+        return (out_lo * unit + root_lo) // div, -(-(out_hi * unit + root_hi) // div)
 
 
 def _rng(lo, lo_c, hi, hi_c):
@@ -304,12 +367,12 @@ def spade_case_for_slope(s) -> SpadeCase:
     """Slope-table dispatch; band rows (cases 8, 9) own their endpoints."""
     s = rational_or_quad(s)
     n = _nearest_band(s)
-    if n != 0:
-        case8, case9 = _band(abs(n))
-        if n < 0 and case8.contains(s):
-            return SPADE_CASES[7]
-        if n > 0 and case9.contains(s):
-            return SPADE_CASES[8]
+    # band |n| (see _band), decided against integers: case 8 on
+    # -4m <= s, s*m <= 1 - 4m^2 and case 9 on 4m^2 - 1 <= s*m, s <= 4m
+    if n < 0 and compare_scalars(s, 4 * n) >= 0 and compare_scalars(s * -n, 1 - 4 * n * n) <= 0:
+        return SPADE_CASES[7]
+    if n > 0 and compare_scalars(s * n, 4 * n * n - 1) >= 0 and compare_scalars(s, 4 * n) <= 0:
+        return SPADE_CASES[8]
     # bisect the static-row boundaries; the owner tables give the row
     lo, hi = 0, len(_TABLE_BOUNDARIES)
     while lo < hi:

@@ -19,7 +19,11 @@ global sections of Harder-Narasimhan configurations.  Three tools:
   lattice chains on the (grid_n x grid_n) refinement of the triangle.  In
   lattice coordinates (a, b) -> a*P + b*Q the directions are the integer
   cone a+b >= 0, b >= 0, by increasing b/(a+b), and each direction relaxes
-  the DP by walking the lattice lines along it.
+  the DP along the lattice lines parallel to it.  Exactness is lazy: a
+  merge walk down the same boundary list gives each direction its row,
+  ``SpadeCase.enclosure`` values it by integer enclosures (no factoring),
+  and exact values are built only where two enclosures overlap and for
+  the winning chain.
 * ``clifford_chain_bound`` -- the wall-triangle derivation of the Clifford
   bound (universal bound on the O->P leg, fixed case rows for the others,
   Bogomolov value in the Brill-Noether band, and the d - 46r branch on
@@ -49,6 +53,7 @@ from .bounds import (
 )
 from .chern import CurveClass
 from .exactnum import (
+    QuadNum,
     RadicalSum,
     compare_scalars,
     floor_scalar,
@@ -221,6 +226,23 @@ def _row_or_fallback(s, fallback: bool):
         return _FALLBACK_CASE if fallback else None
 
 
+def _cone_rows(s_pq, s_op, fallback: bool) -> tuple:
+    """(slopes, owners, cells) of the cone [s_pq, s_op]: slopes is s_pq, the
+    slope-table boundaries strictly inside, then s_op, increasing; owners[k]
+    is the row owning slopes[k] and cells[k] the row on the open cell
+    (slopes[k], slopes[k+1]), which no boundary cuts (off the table, the
+    fallback row if requested, else None)."""
+    # band n's boundaries have |slope| >= 4n - 1/n >= 4n - 1
+    ends = set(_TABLE_BOUNDARIES)
+    for n in range(1, (floor_scalar(max(-s_pq, s_op)) + 1) // 4 + 1):
+        ends.update(end for r in _band(n) for end in (r.lo, r.hi))
+    inner = [s for s in sorted(ends) if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0]
+    slopes = [s_pq, *inner, s_op]
+    owners = [_row_or_fallback(s, fallback) for s in slopes]
+    cells = [_row_or_fallback((a + b) / 2, fallback) for a, b in zip(slopes, slopes[1:])]
+    return slopes, owners, cells
+
+
 def _optimize_path(q, d, sd, u_max, fallback: bool, boundaries: list):
     """Candidate (value, u) pairs for F(u) = u*sd + spade(Q - u*d) over
     [0, u_max]: every cut where Q - u*d crosses one of the cone's table
@@ -310,14 +332,8 @@ def maximize_reduced(
             raise SlopeOutOfTable("collapsed triangle with off-table slope")
         return ReducedResult(best[0].to_exact(), best[1])
 
-    # band n's boundaries have |slope| >= 4n - 1/n >= 4n - 1
-    ends = set(_TABLE_BOUNDARIES)
-    for n in range(1, (floor_scalar(max(-s_pq, s_op)) + 1) // 4 + 1):
-        ends.update(end for r in _band(n) for end in (r.lo, r.hi))
-    inner = [s for s in sorted(ends) if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0]
-    slopes = [s_pq, *inner, s_op]
-    owners = [_row_or_fallback(s, fallback) for s in slopes]
-    cells = [_row_or_fallback((a + b) / 2, fallback) for a, b in zip(slopes, slopes[1:])]
+    slopes, owners, cells = _cone_rows(s_pq, s_op, fallback)
+    inner = slopes[1:-1]
     # (direction, index in slopes); P and Q-P first, so ties keep their chain
     directions = [(p, len(inner) + 1), (q - p, 0)]
     directions += [(PlanePoint(s, 1), k) for k, s in enumerate(inner, 1) if compare_scalars(s, s_oq) != 0]
@@ -442,109 +458,150 @@ def maximize_bruteforce(
     the triangle's cone by strictly decreasing slope, in the order
     ``_cone_order`` takes from the integers alone (collapsed triangles
     included).  Each direction walks every lattice line along it from the
-    line's first point, so unbounded reuse of a direction within its pass
-    realizes the collinear merge.  Increments off the slope table (unless
-    the fallback values them) or needing a nested radical are excluded.
+    line's first point (every cell after the cell one step back), so
+    unbounded reuse of a direction within its pass realizes the collinear
+    merge.  Increments off the slope table (unless the fallback values
+    them) or needing a nested radical are excluded.
+
+    Exactness is lazy.  A merge walk down the cone's boundary list (the one
+    ``maximize_reduced`` cuts with) gives each direction its row, and
+    ``SpadeCase.enclosure`` values it as integers around value * 2**64 with
+    no factoring: a rational triangle is scaled by the lcm D of its
+    coordinate denominators, so each step a*P + b*Q is an integer point over
+    n*D.  The DP compares these enclosures; only where two overlap are the
+    exact ``RadicalSum`` values built, and ``spade`` rows are valued exactly
+    once per step, for those comparisons and for the winning chain.  Every
+    decision is exact, so the value and the chain are the exact DP's.
     """
     if grid_n > 60:
         raise GridTooLarge("grid_n must be <= 60")
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
-    if _triangle_slopes(o, p, q)[2] is None:
+    s_op, _, s_pq, _ = _triangle_slopes(o, p, q)
+    if s_pq is None:
         raise DegenerateTriangle("edge PQ must rise (y(Q) > y(P))")
 
     n = grid_n
-    dirs = []
+    coords = (p.x, p.y, q.x, q.y)
+    scale = n  # the step (a*P + b*Q)/n is worth value(x, y)/scale, x, y below
+    if not any(isinstance(v, QuadNum) for v in coords):
+        # times the lcm of the denominators, every step is an integer point
+        big_d = math.lcm(*(v.denominator for v in coords))
+        coords = tuple(v.numerator * (big_d // v.denominator) for v in coords)
+        scale = n * big_d
+    px, py, qx, qy = coords
+
+    # rows by a merge walk: the directions come by strictly decreasing
+    # slope, so the cone's inner boundaries slopes[1:-1] are passed once,
+    # downward; P owns slope(OP), Q - P owns slope(PQ), and a collapsed
+    # triangle (no inner boundary) takes its one slope's row everywhere
+    slopes, owners, cells = _cone_rows(s_pq, s_op, fallback)
+    inner = [None, *((s.numerator, s.denominator) for s in slopes[1:-1])]  # by index in slopes
+
+    def side(k: int, x, y) -> int:
+        """Sign of slope(x, y) - slopes[k] for an inner boundary (y > 0)."""
+        return scalar_sign(x * inner[k][1] - inner[k][0] * y)
+
+    k = len(inner) - 1
+    dirs = []  # (a, b, row, lo, hi): lo <= step value * 2**64 <= hi
     for a, b in _cone_order(n):
+        x, y = a * px + b * qx, a * py + b * qy
+        if b == 0:
+            row = owners[-1]
+        elif a + b == 0:
+            row = owners[0]
+        else:
+            while k and side(k, x, y) < 0:
+                k -= 1
+            row = owners[k] if k and side(k, x, y) == 0 else cells[k]
+        if row is None:
+            continue
         try:
-            val = spade((a * p.x + b * q.x, a * p.y + b * q.y), fallback=fallback)
+            lo, hi = row.enclosure(x, y, 64)
         except (SlopeOutOfTable, NestedRadical):
             continue
-        dirs.append((a, b, RadicalSum.of(val).scale(Fraction(1, n))))
+        dirs.append((a, b, row, lo // scale, -(-hi // scale)))
 
-    # DP on certified integer enclosures: a record's (lo, width) satisfies
-    # lo <= value * 2**64 <= lo + width, summed from its steps' enclosures,
-    # each floored and ceiled from the 64-bit interval that RadicalSum.sign
-    # starts from.  Disjoint enclosures decide a comparison; overlapping ones are
-    # settled with exact RadicalSum values.  Each cell update creates an
-    # immutable record (enclosure, parent record, step), so a later
-    # improvement of a predecessor cannot corrupt snapshots, and exact values
-    # are cached per record.  The reported maximum is exact.
-    goal = (0, n)
-    dir_exact = {(a, b): val for a, b, val in dirs}
+    step_values: dict = {}
 
-    class _Rec:
-        __slots__ = ("lo", "width", "link", "exact")
+    def step_value(k: int) -> RadicalSum:
+        value = step_values.get(k)
+        if value is None:
+            a, b, row = dirs[k][:3]
+            point = (a * p.x + b * q.x, a * p.y + b * q.y)
+            value = step_values[k] = RadicalSum.of(row.value(*point)).scale(Fraction(1, n))
+        return value
 
-        def __init__(self, lo, width, link):
-            self.lo, self.width = lo, width
-            self.link = link  # None | (parent _Rec, (a, b))
-            self.exact = None
+    # DP on certified integer enclosures, one entry per cell (i, j) at
+    # i*(n + 1) + j: lo_of <= value * 2**64 <= hi_of, summed from the steps'
+    # enclosures.  A record is the tuple (parent record, direction index),
+    # immutable and freed when no cell or record holds it; exact values are
+    # cached by id(record) next to the record, which keeps the id unique.
+    # A chain has at most 2n steps (a + b >= 1 but for (-1, 1), b <= n), so
+    # ``floor`` is below every reachable lo: an unreached cell's hi_of.
+    root = (None, None)
+    exact = {id(root): (root, RadicalSum.of(0))}
 
-    def exact_of(rec: "_Rec") -> RadicalSum:
+    def exact_of(rec: tuple) -> RadicalSum:
         pending = []
-        node = rec
-        while node.exact is None:
-            pending.append(node)
-            if node.link is None:
-                node.exact = RadicalSum.of(0)
-                break
-            node = node.link[0]
+        while id(rec) not in exact:
+            pending.append(rec)
+            rec = rec[0]
+        total = exact[id(rec)][1]
         for item in reversed(pending):
-            if item.exact is None:
-                par, step = item.link
-                item.exact = par.exact + dir_exact[step]
-        return rec.exact
+            total = total + step_value(item[1])
+            exact[id(item)] = (item, total)
+        return total
 
-    dp: dict = {(0, 0): _Rec(0, 0, None)}
-    unit = 1 << 64
-    for a, b, val in dirs:
-        v_lo, v_hi = val.interval(64)
-        val_lo = math.floor(v_lo * unit)
-        val_width = math.ceil(v_hi * unit) - val_lo
-        # walk each lattice line along (a, b) forward from its first point,
-        # so repeated steps of the same direction chain within one pass
-        # (collinear merge); every cell has one predecessor per direction.
-        # Only line starts with an in-simplex successor matter: i >= -a,
-        # j >= -b, i + j <= top.
-        top = n - a - b
-        j_min = max(0, -b)
-        for i in range(max(0, -a), top - j_min + 1):
-            for j in range(j_min, top - i + 1):
-                if i >= a and j >= b and i + j <= n + a + b:
-                    continue  # the predecessor is in the simplex
-                base = dp.get((i, j))
-                ni, nj = i + a, j + b
-                while ni >= 0 and nj >= 0 and ni + nj <= n:
-                    w = (ni, nj)
-                    cur = dp.get(w)
-                    if base is not None:
-                        cand_lo = base.lo + val_lo
-                        cand_width = base.width + val_width
-                        if cur is None or cand_lo > cur.lo + cur.width:
-                            cur = dp[w] = _Rec(cand_lo, cand_width, (base, (a, b)))
-                        elif cand_lo + cand_width > cur.lo:
-                            cand_exact = exact_of(base) + val
-                            if cand_exact > exact_of(cur):
-                                cur = dp[w] = _Rec(cand_lo, cand_width, (base, (a, b)))
-                                cur.exact = cand_exact
-                    base = cur
-                    ni, nj = ni + a, nj + b
-    if goal not in dp:
+    width = n + 1
+    floor = 2 * n * min([0, *(d[3] for d in dirs)]) - 1
+    lo_of = [floor] * (width * width)
+    hi_of = list(lo_of)
+    rec_of: list = [None] * (width * width)
+    lo_of[0] = hi_of[0] = 0
+    rec_of[0] = root
+    for k, (a, b, _, val_lo, val_hi) in enumerate(dirs):
+        delta = a * width + b
+        # every target w after its source w - (a, b), so a direction's steps
+        # chain within its pass: rows of constant j by increasing j (b > 0),
+        # or of constant i by increasing i for (1, 0)
+        if b:
+            i0 = max(a, 0)
+            rows = [range(i0 * width + j, (n - j) * width + j + 1, width) for j in range(b, n - i0 + 1)]
+        else:
+            rows = [range(i * width, i * width + n - i + 1) for i in range(1, n + 1)]
+        for row in rows:
+            for w in row:
+                src = w - delta
+                base = rec_of[src]
+                if base is None:
+                    continue
+                cand_lo = lo_of[src] + val_lo
+                if cand_lo > hi_of[w]:
+                    lo_of[w] = cand_lo
+                    hi_of[w] = hi_of[src] + val_hi
+                    rec_of[w] = (base, k)
+                elif hi_of[src] + val_hi > lo_of[w]:  # overlap: decide exactly
+                    cand = exact_of(base) + step_value(k)
+                    if cand > exact_of(rec_of[w]):
+                        rec_of[w] = rec = (base, k)
+                        exact[id(rec)] = (rec, cand)
+                        lo_of[w] = cand_lo
+                        hi_of[w] = hi_of[src] + val_hi
+    rec = rec_of[n]  # the cell (0, n), Q
+    if rec is None:
         raise ConvexOptError("no spade-evaluable chain reaches Q on this grid")
     # reconstruct and recompute the exact value of the winning chain
     steps = []
-    node = dp[goal]
-    while node.link is not None:
-        prev, step = node.link
-        steps.append(step)
-        node = prev
+    while rec is not root:
+        rec, k = rec
+        steps.append(k)
     steps.reverse()
     verts = [ORIGIN]
     total = RadicalSum.of(0)
-    for a, b in steps:
-        inc = PlanePoint((a * p.x + b * q.x) / n, (a * p.y + b * q.y) / n)
-        verts.append(verts[-1] + inc)
-        total = total + dir_exact[(a, b)]
+    for k in steps:
+        a, b = dirs[k][:2]
+        verts.append(verts[-1] + PlanePoint((a * p.x + b * q.x) / n, (a * p.y + b * q.y) / n))
+        total = total + step_value(k)
     chain = ConvexChain(verts).merged()
     return BruteForceResult(total.to_exact(), chain)

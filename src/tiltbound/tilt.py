@@ -193,10 +193,14 @@ def delta_H(v: ChernVec) -> Fraction:
 
 def q_form(v: ChernVec, p: TiltParams):
     """(2a - b^2) * Delta + 4 (H.ch2^bH)^2 - 6 H^2.ch1^bH * ch3^bH on X."""
+    return _q_from_twisted(v, p, twisted_inums(v, p.beta))
+
+
+def _q_from_twisted(v: ChernVec, p: TiltParams, tw: tuple):
+    """q_form from the numbers ``tw`` = twisted_inums(v, p.beta)."""
     if v.context is not X24:
         raise TiltError("Q is defined on X24")
     a, b = p.alpha, p.beta
-    tw = twisted_inums(v, b)
     return (2 * a - b * b) * delta_H(v) + 4 * tw[2] * tw[2] - 6 * tw[1] * tw[3]
 
 
@@ -212,8 +216,9 @@ def wall_q_invariance_check(v: ChernVec, p0: TiltParams, p1: TiltParams) -> bool
     """ch1^b1H * Q_{p0} == ch1^b0H * Q_{p1} for p0, p1 on one nested wall."""
     if scalar_sign(_wall_det(v, p1, p0)) != 0:
         raise PreconditionError("parameters are not collinear with p_H(v)")
-    lhs = twisted_inums(v, p1.beta)[1] * q_form(v, p0)
-    rhs = twisted_inums(v, p0.beta)[1] * q_form(v, p1)
+    tw0, tw1 = twisted_inums(v, p0.beta), twisted_inums(v, p1.beta)
+    lhs = tw1[1] * _q_from_twisted(v, p0, tw0)
+    rhs = tw0[1] * _q_from_twisted(v, p1, tw1)
     return compare_scalars(lhs, rhs) == 0
 
 

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltbound.bounds import (
+    _FALLBACK_CASE,
     CLIFFORD_BREAK,
     OutOfDomain,
     SlopeOutOfTable,
@@ -23,7 +26,7 @@ from tiltbound.bounds import (
     spade_case_for_slope,
     spade_fallback,
 )
-from tiltbound.exactnum import QuadNum, compare_scalars, qn_compare, scalar_sign
+from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars, qn_compare, scalar_sign
 
 
 # -- spade -------------------------------------------------------------------------
@@ -208,6 +211,39 @@ def test_bisect_dispatch_matches_row_scan():
         assert _dispatch_or_none(s) is expected, s
         out_of_table += expected is None
     assert 0 < out_of_table < len(slopes)
+
+
+_R2 = QuadNum(0, 1, 2)
+_RAT = st.fractions(min_value=-200, max_value=200, max_denominator=40)
+_POINTS = {
+    "rational": st.tuples(_RAT, _RAT),
+    "sqrt2_scaled": st.tuples(_RAT, _RAT).map(lambda xy: (xy[0] * _R2, xy[1] * _R2)),
+    "a_plus_b_sqrt2": st.tuples(_RAT, _RAT, _RAT, _RAT).map(
+        lambda c: (QuadNum(c[0], c[1], 2), QuadNum(c[2], c[3], 2))
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_POINTS))
+@pytest.mark.parametrize("row", (*SPADE_CASES, _FALLBACK_CASE), ids=lambda row: f"case{row.case_id}")
+def test_enclosure_brackets_the_exact_value(row, kind):
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(point=_POINTS[kind], bits=st.sampled_from((0, 1, 5, 64)))
+    def check(point, bits):
+        x, y = point
+        try:
+            value = row.value(x, y)
+        except Exception as exc:  # the enclosure refuses the same points
+            with pytest.raises(Exception) as refused:
+                row.enclosure(x, y, bits)
+            assert type(refused.value) is type(exc)
+            return
+        lo, hi = row.enclosure(x, y, bits)
+        scaled = RadicalSum.of(value).scale(2**bits)
+        assert (scaled - lo).sign() >= 0 and (scaled - hi).sign() <= 0
+        assert hi - lo <= abs(row.srt.numerator if row.srt is not None else 0) + 2
+
+    check()
 
 
 # -- clifford -----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from tiltbound.bounds import (
     spade,
     spade_fallback,
 )
-from tiltbound import convexopt
+from tiltbound import bounds, convexopt, exactnum
 from tiltbound.convexopt import (
     ConvexChain,
     ConvexOptError,
@@ -246,6 +246,32 @@ def test_bruteforce_degenerate_collapse():
         assert res.chain.vertices == (ORIGIN, off_q), n
 
 
+def test_bruteforce_values_only_the_winning_chain_exactly(monkeypatch):
+    # the first case-6 triangle of acceptance 05 at grid 40: its 1,471 cone
+    # directions are compared by integer enclosures, so a row is valued
+    # exactly (and a radicand factored) once per distinct step of the
+    # winning chain, and never for the directions that lose
+    p, q = PlanePoint(F(-1227, 64), F(3, 2)), PlanePoint(F(-18513, 800), F(9, 5))
+    calls = {"value": 0, "square_free_core": 0}
+    value, square_free_core = bounds.SpadeCase.value, exactnum.square_free_core
+
+    def counted_value(self, x, y):
+        calls["value"] += 1
+        return value(self, x, y)
+
+    def counted_core(n):
+        calls["square_free_core"] += 1
+        return square_free_core(n)
+
+    monkeypatch.setattr(bounds.SpadeCase, "value", counted_value)
+    monkeypatch.setattr(exactnum, "square_free_core", counted_core)
+    res = maximize_bruteforce(ORIGIN, p, q, 40)
+    steps = res.chain.segments()  # distinct directions never merge here
+    assert steps == 2
+    assert calls["value"] <= steps and calls["square_free_core"] <= steps, calls
+    assert compare_scalars(res.value, maximize_reduced(ORIGIN, p, q).value) <= 0
+
+
 def test_bruteforce_grid_guard():
     tri = triangle_from_first_wall((1, 16))
     with pytest.raises(GridTooLarge):
@@ -466,6 +492,32 @@ def test_bruteforce_matches_sorted_reference_dp():
             res = maximize_bruteforce(ORIGIN, p, q, n)
             assert (RadicalSum.of(res.value) - value).is_zero(), (p, q, n)
             assert res.chain.vertices == chain.vertices, (p, q, n)
+
+
+def test_bruteforce_decides_overlapping_enclosures_exactly(monkeypatch):
+    # enclosures widened by 2**70 overlap at every comparison, so each one is
+    # decided by the exact values: the DP must still match the reference
+    enclosure = bounds.SpadeCase.enclosure
+
+    def widened(self, x, y, bits):
+        lo, hi = enclosure(self, x, y, bits)
+        return lo - 2**70, hi + 2**70
+
+    tri = triangle_from_first_wall((1, 16))
+    s_pq, s_oq, s_op = F(-29, 10), F(-2), F(-6, 10)  # a case-4 hull
+    y_q = 2 * (s_op - s_pq) / (s_oq - s_pq)
+    r2 = QuadNum(0, 1, 2)
+    triangles = [
+        (tri.p, tri.q),
+        (PlanePoint(2 * s_op, 2), PlanePoint(s_oq * y_q, y_q)),
+        (PlanePoint(F(19, 100), 1).scale(r2), PlanePoint(F(-1, 15), F(10, 3)).scale(r2)),
+    ]
+    monkeypatch.setattr(bounds.SpadeCase, "enclosure", widened)
+    for p, q in triangles:
+        value, chain = _reference_bruteforce(p, q, 7)
+        res = maximize_bruteforce(ORIGIN, p, q, 7)
+        assert (RadicalSum.of(res.value) - value).is_zero(), (p, q)
+        assert res.chain.vertices == chain.vertices, (p, q)
 
 
 # -- directions from the slope table ----------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from tiltbound.chern import S222, X24, ChernVec, CurveClass, grr_push_to_k3, twist_beta
+from tiltbound import tilt
 from tiltbound.exactnum import QuadNum
 from tiltbound.tilt import (
     InvalidRegion,
@@ -221,3 +222,21 @@ def test_nu_equality_on_determinant_locus():
             assert nv.is_infinite and nw.is_infinite
         else:
             assert nv.value == nw.value
+
+
+def test_wall_q_invariance_twists_each_character_once(monkeypatch):
+    # one exp_twist per parameter point: q_form's core takes the twisted numbers
+    calls = []
+    real = tilt.exp_twist
+
+    def counting(nums, beta):
+        calls.append(beta)
+        return real(nums, beta)
+
+    monkeypatch.setattr(tilt, "exp_twist", counting)
+    v = ChernVec(X24, (F(2), F(3, 2), F(-1, 4), F(5, 8)))
+    p0 = TiltParams(F(3, 4), F(1, 2))
+    t = F(2, 7)
+    p1 = TiltParams(p0.alpha + t * (v.inum(2) / v.inum(0) - p0.alpha), p0.beta + t * (v.inum(1) / v.inum(0) - p0.beta))
+    assert wall_q_invariance_check(v, p0, p1)
+    assert calls == [p0.beta, p1.beta]
