@@ -33,6 +33,7 @@ global sections of Harder-Narasimhan configurations.  Three tools:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -599,9 +600,11 @@ def maximize_bruteforce(
     steps.reverse()
     verts = [ORIGIN]
     total = RadicalSum.of(0)
-    for k in steps:
+    for k, run in itertools.groupby(steps):  # one vertex per run of equal steps
         a, b = dirs[k][:2]
-        verts.append(verts[-1] + PlanePoint((a * p.x + b * q.x) / n, (a * p.y + b * q.y) / n))
-        total = total + step_value(k)
+        count = len(list(run))
+        t = Fraction(count, n)
+        verts.append(verts[-1] + PlanePoint((a * p.x + b * q.x) * t, (a * p.y + b * q.y) * t))
+        total = total + step_value(k).scale(count)
     chain = ConvexChain(verts).merged()
     return BruteForceResult(total.to_exact(), chain)

@@ -94,11 +94,16 @@ class ParseError(ExactError):
 # square-free decomposition
 # ---------------------------------------------------------------------------
 
-# Miller-Rabin witnesses (deterministic for n < 3.3e24)
+# Miller-Rabin witnesses: the 12 bases 2..37 are deterministic below
+# psi_12 = 318665857834031151167461 (Sorenson-Webster), the least composite
+# that passes them all (399165290221 * 798330580441)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# square_free_core divides these out before it looks for larger primes with
-# Pollard rho, so Miller-Rabin never runs on a large composite with a small factor
-_TRIAL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+# square_free_core takes these out first, all found by one gcd with their
+# product, so Miller-Rabin never runs on a large composite with a small factor
+# and a cofactor below _TRIAL_BOUND**2 is 1 or a prime
+_TRIAL_BOUND = 1000
+_TRIAL_PRIMES = tuple(p for p in range(2, _TRIAL_BOUND) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -126,7 +131,8 @@ def _is_probable_prime(n: int) -> bool:
 
 
 # Pollard rho steps one square_free_core call may take, about 2.5 s at 128
-# bits; a product of two primes of about 40 bits can already exhaust them
+# bits; a product of two distinct primes of about 40 bits can already exhaust
+# them (a square or a prime power never reaches rho)
 _RHO_STEPS = 1 << 20
 
 
@@ -151,25 +157,40 @@ def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
 def square_free_core(n: int) -> tuple[int, int]:
     """Decompose n > 0 as ``core * sq**2`` with core square-free.
 
-    Each prime factor p is found once and divided out to its full power:
-    first the primes of ``_TRIAL_PRIMES``, up to the first p with p*p > n
-    (the cofactor left is then 1 or a prime), then one Miller-Rabin +
-    Pollard rho prime of the remaining cofactor at a time, with
-    ``_RHO_STEPS`` rho steps in all before ExactError.
+    Each prime factor p is found once and divided out to its full power.
+    ``math.gcd(n, _TRIAL_PRODUCT)`` names the primes of ``_TRIAL_PRIMES``
+    that divide n; the cofactor left is 1 or a prime below
+    ``_TRIAL_BOUND**2``.  Above it, a number m that fails Miller-Rabin is
+    split without rho where it can be: a square by its ``math.isqrt`` root
+    (a fourth power is rooted twice), a power q**k of one prime by
+    gcd(2**m - 2, m), which q divides.  Only what is left goes to Pollard
+    rho, with ``_RHO_STEPS`` steps in all before ExactError; the factors rho
+    returns take the same path, so rho never sees a square.  Above psi_12
+    (see ``_SMALL_PRIMES``) a number that passes Miller-Rabin is used as one
+    prime factor.
     """
     if n <= 0:
         raise ValueError("square_free_core requires n > 0")
     core, sq = 1, 1
+    small = math.gcd(n, _TRIAL_PRODUCT)
     trial = iter(_TRIAL_PRIMES)
     budget = _RHO_STEPS
     while n > 1:
-        p = next(trial, 0)
-        if p * p > n:  # no factor below p: n is prime
+        if small > 1:
+            p = next(trial)
+            if small % p:
+                continue
+            small //= p
+        else:
             p = n
-        elif not p:  # past the trial primes
-            p = n
-            while not _is_probable_prime(p):
-                p, budget = _pollard_rho(p, budget)
+            while p >= _TRIAL_BOUND * _TRIAL_BOUND and not _is_probable_prime(p):
+                root = math.isqrt(p)
+                if root * root == p:
+                    p = root
+                    continue
+                # p = q**k has q | 2**p - 2, as p = 1 (mod q - 1)
+                g = math.gcd(pow(2, p, p) - 2, p)
+                p, budget = (g, budget) if 1 < g < p else _pollard_rho(p, budget)
         e = 0
         while n % p == 0:
             n //= p

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltbound.cli import MAX_GRID, MAX_SAMPLES, main
-from tiltbound.exactnum import parse_scalar, compare_scalars
+from tiltbound.exactnum import QuadNum, parse_scalar, compare_scalars
 from tiltbound.tilt import TiltParams
 from tiltbound.walls import WallLine
 
@@ -71,6 +71,15 @@ def test_eval_hostile_radicand_exits_2(capsys):
     at = "1+1*sqrt(340282366939157698677334770713458594567)"
     code, _, err = run_cli(["eval", "--bound", "gamma", "--at", at], capsys)
     assert code == 2 and "ExactError" in err and "rho steps" in err
+
+
+def test_eval_square_of_a_large_prime_radicand(capsys):
+    # 1800269641579**2 * 6: the square cofactor is rooted, not given to rho
+    at = "1+1*sqrt(19445824694345886753679446)"
+    assert parse_scalar(at) == QuadNum(1, 1800269641579, 6)
+    code, out, _ = run_cli(["eval", "--bound", "gamma", "--at", at], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "116674948166077887549746497-15877449376240005495867504*sqrt(6)"
 
 
 def test_eval_missing_argument(capsys):

@@ -272,6 +272,24 @@ def test_bruteforce_values_only_the_winning_chain_exactly(monkeypatch):
     assert compare_scalars(res.value, maximize_reduced(ORIGIN, p, q).value) <= 0
 
 
+def test_bruteforce_rebuilds_one_vertex_per_run_of_steps(monkeypatch):
+    # the winning chain of that triangle takes about 80 raw grid steps in 2
+    # directions: each run of equal steps becomes one vertex, not one each
+    p, q = PlanePoint(F(-1227, 64), F(3, 2)), PlanePoint(F(-18513, 800), F(9, 5))
+    sizes = []
+
+    class RecordingChain(ConvexChain):
+        def __init__(self, vertices):
+            vertices = tuple(vertices)
+            sizes.append(len(vertices))
+            super().__init__(vertices)
+
+    monkeypatch.setattr(convexopt, "ConvexChain", RecordingChain)
+    res = maximize_bruteforce(ORIGIN, p, q, 40)
+    assert sizes and max(sizes) <= 3, sizes
+    assert res.chain.vertices[-1] == q
+
+
 def test_bruteforce_grid_guard():
     tri = triangle_from_first_wall((1, 16))
     with pytest.raises(GridTooLarge):

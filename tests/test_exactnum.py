@@ -28,6 +28,7 @@ from tiltbound.exactnum import (
     sqrt_exact,
     square_free_core,
 )
+from tiltbound.verify import run_suite
 
 
 def test_square_free_core_basic():
@@ -66,6 +67,35 @@ def test_square_free_core_high_prime_power(monkeypatch):
     assert square_free_core(41**900) == (1, 41**450)
     assert square_free_core(41**901 * 1_000_003) == (41 * 1_000_003, 41**450)
     assert seen and max(n.bit_length() for n in seen) <= 64
+
+
+def test_square_free_core_power_of_a_large_prime():
+    # Pollard rho exhausts its budget on 1800269641579**2 (about 1.7 s) and
+    # on its cube: a square cofactor is rooted by isqrt instead, and a power
+    # of one prime gives up the prime to gcd(2**n - 2, n)
+    p = 1800269641579
+    assert square_free_core(p**2 * 6) == (6, p)
+    assert square_free_core(p**4 * 6) == (6, p**2)
+    assert square_free_core(p**3 * 6) == (6 * p, p)
+
+
+def test_pollard_rho_never_sees_a_square(monkeypatch):
+    # the clifford suite's radicands include squares such as 2**20 * 3**2 * 5591**2
+    seen = []
+    inner = exactnum._pollard_rho
+
+    def recording(n, budget):
+        seen.append(n)
+        return inner(n, budget)
+
+    monkeypatch.setattr(exactnum, "_pollard_rho", recording)
+    reports = run_suite("clifford")
+    assert all(r.status == "pass" for r in reports)
+    # rho's first factor of 1231**3 * 1583 is the square 1231**2
+    assert square_free_core(1231**3 * 1583) == (1231 * 1583, 1231)
+    # a square of two primes is rooted before rho splits it
+    assert square_free_core(1009**2 * 1013**2 * 7) == (7, 1009 * 1013)
+    assert seen and not [n for n in seen if math.isqrt(n) ** 2 == n]
 
 
 def test_quadnum_normalization():

@@ -5,6 +5,7 @@ roots against ``sympy.roots``."""
 import math
 from fractions import Fraction as F
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +117,32 @@ def test_square_free_core_of_prime_powers_matches_factorint(n):
 @given(st.integers(1, 10**18))
 def test_square_free_core_matches_factorint(n):
     _check_square_free_core(n)
+
+
+@st.composite
+def squares_of_large_primes(draw):
+    """A small core times p**(2k), p a prime in (1000, 2**40), one bit size
+    as likely as another: Pollard rho needs about sqrt(p) steps for p**2."""
+    p = sympy.prevprime(2 ** draw(st.integers(11, 40)) - draw(st.integers(0, 999)))
+    return draw(st.sampled_from([1, 2, 3, 6, 7, 30, 2374])) * p ** (2 * draw(st.integers(1, 3)))
+
+
+@PROPS
+@given(squares_of_large_primes())
+def test_square_free_core_of_squares_of_large_primes_matches_factorint(n):
+    _check_square_free_core(n)
+
+
+# the 12 Miller-Rabin bases are deterministic below psi_12 only: psi_12 itself
+# (399165290221 * 798330580441) passes as a prime and is kept as one factor
+PSI_12 = 318665857834031151167461
+
+
+@pytest.mark.parametrize("n", [PSI_12, PSI_12 * 1009**2, PSI_12**2])
+def test_square_free_core_at_the_miller_rabin_bound(n):
+    core, sq = square_free_core(n)
+    assert core * sq * sq == n
+    assert all(e == 1 for e in sympy.factorint(core).values())
 
 
 def test_square_free_core_high_prime_power():
