@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import as_fraction, format_rat, parse_rat
+from .exactnum import QuadNum, as_fraction, format_rat, parse_rat
 
 __all__ = [
     "ChernError",
@@ -28,6 +28,9 @@ __all__ = [
     "S222",
     "S224",
     "X24",
+    "twist_core",
+    "weighted_frame",
+    "exp_twist",
     "twist_beta",
     "grr_push_to_k3",
     "restrict_to_divisor",
@@ -109,6 +112,10 @@ class ChernVec:
     def inum(self, i: int) -> Fraction:
         return self.c[i] * self.context.degree
 
+    def inums(self) -> tuple:
+        """(inum(0), ..., inum(dim)): the tuple the formula cores take."""
+        return tuple(x * self.context.degree for x in self.c)
+
     @property
     def rank(self) -> Fraction:
         return self.c[0]
@@ -153,18 +160,71 @@ class CurveClass:
         return self.d / self.r
 
 
-def exp_twist(nums, beta) -> tuple:
-    """Degree-wise parts of exp(-beta*H) * sum_i nums[i] H^i, truncated at
-    len(nums): the i-th entry is sum_k (-beta)^k / k! * nums[i - k].  beta
-    may be any exact scalar (Fraction or QuadNum)."""
-    powers = [1, -beta]  # (-beta)^k
-    for _ in range(2, len(nums)):
-        powers.append(powers[-1] * powers[1])
+def twist_core(nums, beta) -> tuple:
+    """exp(-beta*H) * sum_i nums[i] H^i, truncated at len(nums), times d!
+    (d = len(nums) - 1): entry i is sum_k (d!/k!) (-beta)^k nums[i - k].
+
+    The integer weights d!/k! stand in for the division by k!, so the core is
+    division-free and nums and beta may lie in any commutative ring (int,
+    QuadNum, MPoly).  It is homogeneous when nums[i] has weight i and beta
+    weight 1: nums[i]*L**i and beta*L give entry i times L**i.
+    """
+    step = -beta
+    weight = math.factorial(len(nums) - 1)
+    terms, power = [weight], 1  # terms[k] = (d!/k!) (-beta)^k
+    for k in range(1, len(nums)):
+        weight //= k
+        power = power * step
+        terms.append(weight * power)
     out = []
     for i, x in enumerate(nums):
+        x = terms[0] * x
         for k in range(1, i + 1):
-            x = x + powers[k] * (nums[i - k] / math.factorial(k))
+            x = x + terms[k] * nums[i - k]
         out.append(x)
+    return tuple(out)
+
+
+def _denominators(x) -> tuple:
+    return (x.a.denominator, x.b.denominator) if isinstance(x, QuadNum) else (x.denominator,)
+
+
+def _times(x, k: int):
+    """x*k for a k that clears x's denominators: an int, or a QuadNum with
+    integral parts."""
+    return x * k if isinstance(x, QuadNum) else x.numerator * (k // x.denominator)
+
+
+def weighted_frame(nums, alphas, betas) -> tuple:
+    """The cores' integer frame: (M, L, nums', alphas', betas').
+
+    L is the lcm of the denominators of the alphas and betas and M that of
+    the rational nums; nums'[i] = M*nums[i]*L**i, alpha' = alpha*L**2 and
+    beta' = beta*L are ints, or QuadNums with integral parts.  A core of
+    weight w and degree e in nums is then M**e * L**w times its value."""
+    L = math.lcm(*[d for x in (*alphas, *betas) for d in _denominators(x)])
+    M = math.lcm(*[x.denominator for x in nums])
+    frame = tuple(x.numerator * (M // x.denominator) * L**i for i, x in enumerate(nums))
+    return M, L, frame, [_times(a, L * L) for a in alphas], [_times(b, L) for b in betas]
+
+
+def unscale(x, den: int):
+    """x / den as one Fraction for an int x, as a QuadNum for a QuadNum x."""
+    return Fraction(x, den) if type(x) is int else x / den
+
+
+def exp_twist(nums, beta) -> tuple:
+    """Degree-wise parts of exp(-beta*H) * sum_i nums[i] H^i, truncated at
+    len(nums): the i-th entry is sum_k (-beta)^k / k! * nums[i - k].  nums
+    are rationals, beta any exact scalar (Fraction or QuadNum).  Runs
+    ``twist_core`` in the ``weighted_frame`` and divides entry i by
+    d! * M * L**i once: entry 0 is nums[0] itself, a Fraction."""
+    M, L, frame, _, (b,) = weighted_frame(nums, (), (beta,))
+    den = math.factorial(len(nums) - 1) * M
+    out = []
+    for x in twist_core(frame, b):
+        out.append(unscale(x, den))
+        den *= L
     return tuple(out)
 
 

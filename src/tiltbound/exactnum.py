@@ -1043,11 +1043,38 @@ class Poly1:
     def __hash__(self):
         return hash(self.coeffs)
 
+    def _cleared(self) -> tuple[list[int], int]:
+        """(numerators, D): the coefficients are numerators[i] / D, D their lcm."""
+        den = math.lcm(*[c.denominator for c in self.coeffs])
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+
     def evaluate(self, x):
-        total: object = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
+        """p(x) for an int, Fraction or QuadNum x, by one integer Horner loop.
+
+        With the coefficients as n_i / D and x = (U + V*sqrt(m)) / W in
+        integers, W**d * D * p(x) = sum_i n_i (U + V*sqrt(m))**i W**(d-i); the
+        loop keeps that numerator as A + B*sqrt(m) (V = m = 0 for a rational
+        x) and divides once at the end.  A Fraction for an int or Fraction x,
+        a QuadNum for a QuadNum x (a rational one too), Fraction(0) for the
+        zero polynomial.
+        """
+        if not self.coeffs:
+            return Fraction(0)
+        quad = isinstance(x, QuadNum)
+        if quad:
+            xa, xb, m = x.a, x.b, x.m
+            w = math.lcm(xa.denominator, xb.denominator)
+            u, v = xa.numerator * (w // xa.denominator), xb.numerator * (w // xb.denominator)
+        else:
+            x = as_fraction(x)
+            u, v, m, w = x.numerator, 0, 0, x.denominator
+        nums, den = self._cleared()
+        a, b, wk = nums[-1], 0, 1
+        for n in reversed(nums[:-1]):
+            wk *= w
+            a, b = a * u + b * v * m + n * wk, a * v + b * u
+        den *= wk
+        return QuadNum._reduced(Fraction(a, den), Fraction(b, den), m) if quad else Fraction(a, den)
 
     def derivative(self) -> "Poly1":
         return Poly1([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -1061,30 +1088,34 @@ class Poly1:
         return out
 
     def real_roots(self) -> list:
-        """Exact real roots for degree <= 2 (Fraction or QuadNum)."""
-        cs = self.coeffs
-        if len(cs) == 0:
+        """Exact real roots for degree <= 2, ascending: Fractions, or a pair
+        of conjugate QuadNums; a double root is listed once.
+
+        Works on the integer coefficients c, b, a over their lcm: the
+        discriminant b^2 - 4ac is an int, and its one ``square_free_core``
+        call gives sqrt(disc) = sq*sqrt(core).  ValueError for the zero
+        polynomial, NotImplementedError above degree 2.
+        """
+        if not self.coeffs:
             raise ValueError("zero polynomial has all roots")
-        if len(cs) == 1:
+        if len(self.coeffs) == 1:
             return []
-        if len(cs) == 2:
-            return [-cs[0] / cs[1]]
-        if len(cs) == 3:
-            a, b, c = cs[2], cs[1], cs[0]
-            disc = b * b - 4 * a * c
-            if disc < 0:
-                return []
-            root = sqrt_exact(disc)
-            if isinstance(root, Fraction):
-                r1 = (-b - root) / (2 * a)
-                r2 = (-b + root) / (2 * a)
-                return [r1] if r1 == r2 else sorted([r1, r2])
-            # root = c*sqrt(m): the roots are -b/(2a) -+ (c/(2a))*sqrt(m)
-            center, half = -b / (2 * a), root.b / (2 * a)
-            lo = QuadNum._reduced(center, -half, root.m)
-            hi = QuadNum._reduced(center, half, root.m)
-            return [lo, hi] if a > 0 else [hi, lo]
-        raise NotImplementedError("exact roots only up to degree 2")
+        if len(self.coeffs) > 3:
+            raise NotImplementedError("exact roots only up to degree 2")
+        nums, _ = self._cleared()
+        if len(nums) == 2:
+            return [Fraction(-nums[0], nums[1])]
+        c, b, a = nums
+        disc = b * b - 4 * a * c
+        if disc <= 0:
+            return [Fraction(-b, 2 * a)] if disc == 0 else []
+        core, sq = square_free_core(disc)
+        if core == 1:
+            lo, hi = Fraction(-b - sq, 2 * a), Fraction(-b + sq, 2 * a)
+        else:
+            center, half = Fraction(-b, 2 * a), Fraction(sq, 2 * a)
+            lo, hi = QuadNum._reduced(center, -half, core), QuadNum._reduced(center, half, core)
+        return [lo, hi] if a > 0 else [hi, lo]
 
     def __str__(self):
         if not self.coeffs:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import ChernVec, X24, exp_twist
+from .chern import ChernVec, X24, exp_twist, twist_core, unscale, weighted_frame
 from .exactnum import ExactOrder, QuadNum, as_fraction, compare_scalars, floor_scalar, format_scalar, scalar_sign
 
 __all__ = [
@@ -39,7 +39,10 @@ __all__ = [
     "k3_alpha_from_canonical",
     "bn_slope",
     "delta_H",
+    "delta_core",
     "q_form",
+    "q_core",
+    "wall_det_core",
     "wall_q_invariance_check",
     "RegionFlags",
     "stability_region_predicates",
@@ -137,7 +140,7 @@ def mu_slope(v: ChernVec, normalized: bool = False) -> SlopeValue:
 
 def twisted_inums(v: ChernVec, beta) -> tuple:
     """(H^(n-i).ch_i^(beta H))_i as numbers; beta may be Fraction or QuadNum."""
-    return exp_twist([v.inum(i) for i in range(v.context.dim + 1)], beta)
+    return exp_twist(v.inums(), beta)
 
 
 def nu_tilt(v: ChernVec, p: TiltParams, chart: str = "canonical") -> SlopeValue:
@@ -184,41 +187,63 @@ def bn_slope(v: ChernVec) -> SlopeValue:
     return SlopeValue.finite(v.inum(2) / v.inum(1))
 
 
+# Formula cores.  Each takes the inum tuple (H^(n-i).ch_i)_i as plain numbers
+# and never divides, so it runs over any commutative ring: Fractions and
+# QuadNums, the ints of ``chern.weighted_frame``, MPoly variables.  Give
+# inum i weight i, beta weight 1 and alpha weight 2: every core is
+# homogeneous in these weights.
+
+
+def delta_core(nums):
+    """nums[1]^2 - 2 nums[0] nums[2]; weight 2."""
+    return nums[1] * nums[1] - 2 * nums[0] * nums[2]
+
+
+def q_core(nums, alpha, beta, tw):
+    """36 Q for tw = twist_core(nums, beta), which is 3! times the twisted
+    inums: 36 (2 alpha - beta^2) Delta + 4 tw[2]^2 - 6 tw[1] tw[3]; weight 4."""
+    return 36 * (2 * alpha - beta * beta) * delta_core(nums) + 4 * tw[2] * tw[2] - 6 * tw[1] * tw[3]
+
+
+def wall_det_core(nums, a, b, a0, b0):
+    """det of rows (1, a, b), (1, a0, b0), (nums[0], nums[2], nums[1]);
+    weight 3, linear in nums."""
+    r, s1, s2 = nums[0], nums[1], nums[2]
+    return (a0 * s1 - b0 * s2) - a * (s1 - b0 * r) + b * (s2 - a0 * r)
+
+
 def delta_H(v: ChernVec) -> Fraction:
     """H-discriminant (H^(n-1).ch1)^2 - 2 H^n.ch0 * H^(n-2).ch2."""
     if v.context.dim < 2:
         raise TiltError("discriminant needs dimension >= 2")
-    return v.inum(1) ** 2 - 2 * v.inum(0) * v.inum(2)
+    return delta_core(v.inums())
 
 
 def q_form(v: ChernVec, p: TiltParams):
-    """(2a - b^2) * Delta + 4 (H.ch2^bH)^2 - 6 H^2.ch1^bH * ch3^bH on X."""
-    return _q_from_twisted(v, p, twisted_inums(v, p.beta))
-
-
-def _q_from_twisted(v: ChernVec, p: TiltParams, tw: tuple):
-    """q_form from the numbers ``tw`` = twisted_inums(v, p.beta)."""
+    """(2a - b^2) * Delta + 4 (H.ch2^bH)^2 - 6 H^2.ch1^bH * ch3^bH on X:
+    ``q_core`` in the ``weighted_frame``, over 36 * M^2 * L^4."""
     if v.context is not X24:
         raise TiltError("Q is defined on X24")
-    a, b = p.alpha, p.beta
-    return (2 * a - b * b) * delta_H(v) + 4 * tw[2] * tw[2] - 6 * tw[1] * tw[3]
-
-
-def _wall_det(v: ChernVec, p: TiltParams, q: TiltParams):
-    """det of rows (1,a,b), (1,a0,b0), (H^n.ch0, H^(n-2).ch2, H^(n-1).ch1)."""
-    r, s2, s1 = v.inum(0), v.inum(2), v.inum(1)
-    a, b = p.alpha, p.beta
-    a0, b0 = q.alpha, q.beta
-    return (a0 * s1 - b0 * s2) - a * (s1 - b0 * r) + b * (s2 - a0 * r)
+    M, L, nums, (a,), (b,) = weighted_frame(v.inums(), (p.alpha,), (p.beta,))
+    return unscale(q_core(nums, a, b, twist_core(nums, b)), 36 * M * M * L**4)
 
 
 def wall_q_invariance_check(v: ChernVec, p0: TiltParams, p1: TiltParams) -> bool:
-    """ch1^b1H * Q_{p0} == ch1^b0H * Q_{p1} for p0, p1 on one nested wall."""
-    if scalar_sign(_wall_det(v, p1, p0)) != 0:
+    """ch1^b1H * Q_{p0} == ch1^b0H * Q_{p1} for p0, p1 on one nested wall.
+
+    The cores run once per point in the ``weighted_frame``, on ints (on
+    QuadNums with integral parts for irrational parameters).  The frame
+    scales the determinant, linear in the character, by M*L^3, and each side
+    of the identity, cubic in it, by the same 216*M^3*L^5.
+    """
+    _, _, nums, (a0, a1), (b0, b1) = weighted_frame(v.inums(), (p0.alpha, p1.alpha), (p0.beta, p1.beta))
+    if scalar_sign(wall_det_core(nums, a1, b1, a0, b0)) != 0:
         raise PreconditionError("parameters are not collinear with p_H(v)")
-    tw0, tw1 = twisted_inums(v, p0.beta), twisted_inums(v, p1.beta)
-    lhs = tw1[1] * _q_from_twisted(v, p0, tw0)
-    rhs = tw0[1] * _q_from_twisted(v, p1, tw1)
+    if v.context is not X24:
+        raise TiltError("Q is defined on X24")
+    tw0, tw1 = twist_core(nums, b0), twist_core(nums, b1)
+    lhs = tw1[1] * q_core(nums, a0, b0, tw0)
+    rhs = tw0[1] * q_core(nums, a1, b1, tw1)
     return compare_scalars(lhs, rhs) == 0
 
 

@@ -156,9 +156,12 @@ nonzero_coeffs = small_coeffs.filter(bool)
 
 @st.composite
 def low_degree_polys(draw):
-    """Degree 1-2 polynomials: linear, generic, rational-root and double-root quadratics."""
+    """Degree 0-2 polynomials, either sign of the leading coefficient:
+    constant, linear, generic, rational-root and double-root quadratics."""
     a = draw(nonzero_coeffs)
-    kind = draw(st.sampled_from(["linear", "generic", "rational", "double"]))
+    kind = draw(st.sampled_from(["constant", "linear", "generic", "rational", "double"]))
+    if kind == "constant":
+        return Poly1([a])
     if kind == "linear":
         return Poly1([draw(small_coeffs), a])
     if kind == "generic":
@@ -177,9 +180,60 @@ def test_real_roots_match_sympy(p):
     got = p.real_roots()
     assert len(got) == len(want)  # a double root is reported once
     for r in got:
-        assert isinstance(r, (F, QuadNum))
         assert p.evaluate(r) == 0
-        assert sum(_oracle_sign(_sympy(r) - w) == 0 for w in want) == 1
+        (w,) = [w for w in want if _oracle_sign(_sympy(r) - w) == 0]
+        # rational roots are Fractions, irrational ones conjugate QuadNums
+        assert type(r) is (F if w.is_rational else QuadNum)
     for lo, hi in zip(got, got[1:]):
         assert compare_scalars(lo, hi) < 0
         assert _oracle_sign(_sympy(hi) - _sympy(lo)) == 1
+
+
+# Poly1 kernels: integer Horner evaluation and integer-discriminant roots,
+# with coefficients over a common denominator up to 12
+
+poly_coeffs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@st.composite
+def eval_points(draw):
+    """An int, a Fraction, an irrational QuadNum or a rational QuadNum."""
+    kind = draw(st.sampled_from(["int", "fraction", "quad", "rational_quad"]))
+    if kind == "int":
+        return draw(st.integers(-20, 20))
+    a = draw(poly_coeffs)
+    if kind == "fraction":
+        return a
+    if kind == "rational_quad":
+        return QuadNum(a)
+    return QuadNum(a, draw(nonzero_coeffs), draw(st.sampled_from(SQUARE_FREE)))
+
+
+def _sympy_poly(p, x):
+    return sum((sympy.Rational(c) * x**i for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+@PROPS
+@given(st.lists(poly_coeffs, max_size=5), eval_points())
+def test_poly_evaluate_matches_sympy(cs, x):
+    p = Poly1(cs)
+    got = p.evaluate(x)
+    if p.is_zero():
+        assert type(got) is F and got == 0
+        return
+    want = sympy.expand(_sympy_poly(p, _sympy(x)))
+    assert sympy.expand(_sympy(got) - want) == 0
+    if isinstance(x, QuadNum):
+        assert type(got) is QuadNum
+        assert type(got.a) is F and type(got.b) is F
+        assert got.m == (x.m if got.b else 0)
+    else:
+        assert type(got) is F
+
+
+def test_real_roots_rejects_zero_and_high_degree():
+    with pytest.raises(ValueError):
+        Poly1([]).real_roots()
+    with pytest.raises(NotImplementedError):
+        Poly1([1, 0, 0, F(1, 3)]).real_roots()
+    assert Poly1([F(5, 7)]).real_roots() == []

@@ -1,11 +1,12 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from tiltbound.chern import S222, X24, ChernVec, CurveClass, grr_push_to_k3, twist_beta
+from tiltbound.chern import S222, X24, ChernVec, CurveClass, exp_twist, grr_push_to_k3, twist_beta
 from tiltbound import tilt
-from tiltbound.exactnum import QuadNum
+from tiltbound.exactnum import MPoly, QuadNum, poly_equal
 from tiltbound.tilt import (
     InvalidRegion,
     PreconditionError,
@@ -13,14 +14,18 @@ from tiltbound.tilt import (
     TiltParams,
     bn_slope,
     delta_H,
+    delta_core,
     k3_alpha_from_canonical,
     linear_params_from_canonical,
     mu_slope,
     nu_tilt,
     q_form,
     stability_region_predicates,
+    twisted_inums,
+    wall_det_core,
     wall_q_invariance_check,
 )
+from tiltbound.verify import run_suite
 
 OH = ChernVec(X24, (1, 1, F(1, 2), F(1, 6)))
 O_X = ChernVec(X24, (1, 0, 0, 0))
@@ -225,18 +230,94 @@ def test_nu_equality_on_determinant_locus():
 
 
 def test_wall_q_invariance_twists_each_character_once(monkeypatch):
-    # one exp_twist per parameter point: q_form's core takes the twisted numbers
+    # one twist_core per parameter point, in the weighted integer frame (beta
+    # times L, the lcm of the parameters' denominators), and no exp_twist
     calls = []
-    real = tilt.exp_twist
+    real = tilt.twist_core
 
     def counting(nums, beta):
         calls.append(beta)
         return real(nums, beta)
 
-    monkeypatch.setattr(tilt, "exp_twist", counting)
+    def refused(nums, beta):
+        raise AssertionError("exp_twist called by the wall check")
+
+    monkeypatch.setattr(tilt, "twist_core", counting)
+    monkeypatch.setattr(tilt, "exp_twist", refused)
     v = ChernVec(X24, (F(2), F(3, 2), F(-1, 4), F(5, 8)))
     p0 = TiltParams(F(3, 4), F(1, 2))
     t = F(2, 7)
     p1 = TiltParams(p0.alpha + t * (v.inum(2) / v.inum(0) - p0.alpha), p0.beta + t * (v.inum(1) / v.inum(0) - p0.beta))
     assert wall_q_invariance_check(v, p0, p1)
-    assert calls == [p0.beta, p1.beta]
+    frame = math.lcm(*(x.denominator for x in (p0.alpha, p0.beta, p1.alpha, p1.beta)))
+    assert frame == 28
+    assert calls == [p0.beta * frame, p1.beta * frame]
+    assert [type(b) for b in calls] == [int, int]
+
+
+def _q_identity(q_core):
+    """Both sides of ch1^b1 * Q_p0 = ch1^b0 * Q_p1 from the library's cores
+    over MPoly, with p1 = p0 + tau * n0 * (p_H(v) - p0)."""
+    n0, n1, n2, n3, a0, b0, tau = MPoly.variables("n0", "n1", "n2", "n3", "a0", "b0", "tau")
+    nums = (n0, n1, n2, n3)
+    a1 = a0 + tau * (n2 - n0 * a0)
+    b1 = b0 + tau * (n1 - n0 * b0)
+    assert wall_det_core(nums, a1, b1, a0, b0).is_zero()
+    tw0, tw1 = tilt.twist_core(nums, b0), tilt.twist_core(nums, b1)
+    return tw1[1] * q_core(nums, a0, b0, tw0), tw0[1] * q_core(nums, a1, b1, tw1)
+
+
+def _q_core_with_5(nums, alpha, beta, tw):
+    return 36 * (2 * alpha - beta * beta) * delta_core(nums) + 4 * tw[2] * tw[2] - 5 * tw[1] * tw[3]
+
+
+def test_q_core_proves_the_wall_identity():
+    lhs, rhs = _q_identity(tilt.q_core)
+    assert not lhs.is_zero()
+    assert poly_equal(lhs, rhs)
+
+
+def test_q_core_with_5_for_6_fails_proof_and_suite(monkeypatch):
+    lhs, rhs = _q_identity(_q_core_with_5)
+    assert not poly_equal(lhs, rhs)
+    monkeypatch.setattr(tilt, "q_core", _q_core_with_5)
+    status = {r.check_name: r.status for r in run_suite("walls")}
+    assert status["walls_q_invariance_randomized"] == "fail"
+    assert [name for name, st in status.items() if st == "fail"] == ["walls_q_invariance_randomized"]
+
+
+def test_twist_core_is_exp_twist_times_factorial():
+    beta = QuadNum(F(1, 3), F(-2, 5), 7)
+    for nums in ([F(2)], [F(1), F(-3, 2)], [F(2), F(3, 2), F(-1, 4)], [F(2), F(3, 2), F(-1, 4), F(5, 8)]):
+        scale = math.factorial(len(nums) - 1)
+        for b in (F(-5, 6), beta):
+            assert exp_twist(nums, b) == tuple(x / scale for x in tilt.twist_core(nums, b))
+    # over ints the core stays in the integers
+    assert tilt.twist_core((8, 12, -2, 5), 3) == (48, -72, -12, 174)
+
+
+def test_wall_q_invariance_non_collinear_quadnum():
+    r2 = QuadNum(0, 1, 2)
+    with pytest.raises(PreconditionError):
+        wall_q_invariance_check(OH, TiltParams(1 + r2, 0), TiltParams(2, 5))
+    with pytest.raises(PreconditionError):
+        wall_q_invariance_check(OH, TiltParams(F(1, 2), r2 / 3), TiltParams(F(2), r2 / 5))
+
+
+def test_wall_q_invariance_quadnum_parameters():
+    # irrational parameters run the same cores on QuadNums with integral
+    # parts; the verdict agrees with the public formulas on the given points
+    v = ChernVec(X24, (F(2), F(3, 2), F(-1, 4), F(5, 8)))
+    r2 = QuadNum(0, 1, 2)
+    rng = random.Random(59)
+    for _ in range(20):
+        p0 = TiltParams(F(rng.randrange(1, 9), 4) + r2 / rng.randrange(1, 5), F(rng.randrange(-8, 9), 3) - r2 / 7)
+        t = F(rng.randrange(1, 7), 9)
+        p1 = TiltParams(
+            p0.alpha + t * (v.inum(2) / v.inum(0) - p0.alpha),
+            p0.beta + t * (v.inum(1) / v.inum(0) - p0.beta),
+        )
+        assert wall_q_invariance_check(v, p0, p1)
+        lhs = twisted_inums(v, p1.beta)[1] * q_form(v, p0)
+        rhs = twisted_inums(v, p0.beta)[1] * q_form(v, p1)
+        assert lhs == rhs

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -83,3 +84,21 @@ def test_determinism_modulo_elapsed():
 def test_run_suites_exit_semantics():
     reports, ok = run_suites(["breakpoints"], with_controls=False)
     assert ok and all(r.status == "pass" for r in reports)
+
+
+VERIFY_CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "refdata" / "verify_checks.json"
+
+
+def test_run_suites_matches_recorded_check_list():
+    # the recorded list the benchmark gates on: every check's name, status
+    # and sample count, and each control's failing checks, in run order
+    expected = json.loads(VERIFY_CHECKS.read_text())
+    reports, ok = run_suites()
+    assert ok
+    got = []
+    for r in reports:
+        row = {"check_name": r.check_name, "status": r.status, "samples_tested": r.samples_tested}
+        if r.check_name.endswith("_negative_control"):
+            row["failing_checks"] = r.witness["failing_checks"]
+        got.append(row)
+    assert got == expected
