@@ -22,6 +22,7 @@ from .exactnum import (
     QuadNum,
     RadicalSum,
     as_fraction,
+    clear_denominators,
     compare_scalars,
     floor_scalar,
     format_scalar,
@@ -42,7 +43,10 @@ __all__ = [
     "spade_case_for_slope",
     "spade",
     "spade_fallback",
+    "BN_THRESHOLD_POLY",
+    "bn_threshold",
     "CLIFFORD_BREAK",
+    "clifford_case",
     "clifford_bound",
     "bg_bound_surface",
     "bg_bound_threefold",
@@ -161,14 +165,10 @@ class SpadeCase:
             raise ValueError("a row has a square-root part or a ratio part, not both")
         if any(v.denominator != 1 for v in (*(self.q or ()), *(self.den or ()))):
             raise ValueError("radicand and denominator forms need integer coefficients")
-        srt = self.srt or Fraction(0)
-        c = math.lcm(*(v.denominator for v in (*self.lin, srt, *(self.num or ()))))
-
-        def ints(form, scale=1):
-            return form and tuple((scale * v).numerator for v in form)
-
-        integral = (c, ints(self.lin, c), (c * srt).numerator, ints(self.q), ints(self.num, c), ints(self.den))
-        object.__setattr__(self, "integral", integral)
+        scaled, c = clear_denominators((*self.lin, self.srt or 0, *(self.num or ())))
+        q, den = (form and tuple(v.numerator for v in form) for form in (self.q, self.den))
+        num = self.num and tuple(scaled[3:])
+        object.__setattr__(self, "integral", (c, tuple(scaled[:2]), scaled[2], q, num, den))
 
     def value(self, x, y):
         out = self.lin[0] * x + self.lin[1] * y
@@ -202,10 +202,10 @@ class SpadeCase:
         one unit.  Raises what ``value`` raises: SlopeOutOfTable for a
         negative radicand or a zero denominator, NestedRadical for an
         irrational radicand.  At a rational point the ratio is kept as a
-        numerator over ``div``, so an integer point (the brute force scales
-        its triangle to one) costs integer arithmetic only; at an irrational
-        point the linear and ratio parts are summed exactly and enclosed by
-        ``scalar_interval``.
+        numerator over ``div``, so an integer point (the brute force's
+        ``clear_denominators`` frame) costs integer arithmetic only; at an
+        irrational point the linear and ratio parts are summed exactly and
+        enclosed by ``scalar_interval``.
         """
         c, (lx, ly), s, q, num, den = self.integral
         rational = not (isinstance(x, QuadNum) or isinstance(y, QuadNum))
@@ -425,32 +425,49 @@ def spade_fallback(p: PlanePoint | tuple):
 # Clifford bound on the curve
 # ---------------------------------------------------------------------------
 
+# t < 0 with t = -(3/1024) mu^2 + mu/2 - 1 is equivalent (on [0, 64]) to
+# 3 mu^2 - 512 mu + 1024 > 0, whose lower root is the threshold below.
+BN_THRESHOLD_POLY = Poly1([1024, -512, 3])
+_BN_THRESHOLD = QuadNum(Fraction(256, 3), Fraction(-32, 3), 61)
+
 # switch point between the two [48, 64] pieces: root of 5 mu^2 - 1152 mu + 52224
 CLIFFORD_BREAK = QuadNum(Fraction(576, 5), Fraction(-32, 5), 69)
 
 
-def clifford_bound(e: CurveClass | tuple):
-    """Upper bound for h^0 of a semistable bundle of rank r, degree d on C.
+def bn_threshold() -> QuadNum:
+    """(256 - 32*sqrt(61))/3, the end of the Brill-Noether-semistable range."""
+    return _BN_THRESHOLD
 
-    Four cases over mu = d/r: 64r^2/(64r - d) on [0, (256-32*sqrt(61))/3),
-    r + 5d^2/1024r up to 16, 5d^2/1024r + 5r - d/8 from 48 to the sqrt(69)
-    switch, d - 46r beyond; SlopeOutsideTheorem on (16, 48) and off [0, 64].
-    """
-    if isinstance(e, tuple):
-        e = CurveClass(*e)
+
+def clifford_case(e: CurveClass) -> str:
+    """The Clifford case of mu = d/r: "bn" on [0, (256-32*sqrt(61))/3), by
+    the sign of ``BN_THRESHOLD_POLY``; "low" up to 16; "high" from 48 to
+    ``CLIFFORD_BREAK``; "linear" beyond it, up to 64.  OutOfDomain for
+    r < 1, SlopeOutsideTheorem on (16, 48) and off [0, 64]."""
     if e.r < 1:
-        raise OutOfDomain("clifford_bound needs r >= 1")
+        raise OutOfDomain("the Clifford cases need r >= 1")
     mu = e.slope
     if not (0 <= mu <= 16 or 48 <= mu <= 64):
         raise SlopeOutsideTheorem(f"mu = {mu} outside [0,16] u [48,64]")
-    r, d = e.r, e.d
-    from .walls import bn_threshold
-
     if mu <= 16:
-        if compare_scalars(mu, bn_threshold()) < 0:
-            return 64 * r * r / (64 * r - d)
+        return "bn" if BN_THRESHOLD_POLY.evaluate(mu) > 0 else "low"
+    return "high" if compare_scalars(mu, CLIFFORD_BREAK) <= 0 else "linear"
+
+
+def clifford_bound(e: CurveClass | tuple):
+    """Upper bound for h^0 of a semistable bundle of rank r, degree d on C,
+    one formula per ``clifford_case``: 64r^2/(64r - d) (bn),
+    r + 5d^2/1024r (low), 5d^2/1024r + 5r - d/8 (high), d - 46r (linear).
+    """
+    if isinstance(e, tuple):
+        e = CurveClass(*e)
+    case = clifford_case(e)
+    r, d = e.r, e.d
+    if case == "bn":
+        return 64 * r * r / (64 * r - d)
+    if case == "low":
         return r + 5 * d * d / (1024 * r)
-    if compare_scalars(mu, CLIFFORD_BREAK) <= 0:
+    if case == "high":
         return 5 * d * d / (1024 * r) + 5 * r - d / 8
     return d - 46 * r
 
@@ -496,9 +513,6 @@ class PiecewiseBound:
             if piece.interval.contains(x):
                 return piece.value(x)
         raise OutOfDomain(f"{self.name}: {format_scalar(x)} outside the domain")
-
-    def domain(self) -> tuple:
-        return self.pieces[0].interval.lo, self.pieces[-1].interval.hi
 
     def shared_breakpoints(self):
         """(x, left piece, right piece) where consecutive intervals touch."""

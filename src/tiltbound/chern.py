@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadNum, as_fraction, format_rat, parse_rat
+from .exactnum import as_fraction, clear_denominators, format_rat, parse_rat, unscale
 
 __all__ = [
     "ChernError",
@@ -185,32 +185,17 @@ def twist_core(nums, beta) -> tuple:
     return tuple(out)
 
 
-def _denominators(x) -> tuple:
-    return (x.a.denominator, x.b.denominator) if isinstance(x, QuadNum) else (x.denominator,)
-
-
-def _times(x, k: int):
-    """x*k for a k that clears x's denominators: an int, or a QuadNum with
-    integral parts."""
-    return x * k if isinstance(x, QuadNum) else x.numerator * (k // x.denominator)
-
-
 def weighted_frame(nums, alphas, betas) -> tuple:
     """The cores' integer frame: (M, L, nums', alphas', betas').
 
-    L is the lcm of the denominators of the alphas and betas and M that of
-    the rational nums; nums'[i] = M*nums[i]*L**i, alpha' = alpha*L**2 and
-    beta' = beta*L are ints, or QuadNums with integral parts.  A core of
-    weight w and degree e in nums is then M**e * L**w times its value."""
-    L = math.lcm(*[d for x in (*alphas, *betas) for d in _denominators(x)])
-    M = math.lcm(*[x.denominator for x in nums])
-    frame = tuple(x.numerator * (M // x.denominator) * L**i for i, x in enumerate(nums))
-    return M, L, frame, [_times(a, L * L) for a in alphas], [_times(b, L) for b in betas]
-
-
-def unscale(x, den: int):
-    """x / den as one Fraction for an int x, as a QuadNum for a QuadNum x."""
-    return Fraction(x, den) if type(x) is int else x / den
+    ``clear_denominators`` gives L for the alphas and betas together and M
+    for the rational nums; nums'[i] = M*nums[i]*L**i, alpha' = alpha*L**2
+    and beta' = beta*L are ints, or QuadNums with integral parts.  A core
+    of weight w and degree e in nums is then M**e * L**w times its value."""
+    params, L = clear_denominators((*alphas, *betas))
+    frame, M = clear_denominators(nums)
+    k = len(alphas)
+    return M, L, tuple(x * L**i for i, x in enumerate(frame)), [a * L for a in params[:k]], params[k:]
 
 
 def exp_twist(nums, beta) -> tuple:

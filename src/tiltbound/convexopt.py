@@ -43,25 +43,23 @@ from .bounds import (
     _TABLE_BOUNDARIES,
     SPADE_CASES,
     NestedRadical,
-    OutOfDomain,
     PlanePoint,
     SlopeOutOfTable,
-    SlopeOutsideTheorem,
     _band,
+    clifford_case,
     spade,
     spade_case_for_slope,
     spade_fallback,
 )
 from .chern import CurveClass
 from .exactnum import (
-    QuadNum,
     RadicalSum,
+    clear_denominators,
     compare_scalars,
     floor_scalar,
     format_scalar,
     scalar_sign,
 )
-from .walls import bn_threshold
 
 __all__ = [
     "ConvexOptError",
@@ -176,19 +174,15 @@ class WallTriangle:
 
 
 def triangle_from_first_wall(e: CurveClass | tuple) -> WallTriangle:
-    """Triangle O-P-Q from the extremal first wall at slope mu = d/r."""
+    """Triangle O-P-Q from the extremal first wall at slope mu = d/r; its
+    mu_case is the ``clifford_case``, with "linear" folded into "high"."""
     if isinstance(e, tuple):
         e = CurveClass(*e)
+    case = clifford_case(e)
     r, d = e.r, e.d
-    if r < 1:
-        raise OutOfDomain("triangle needs r >= 1")
-    mu = e.slope
-    if not (0 <= mu <= 16 or 48 <= mu <= 64):
-        raise SlopeOutsideTheorem(f"mu = {mu} outside [0,16] u [48,64]")
     q = PlanePoint(d - 64 * r, 4 * r)
     a = 5 * d * d / Fraction(1024) / r
-    if mu <= 16:
-        case = "bn" if compare_scalars(mu, bn_threshold()) < 0 else "low"
+    if case in ("bn", "low"):
         p = PlanePoint(a - r, Fraction(d, 32))
         return WallTriangle(ORIGIN, p, q, case, degenerate=(d == 0))
     p = PlanePoint(a - d / Fraction(8) + 3 * r, Fraction(d, 32))
@@ -467,12 +461,14 @@ def maximize_bruteforce(
     Exactness is lazy.  A merge walk down the cone's boundary list (the one
     ``maximize_reduced`` cuts with) gives each direction its row, and
     ``SpadeCase.enclosure`` values it as integers around value * 2**64 with
-    no factoring: a rational triangle is scaled by the lcm D of its
-    coordinate denominators, so each step a*P + b*Q is an integer point over
-    n*D.  The DP compares these enclosures; only where two overlap are the
-    exact ``RadicalSum`` values built, and ``spade`` rows are valued exactly
-    once per step, for those comparisons and for the winning chain.  Every
-    decision is exact, so the value and the chain are the exact DP's.
+    no factoring: ``clear_denominators`` writes the triangle's coordinates
+    over their common denominator D, so each step a*P + b*Q is a point over
+    n*D with integral coordinates (ints, or QuadNums with integral parts for
+    an irrational triangle).  The DP compares these enclosures; only where
+    two overlap are the exact ``RadicalSum`` values built, and ``spade``
+    rows are valued exactly once per step, for those comparisons and for the
+    winning chain.  Every decision is exact, so the value and the chain are
+    the exact DP's.
     """
     if grid_n > 60:
         raise GridTooLarge("grid_n must be <= 60")
@@ -483,14 +479,8 @@ def maximize_bruteforce(
         raise DegenerateTriangle("edge PQ must rise (y(Q) > y(P))")
 
     n = grid_n
-    coords = (p.x, p.y, q.x, q.y)
-    scale = n  # the step (a*P + b*Q)/n is worth value(x, y)/scale, x, y below
-    if not any(isinstance(v, QuadNum) for v in coords):
-        # times the lcm of the denominators, every step is an integer point
-        big_d = math.lcm(*(v.denominator for v in coords))
-        coords = tuple(v.numerator * (big_d // v.denominator) for v in coords)
-        scale = n * big_d
-    px, py, qx, qy = coords
+    (px, py, qx, qy), big_d = clear_denominators((p.x, p.y, q.x, q.y))
+    scale = n * big_d  # the step (a*P + b*Q)/n is worth value(x, y)/scale
 
     # rows by a merge walk: the directions come by strictly decreasing
     # slope, so the cone's inner boundaries slopes[1:-1] are passed once,

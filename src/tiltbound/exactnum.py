@@ -59,6 +59,8 @@ __all__ = [
     "scalar_sign",
     "as_fraction",
     "rational_or_quad",
+    "clear_denominators",
+    "unscale",
     "floor_scalar",
     "parse_rat",
     "format_rat",
@@ -412,6 +414,8 @@ class QuadNum(ExactOrder):
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
         return o / self
 
     def __pow__(self, n: int):
@@ -512,6 +516,21 @@ def rational_or_quad(x) -> Scalar:
     return as_fraction(x)
 
 
+def clear_denominators(values) -> tuple[list, int]:
+    """(scaled, D) for a sequence of ints, Fractions and QuadNums: D is the
+    least common denominator of all their rational parts, and scaled[i] =
+    values[i] * D is an int, or a QuadNum with integral parts.  The
+    library's one integer frame; ``unscale`` divides back."""
+    dens = [math.lcm(x.a.denominator, x.b.denominator) if isinstance(x, QuadNum) else x.denominator for x in values]
+    den = math.lcm(*dens)
+    return [x * den if isinstance(x, QuadNum) else x.numerator * (den // x.denominator) for x in values], den
+
+
+def unscale(x, den: int):
+    """x / den as one Fraction for an int x, as a QuadNum for a QuadNum x."""
+    return Fraction(x, den) if type(x) is int else x / den
+
+
 def floor_scalar(x) -> int:
     """Exact floor of a Fraction or QuadNum."""
     if isinstance(x, QuadNum):
@@ -519,8 +538,7 @@ def floor_scalar(x) -> int:
             return math.floor(x.a)
         # x = (A + B*sqrt(m))/d; B*sqrt(m) is irrational, strictly between
         # consecutive integers around +-isqrt(B^2 m)
-        d = math.lcm(x.a.denominator, x.b.denominator)
-        A, B = int(x.a * d), int(x.b * d)
+        (A, B), d = clear_denominators((x.a, x.b))
         r = math.isqrt(B * B * x.m)
         return (A + r) // d if B > 0 else (A - r - 1) // d
     return math.floor(as_fraction(x))
@@ -975,14 +993,6 @@ class Poly1:
     def __setattr__(self, *args):
         raise AttributeError("Poly1 is immutable")
 
-    @classmethod
-    def const(cls, c) -> "Poly1":
-        return cls([c])
-
-    @classmethod
-    def x(cls) -> "Poly1":
-        return cls([0, 1])
-
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
@@ -1043,32 +1053,26 @@ class Poly1:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def _cleared(self) -> tuple[list[int], int]:
-        """(numerators, D): the coefficients are numerators[i] / D, D their lcm."""
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
-
     def evaluate(self, x):
         """p(x) for an int, Fraction or QuadNum x, by one integer Horner loop.
 
         With the coefficients as n_i / D and x = (U + V*sqrt(m)) / W in
-        integers, W**d * D * p(x) = sum_i n_i (U + V*sqrt(m))**i W**(d-i); the
-        loop keeps that numerator as A + B*sqrt(m) (V = m = 0 for a rational
-        x) and divides once at the end.  A Fraction for an int or Fraction x,
-        a QuadNum for a QuadNum x (a rational one too), Fraction(0) for the
-        zero polynomial.
+        integers (both written by ``clear_denominators``), W**d * D * p(x) =
+        sum_i n_i (U + V*sqrt(m))**i W**(d-i); the loop keeps that numerator
+        as A + B*sqrt(m) (V = m = 0 for a rational x) and divides once at
+        the end.  A Fraction for an int or Fraction x, a QuadNum for a
+        QuadNum x (a rational one too), Fraction(0) for the zero polynomial.
         """
         if not self.coeffs:
             return Fraction(0)
         quad = isinstance(x, QuadNum)
         if quad:
-            xa, xb, m = x.a, x.b, x.m
-            w = math.lcm(xa.denominator, xb.denominator)
-            u, v = xa.numerator * (w // xa.denominator), xb.numerator * (w // xb.denominator)
+            (u, v), w = clear_denominators((x.a, x.b))
+            m = x.m
         else:
             x = as_fraction(x)
             u, v, m, w = x.numerator, 0, 0, x.denominator
-        nums, den = self._cleared()
+        nums, den = clear_denominators(self.coeffs)
         a, b, wk = nums[-1], 0, 1
         for n in reversed(nums[:-1]):
             wk *= w
@@ -1091,10 +1095,11 @@ class Poly1:
         """Exact real roots for degree <= 2, ascending: Fractions, or a pair
         of conjugate QuadNums; a double root is listed once.
 
-        Works on the integer coefficients c, b, a over their lcm: the
-        discriminant b^2 - 4ac is an int, and its one ``square_free_core``
-        call gives sqrt(disc) = sq*sqrt(core).  ValueError for the zero
-        polynomial, NotImplementedError above degree 2.
+        Works on the integer coefficients c, b, a that
+        ``clear_denominators`` writes: the discriminant b^2 - 4ac is an int,
+        and its one ``square_free_core`` call gives sqrt(disc) =
+        sq*sqrt(core).  ValueError for the zero polynomial,
+        NotImplementedError above degree 2.
         """
         if not self.coeffs:
             raise ValueError("zero polynomial has all roots")
@@ -1102,7 +1107,7 @@ class Poly1:
             return []
         if len(self.coeffs) > 3:
             raise NotImplementedError("exact roots only up to degree 2")
-        nums, _ = self._cleared()
+        nums, _ = clear_denominators(self.coeffs)
         if len(nums) == 2:
             return [Fraction(-nums[0], nums[1])]
         c, b, a = nums

@@ -23,8 +23,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import ChernVec, X24, exp_twist, twist_core, unscale, weighted_frame
-from .exactnum import ExactOrder, QuadNum, as_fraction, compare_scalars, floor_scalar, format_scalar, scalar_sign
+from .chern import ChernVec, X24, exp_twist, twist_core, weighted_frame
+from .exactnum import (
+    ExactOrder, QuadNum, as_fraction, compare_scalars, floor_scalar, format_scalar, scalar_sign, unscale,
+)
 
 __all__ = [
     "TiltError",
@@ -42,6 +44,7 @@ __all__ = [
     "delta_core",
     "q_form",
     "q_core",
+    "wall_line_core",
     "wall_det_core",
     "wall_q_invariance_check",
     "RegionFlags",
@@ -205,11 +208,18 @@ def q_core(nums, alpha, beta, tw):
     return 36 * (2 * alpha - beta * beta) * delta_core(nums) + 4 * tw[2] * tw[2] - 6 * tw[1] * tw[3]
 
 
-def wall_det_core(nums, a, b, a0, b0):
-    """det of rows (1, a, b), (1, a0, b0), (nums[0], nums[2], nums[1]);
-    weight 3, linear in nums."""
+def wall_line_core(nums, a0, b0) -> tuple:
+    """(A, B, C) with A*a + B*b + C = det of rows (1, a, b), (1, a0, b0),
+    (nums[0], nums[2], nums[1]): the nested wall through (a0, b0) and
+    p_H(nums); weights 1, 2, 3, linear in nums."""
     r, s1, s2 = nums[0], nums[1], nums[2]
-    return (a0 * s1 - b0 * s2) - a * (s1 - b0 * r) + b * (s2 - a0 * r)
+    return b0 * r - s1, s2 - a0 * r, a0 * s1 - b0 * s2
+
+
+def wall_det_core(nums, a, b, a0, b0):
+    """The ``wall_line_core`` determinant at (a, b); weight 3, linear in nums."""
+    ca, cb, cc = wall_line_core(nums, a0, b0)
+    return ca * a + cb * b + cc
 
 
 def delta_H(v: ChernVec) -> Fraction:

@@ -826,7 +826,11 @@ def suite_walls(perturb: bool = False):
             b1 = b0 + t * (s1 / r0 - b0)
             p1 = tilt.TiltParams(a1, b1)
             samples += 1
-            if not tilt.wall_q_invariance_check(v, p0, p1):
+            try:
+                ok = tilt.wall_q_invariance_check(v, p0, p1)
+            except tilt.PreconditionError:  # p1 is off the determinant's wall
+                ok = False
+            if not ok:
                 return False, samples, {"v": str(v)}
         return True, samples, None
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import SPADE_CASES, _nearest_band
+from .bounds import BN_THRESHOLD_POLY, SPADE_CASES, _nearest_band, bn_threshold
 from .chern import ChernVec, WrongContext
 from .exactnum import (
     Poly1,
-    QuadNum,
     Scalar,
     as_fraction,
     floor_scalar,
@@ -29,7 +28,7 @@ from .exactnum import (
     rational_or_quad,
     scalar_sign,
 )
-from .tilt import TiltParams
+from .tilt import TiltParams, wall_line_core
 
 __all__ = [
     "WallError",
@@ -103,18 +102,16 @@ class WallLine:
 
 def nested_wall_line(v: ChernVec, p0: TiltParams) -> WallLine:
     """The nested-wall line through p0 and p_H(v), as the vanishing of
-    det[(1, alpha, beta), (1, alpha0, beta0), (H^n.ch0, H^(n-2).ch2, H^(n-1).ch1)];
-    v needs dimension >= 2 (WrongContext otherwise).
+    det[(1, alpha, beta), (1, alpha0, beta0), (H^n.ch0, H^(n-2).ch2, H^(n-1).ch1)],
+    with the coefficients of ``tilt.wall_line_core``; v needs dimension >= 2
+    (WrongContext otherwise).
     """
     if v.context.dim < 2:
         raise WrongContext("nested wall lines need dimension >= 2")
-    r, s2, s1 = v.inum(0), v.inum(2), v.inum(1)
-    if r == 0 and s1 == 0 and s2 == 0:
+    nums = v.inums()
+    if not any(nums[:3]):
         raise ZeroReducedCharacter("reduced character is zero")
-    a0, b0 = p0.alpha, p0.beta
-    ca = -(s1 - b0 * r)
-    cb = s2 - a0 * r
-    cc = a0 * s1 - b0 * s2
+    ca, cb, cc = wall_line_core(nums, p0.alpha, p0.beta)
     if scalar_sign(ca) == 0 and scalar_sign(cb) == 0:
         # p0 equals p_H(v): r != 0 and (a0, b0) = (s2/r, s1/r)
         raise DegenerateWall("base point lies on p_H(v); the line is not unique")
@@ -195,15 +192,6 @@ def intersect_line_with_piece(k, n: int, upper_root: bool) -> Scalar:
 # first wall of a pushed-forward curve class
 # ---------------------------------------------------------------------------
 
-# t < 0 with t = -(3/1024) mu^2 + mu/2 - 1 is equivalent (on [0, 64]) to
-# 3 mu^2 - 512 mu + 1024 > 0, whose lower root is the threshold below.
-BN_THRESHOLD_POLY = Poly1([Fraction(1024), Fraction(-512), Fraction(3)])
-
-
-def bn_threshold() -> QuadNum:
-    """(256 - 32*sqrt(61))/3, the end of the Brill-Noether-semistable range."""
-    return QuadNum(Fraction(256, 3), Fraction(-32, 3), 61)
-
 
 @dataclass(frozen=True)
 class FirstWallBounds:
@@ -225,7 +213,7 @@ def first_wall_bounds(mu) -> FirstWallBounds:
     beta1 = mu / 32 - 4
     beta2 = mu / 32
     # within [0, 64], positivity of the quadratic happens exactly below the
-    # lower root (256 - 32*sqrt(61))/3
+    # lower root (256 - 32*sqrt(61))/3, as in bounds.clifford_case
     bn = BN_THRESHOLD_POLY.evaluate(mu) > 0
     tag = None
     if 31 <= mu <= 32:

@@ -21,11 +21,14 @@ from tiltbound.bounds import (
     _band,
     _nearest_band,
     clifford_bound,
+    clifford_case,
     piecewise_check,
     spade,
     spade_case_for_slope,
     spade_fallback,
 )
+from tiltbound.chern import CurveClass
+from tiltbound.convexopt import triangle_from_first_wall
 from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars, qn_compare, scalar_sign
 
 
@@ -281,6 +284,35 @@ def test_clifford_uncovered_band():
         clifford_bound((1, 65))
     with pytest.raises(OutOfDomain):
         clifford_bound((0, 1))
+
+
+@pytest.mark.parametrize(
+    "mu, case",
+    [
+        (F(0), "bn"),
+        (F(2024, 1000), "bn"),  # below (256 - 32 sqrt 61)/3 ~ 2.024003
+        (F(2025, 1000), "low"),
+        (F(16), "low"),
+        (F(48), "high"),
+        (F(62), "high"),  # below CLIFFORD_BREAK ~ 62.0376
+        (F(6204, 100), "linear"),
+        (F(64), "linear"),
+    ],
+)
+def test_clifford_case(mu, case):
+    for r in (1, 3):
+        e = CurveClass(r, r * mu)
+        assert clifford_case(e) == case
+        assert triangle_from_first_wall(e).mu_case == ("high" if case == "linear" else case)
+
+
+def test_clifford_case_domain():
+    for mu in (F(-1, 64), F(16001, 1000), F(32), F(47999, 1000), F(4097, 64)):
+        with pytest.raises(SlopeOutsideTheorem):
+            clifford_case(CurveClass(2, 2 * mu))
+    for r in (0, -1):
+        with pytest.raises(OutOfDomain):
+            clifford_case(CurveClass(r, 1))
 
 
 # -- bg families ----------------------------------------------------------------------

@@ -145,3 +145,47 @@ def test_string_input_is_refused(entry):
     # text is parsed by parse_rat / parse_scalar, never converted on the way in
     with pytest.raises(TypeError):
         entry("1/3")
+
+
+@pytest.mark.parametrize("numerator", [4 / 7, "1/3"], ids=["float", "string"])
+def test_quadnum_reflected_division_refuses_inexact_numerator(numerator):
+    # QuadNum.__rtruediv__ defers to Python, which raises TypeError
+    with pytest.raises(TypeError):
+        numerator / QuadNum(1, 1, 2)
+
+
+def _lcm_sites(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "lcm":
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and any(alias.name == "lcm" for alias in node.names):
+            yield node.lineno
+
+
+def test_math_lcm_lives_in_exactnum():
+    # exactnum.clear_denominators is the one integer frame
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "exactnum.py"
+        for line in sorted(_lcm_sites(ast.parse(path.read_text())))
+    ]
+    assert sites == []
+
+
+def _function_imports(tree):
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    yield node.lineno
+
+
+def test_no_import_inside_a_function():
+    # module imports only, so the import graph is the one the headers show
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in sorted(set(_function_imports(ast.parse(path.read_text()))))
+    ]
+    assert sites == []

@@ -14,6 +14,7 @@ from tiltbound.exactnum import (
     QuadNum,
     RadicalSum,
     RatFunc1,
+    clear_denominators,
     compare_scalars,
     decimal_str,
     floor_scalar,
@@ -27,6 +28,7 @@ from tiltbound.exactnum import (
     scalar_interval,
     sqrt_exact,
     square_free_core,
+    unscale,
 )
 from tiltbound.verify import run_suite
 
@@ -442,3 +444,40 @@ def test_arithmetic_does_not_refactor_the_radicand(monkeypatch):
     assert (results[2].b, results[2].m) == (0, 0)
     assert (results[4].a, results[4].b, results[4].m) == (F(1, 4), F(1, 4), 999983 * 1000003)
     assert (root.a, root.b, root.m) == (0, F(2, 3), 6)
+
+
+def _parts(x):
+    return (x.a, x.b) if isinstance(x, QuadNum) else (F(x),)
+
+
+def test_clear_denominators_is_the_least_integer_frame():
+    rng = random.Random(67)
+
+    def rat():
+        return F(rng.randrange(-60, 61), rng.randrange(1, 40))
+
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randrange(-60, 61)
+        if kind == 1:
+            return rat()
+        b = rat() if kind == 2 else F(0)  # kind 3: a rational QuadNum
+        return QuadNum(rat(), b, rng.choice((2, 3, 12, 45)))
+
+    assert clear_denominators(()) == ([], 1)
+    for _ in range(300):
+        values = [value() for _ in range(rng.randrange(1, 6))]
+        scaled, den = clear_denominators(values)
+        parts = [q for x in values for q in _parts(x)]
+        assert all((q * den).denominator == 1 for q in parts)
+        # least: no proper divisor den/p clears every part
+        for p in (p for p in range(2, 40) if den % p == 0 and all(p % k for k in range(2, p))):
+            assert any((q * (den // p)).denominator != 1 for q in parts)
+        for x, y in zip(values, scaled, strict=True):
+            if isinstance(x, QuadNum):
+                assert type(y) is QuadNum and y.m == x.m
+                assert y.a.denominator == y.b.denominator == 1
+            else:
+                assert type(y) is int
+            assert unscale(y, den) == x
