@@ -392,6 +392,15 @@ def spade_case_for_slope(s) -> SpadeCase:
     return row
 
 
+def _spade_point(p: PlanePoint | tuple) -> tuple:
+    """(x, y) of a point or a pair; OutOfDomain unless y > 0."""
+    if isinstance(p, tuple):
+        p = PlanePoint(*p)
+    if scalar_sign(p.y) <= 0:
+        raise OutOfDomain("spade needs y > 0")
+    return p.x, p.y
+
+
 def spade(p: PlanePoint | tuple, fallback: bool = False):
     """Global-section excess bound for a Brill-Noether semistable class.
 
@@ -399,11 +408,7 @@ def spade(p: PlanePoint | tuple, fallback: bool = False):
     degree 1.  Raises SlopeOutOfTable off the table unless ``fallback``
     requests the universal formula x/2 + sqrt(x^2 + 20 y^2)/2.
     """
-    if isinstance(p, tuple):
-        p = PlanePoint(*p)
-    x, y = p.x, p.y
-    if scalar_sign(y) <= 0:
-        raise OutOfDomain("spade needs y > 0")
+    x, y = _spade_point(p)
     s = x / y
     try:
         row = spade_case_for_slope(s)
@@ -415,10 +420,9 @@ def spade(p: PlanePoint | tuple, fallback: bool = False):
 
 
 def spade_fallback(p: PlanePoint | tuple):
-    """The universal bound x/2 + sqrt(x^2 + 20y^2)/2 (valid on every slope)."""
-    if isinstance(p, tuple):
-        p = PlanePoint(*p)
-    return _FALLBACK_CASE.value(p.x, p.y)
+    """The universal bound x/2 + sqrt(x^2 + 20y^2)/2 (valid on every slope);
+    OutOfDomain unless y > 0, as for ``spade``."""
+    return _FALLBACK_CASE.value(*_spade_point(p))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,11 @@ Everything is immutable and pure; floats appear only in ``__float__``
 conveniences, never in decision paths of the exact API.  Only this module
 decides order: at most two radicals by ``_sign_rad_pair``, larger sums by the
 certified enclosure ``RadicalSum.interval``; ``ExactOrder`` derives the rich
-comparisons (so ``min``, ``max``, ``sorted`` apply).  ``rational_or_quad`` is
-the one demotion of a rational ``QuadNum`` to a Fraction.
+comparisons (so ``min``, ``max``, ``sorted`` apply).  Beside it,
+``ExactRing`` derives the arithmetic of the five value types above from
+their own ``+``, unary ``-`` and ``*``: subtraction, the reflected
+operators, ``**`` and immutability.  ``rational_or_quad`` is the one
+demotion of a rational ``QuadNum`` to a Fraction.
 
 Exact inputs only: ``as_fraction`` is the one door through which a value
 becomes a rational, at every constructor and entry point, so a binary float
@@ -54,6 +57,7 @@ __all__ = [
     "QuadNum",
     "RadicalSum",
     "ExactOrder",
+    "ExactRing",
     "qn_compare",
     "compare_scalars",
     "scalar_sign",
@@ -298,7 +302,45 @@ class ExactOrder:
         return self._cmp(other) >= 0
 
 
-class QuadNum(ExactOrder):
+class ExactRing:
+    """Derived arithmetic from a type's own ``__add__``, ``__neg__`` and
+    ``__mul__``: subtraction, the reflected ``+ - *``, ``**`` and
+    immutability.  Each derived operator calls the type's method directly, so
+    a ``NotImplemented`` from it still reaches Python's reflected-operator
+    protocol."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        return self.__add__(-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, n):
+        """Square-and-multiply from the type's one, ``self * 0 + 1``."""
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out = self * 0 + 1
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
+class QuadNum(ExactOrder, ExactRing):
     """Exact a + b*sqrt(m); m square-free natural, m == 0 iff b == 0."""
 
     __slots__ = ("a", "b", "m")
@@ -331,9 +373,6 @@ class QuadNum(ExactOrder):
         object.__setattr__(x, "b", b)
         object.__setattr__(x, "m", m if b else 0)
         return x
-
-    def __setattr__(self, *args):  # immutable
-        raise AttributeError("QuadNum is immutable")
 
     # -- basic structure ----------------------------------------------------
 
@@ -370,19 +409,8 @@ class QuadNum(ExactOrder):
             raise MixedRadicandError(f"add: sqrt({self.m}) vs sqrt({o.m})")
         return QuadNum._reduced(self.a + o.a, self.b + o.b, self.m or o.m)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QuadNum._reduced(-self.a, -self.b, self.m)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -395,8 +423,6 @@ class QuadNum(ExactOrder):
         b = self.a * o.b + self.b * o.a
         return QuadNum._reduced(a, b, m)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -404,11 +430,10 @@ class QuadNum(ExactOrder):
         if self.m and o.m and self.m != o.m:
             raise MixedRadicandError(f"div: sqrt({self.m}) vs sqrt({o.m})")
         m = self.m or o.m
+        # a^2 = b^2 m forces a = b = 0 for a square-free m > 1
         norm = o.a * o.a - o.b * o.b * m
         if norm == 0:
-            if o.a == 0 and o.b == 0:
-                raise ZeroDivisionError("division by zero QuadNum")
-            raise ZeroDivisionError("conjugate norm is zero")  # unreachable: m square-free
+            raise ZeroDivisionError("division by zero QuadNum")
         inv = QuadNum._reduced(o.a / norm, -o.b / norm, m)
         return self * inv
 
@@ -417,18 +442,6 @@ class QuadNum(ExactOrder):
         if o is NotImplemented:
             return NotImplemented
         return o / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = QuadNum(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- comparison ----------------------------------------------------------
 
@@ -563,7 +576,7 @@ def _sqrt_bounds(m: int, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
 
 
-class RadicalSum(ExactOrder):
+class RadicalSum(ExactOrder, ExactRing):
     """Finite sum q + sum c_i*sqrt(m_i) over distinct square-free m_i > 1.
 
     The key-1 entry holds the rational part.  Zero testing is exact by
@@ -576,9 +589,6 @@ class RadicalSum(ExactOrder):
     def __init__(self, terms: Mapping[int, Fraction] | None = None):
         t = {m: q for m, c in (terms or {}).items() if (q := as_fraction(c))}
         object.__setattr__(self, "terms", t)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RadicalSum is immutable")
 
     @classmethod
     def of(cls, x) -> "RadicalSum":
@@ -600,16 +610,8 @@ class RadicalSum(ExactOrder):
             t[m] = t.get(m, Fraction(0)) + c
         return RadicalSum(t)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RadicalSum({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-RadicalSum.of(other))
-
-    def __rsub__(self, other):
-        return RadicalSum.of(other) - self
 
     def scale(self, q) -> "RadicalSum":
         return RadicalSum({m: c * q for m, c in self.terms.items()})
@@ -629,8 +631,6 @@ class RadicalSum(ExactOrder):
             t[m] = t.get(m, 0) + c * other.a
             t[mk] = t.get(mk, 0) + c * other.b * g
         return RadicalSum(t)
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -806,7 +806,7 @@ def decimal_str(x, digits: int = 12) -> str:
 # ---------------------------------------------------------------------------
 
 
-class MPoly:
+class MPoly(ExactRing):
     """Sparse multivariate polynomial over Q with an explicit variable tuple."""
 
     __slots__ = ("vars", "terms")
@@ -824,9 +824,6 @@ class MPoly:
             t[exps] = t.get(exps, Fraction(0)) + c
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", {e: c for e, c in t.items() if c != 0})
-
-    def __setattr__(self, *args):
-        raise AttributeError("MPoly is immutable")
 
     # -- constructors --------------------------------------------------------
 
@@ -865,19 +862,8 @@ class MPoly:
             t[e] = t.get(e, Fraction(0)) + c
         return MPoly(self.vars, t)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -891,18 +877,6 @@ class MPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 t[e] = t.get(e, Fraction(0)) + c1 * c2
         return MPoly(self.vars, t)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = MPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -979,7 +953,7 @@ def poly_equal(p: MPoly, q: MPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class Poly1:
+class Poly1(ExactRing):
     """Dense univariate polynomial over Q, coefficients low to high."""
 
     __slots__ = ("coeffs",)
@@ -989,9 +963,6 @@ class Poly1:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Poly1 is immutable")
 
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
@@ -1016,19 +987,8 @@ class Poly1:
             a[i] += c
         return Poly1(a)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly1([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -1041,8 +1001,6 @@ class Poly1:
             for j, b in enumerate(o.coeffs):
                 out[i + j] += a * b
         return Poly1(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -1140,7 +1098,7 @@ class Poly1:
     __repr__ = __str__
 
 
-class RatFunc1:
+class RatFunc1(ExactRing):
     """Univariate rational function num/den over Q; equality by cross-multiplication."""
 
     __slots__ = ("num", "den")
@@ -1151,9 +1109,6 @@ class RatFunc1:
             raise ZeroDivisionError("zero denominator polynomial")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RatFunc1 is immutable")
 
     @classmethod
     def of(cls, x) -> "RatFunc1":
@@ -1167,22 +1122,12 @@ class RatFunc1:
         o = RatFunc1.of(other)
         return RatFunc1(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RatFunc1(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-RatFunc1.of(other))
-
-    def __rsub__(self, other):
-        return RatFunc1.of(other) - self
 
     def __mul__(self, other):
         o = RatFunc1.of(other)
         return RatFunc1(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = RatFunc1.of(other)

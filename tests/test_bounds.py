@@ -70,10 +70,10 @@ def test_spade_out_of_table_and_fallback():
 
 
 def test_spade_requires_positive_y():
-    with pytest.raises(OutOfDomain):
-        spade((1, 0))
-    with pytest.raises(OutOfDomain):
-        spade((1, -1))
+    for p in ((1, 0), (1, -1)):
+        for bound in (spade, spade_fallback, lambda p: spade(p, fallback=True)):
+            with pytest.raises(OutOfDomain):
+                bound(p)
 
 
 def test_spade_case_dispatch():

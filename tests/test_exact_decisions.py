@@ -20,6 +20,7 @@ from tiltbound.exactnum import (
     Poly1,
     QuadNum,
     RadicalSum,
+    RatFunc1,
     decimal_str,
     floor_scalar,
     scalar_sign,
@@ -131,6 +132,19 @@ ENTRIES = {
     "floor_scalar": floor_scalar,
     "decimal_str": decimal_str,
 }
+# the arithmetic ExactRing derives, on each exact value type
+_RING_VALUES = {
+    "QuadNum": QuadNum(1, 1, 2),
+    "RadicalSum": RadicalSum({1: 1, 2: 1, 3: 1}),
+    "MPoly": MPoly.variables("r", "d")[0],
+    "Poly1": Poly1([1, 1]),
+    "RatFunc1": RatFunc1(Poly1([1]), Poly1([1, 1])),
+}
+for _name, _v in _RING_VALUES.items():
+    ENTRIES[f"{_name}_sub"] = lambda x, v=_v: v - x
+    ENTRIES[f"{_name}_rsub"] = lambda x, v=_v: x - v
+    ENTRIES[f"{_name}_radd"] = lambda x, v=_v: x + v
+    ENTRIES[f"{_name}_rmul"] = lambda x, v=_v: x * v
 
 
 @pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
@@ -187,5 +201,37 @@ def test_no_import_inside_a_function():
         f"{path.name}:{line}"
         for path in sorted(SRC.glob("*.py"))
         for line in sorted(set(_function_imports(ast.parse(path.read_text()))))
+    ]
+    assert sites == []
+
+
+# operators that ExactRing derives; PlanePoint is a plane vector, not a ring element
+DERIVED_OPERATORS = {"__radd__", "__rsub__", "__rmul__", "__pow__", "__sub__"}
+OPERATOR_HOMES = {"ExactRing": DERIVED_OPERATORS, "PlanePoint": {"__sub__"}}
+
+
+def _operator_sites(tree):
+    """Derived operators a class defines or binds, outside their homes."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name in DERIVED_OPERATORS - OPERATOR_HOMES.get(cls.name, set()):
+                    yield f"{cls.name}.{name}"
+
+
+def test_derived_operators_live_in_exact_ring():
+    # each value type writes +, unary - and *; ExactRing derives the rest once
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(SRC.glob("*.py"))
+        for site in _operator_sites(ast.parse(path.read_text()))
     ]
     assert sites == []

@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from tiltbound import exactnum
 from tiltbound.exactnum import (
+    ExactRing,
     MPoly,
     MixedRadicandError,
     NotHomogeneous,
@@ -166,6 +171,12 @@ def test_quadnum_field_axioms_same_radicand():
         assert x * (y + z) == x * y + x * z
         if y.sign() != 0:
             assert (x / y) * y == x
+
+
+def test_quadnum_division_by_zero_raises():
+    for numerator, zero in ((QuadNum(1, 1, 2), 0), (QuadNum(1, 1, 2), QuadNum(0)), (F(1), QuadNum(0))):
+        with pytest.raises(ZeroDivisionError):
+            numerator / zero
 
 
 def test_quadnum_mixed_arithmetic_raises():
@@ -481,3 +492,89 @@ def test_clear_denominators_is_the_least_integer_frame():
             else:
                 assert type(y) is int
             assert unscale(y, den) == x
+
+
+# -- ExactRing: the derived arithmetic of the five value types ----------------------
+
+
+def _rat(rng):
+    return F(rng.randrange(-9, 10), rng.randrange(1, 6))
+
+
+def _mpoly(rng):
+    r, d = MPoly.variables("r", "d")
+    return _rat(rng) * r * r + _rat(rng) * r * d + _rat(rng)
+
+
+RING_VALUES = {
+    "QuadNum": lambda rng: QuadNum(_rat(rng), _rat(rng), 12),
+    "RadicalSum": lambda rng: RadicalSum({1: _rat(rng), 2: _rat(rng), 3: _rat(rng), 5: _rat(rng)}),
+    "MPoly": _mpoly,
+    "Poly1": lambda rng: Poly1([_rat(rng) for _ in range(rng.randrange(0, 4))]),
+    "RatFunc1": lambda rng: RatFunc1(Poly1([_rat(rng), _rat(rng)]), Poly1([1, _rat(rng), 1])),
+}
+RING_ONE = {"QuadNum": lambda a: QuadNum(1), "MPoly": lambda a: MPoly.const(a.vars, 1), "Poly1": lambda a: Poly1([1])}
+
+
+def _structure(x):
+    """Exact parts of a value with their types, so equal means equal in type too."""
+    if isinstance(x, QuadNum):
+        return (QuadNum, (type(x.a), x.a), (type(x.b), x.b), x.m)
+    if isinstance(x, MPoly):
+        return (MPoly, x.vars, {e: (type(c), c) for e, c in x.terms.items()})
+    return (Poly1, tuple((type(c), c) for c in x.coeffs))
+
+
+@pytest.mark.parametrize("kind", list(RING_VALUES))
+def test_exact_ring_identities(kind):
+    rng = random.Random(sum(map(ord, kind)))
+    make = RING_VALUES[kind]
+    assert ExactRing in type(make(rng)).__mro__
+    for _ in range(40):
+        a, b = make(rng), make(rng)
+        assert a - b == a + (-b)
+        for k in (rng.randrange(-9, 10), _rat(rng)):
+            assert k + a == a + k and k - a == -a + k
+            assert k * a == a * k
+            assert type(k + a) is type(k * a) is type(k - a) is type(a)
+        if kind in RING_ONE:
+            product = RING_ONE[kind](a)
+            for n in range(4):
+                assert _structure(a**n) == _structure(product), n
+                product = product * a
+        else:
+            assert a**0 == 1
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(AttributeError):
+        setattr(a, next(iter(type(a).__slots__)), 1)
+
+
+NOT_EXPONENTS = (-1, -2, F(-2), F(1, 2), 1.5)
+
+
+def test_exact_ring_refuses_negative_and_non_int_exponents():
+    for x in (QuadNum(1, 1, 2), Poly1([1, 1]), RadicalSum({1: 1, 2: 1, 3: 1})):
+        for n in NOT_EXPONENTS:
+            with pytest.raises(TypeError):
+                x**n
+
+
+def test_mpoly_negative_power_raises_at_once():
+    # a square-and-multiply loop without the exponent check never ends on a
+    # negative exponent, so the calls run in a child process that is stopped
+    # after a few seconds
+    code = (
+        "from fractions import Fraction\n"
+        "from tiltbound.exactnum import MPoly\n"
+        "r, d = MPoly.variables('r', 'd')\n"
+        f"for n in {NOT_EXPONENTS!r}:\n"
+        "    try:\n"
+        "        (r + 1) ** n\n"
+        "    except TypeError:\n"
+        "        print('TypeError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(exactnum.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["TypeError"] * len(NOT_EXPONENTS)
