@@ -14,7 +14,6 @@ from .exactnum import (
     QuadNum,
     Rat,
     RadicalSum,
-    RatFunc1,
     decimal_str,
     format_rat,
     format_scalar,

@@ -12,8 +12,6 @@ this module provides
 * ``Poly1`` -- dense univariate polynomials over Q with exact roots up to
   degree 2, used by the piecewise-bound engine, the wall geometry and the
   verifier;
-* ``RatFunc1`` -- univariate rational functions over Q, used by the
-  verifier's ``prop52`` suite;
 * ``radical_identity_check`` -- certifies sqrt(D) = R by checking R^2 = D
   polynomially and R >= 0 on a stated slope domain.
 
@@ -22,10 +20,12 @@ conveniences, never in decision paths of the exact API.  Only this module
 decides order: at most two radicals by ``_sign_rad_pair``, larger sums by the
 certified enclosure ``RadicalSum.interval``; ``ExactOrder`` derives the rich
 comparisons (so ``min``, ``max``, ``sorted`` apply).  Beside it,
-``ExactRing`` derives the arithmetic of the five value types above from
+``ExactRing`` derives the arithmetic of the four value types above from
 their own ``+``, unary ``-`` and ``*``: subtraction, the reflected
-operators, ``**`` and immutability.  ``rational_or_quad`` is the one
-demotion of a rational ``QuadNum`` to a Fraction.
+operators, ``**`` and immutability; and their ``==`` and ``hash`` from one
+canonical key, so a rational value equals and hashes as its Fraction.
+``rational_or_quad`` is the one demotion of a rational ``QuadNum`` to a
+Fraction.
 
 Exact inputs only: ``as_fraction`` is the one door through which a value
 becomes a rational, at every constructor and entry point, so a binary float
@@ -76,7 +76,6 @@ __all__ = [
     "poly_equal",
     "radical_identity_check",
     "Poly1",
-    "RatFunc1",
 ]
 
 
@@ -307,9 +306,27 @@ class ExactRing:
     ``__mul__``: subtraction, the reflected ``+ - *``, ``**`` and
     immutability.  Each derived operator calls the type's method directly, so
     a ``NotImplemented`` from it still reaches Python's reflected-operator
-    protocol."""
+    protocol.
+
+    Equality and hashing come from the type's ``_key()``, one canonical key
+    per value: a rational value's key is its Fraction, so it equals and
+    hashes as that Fraction (and as an equal int); an irrational QuadNum and
+    a RadicalSum share the frozenset of their RadicalSum terms; a
+    non-constant Poly1 or MPoly keys by its coefficients (and variables).
+    Two values are equal iff their keys are; against any operand that is
+    not an int, a Fraction or an exact type, ``==`` gives NotImplemented."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, ExactRing):
+            return self._key() == other._key()
+        if isinstance(other, (int, Fraction)):
+            return self._key() == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -448,17 +465,8 @@ class QuadNum(ExactOrder, ExactRing):
     def _cmp(self, other) -> int:
         return compare_scalars(self, other)
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if isinstance(other, QuadNum):
-            return (self.a, self.b, self.m) == (other.a, other.b, other.m)
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.m))
+    def _key(self):
+        return RadicalSum.of(self)._key() if self.b else self.a
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -680,13 +688,9 @@ class RadicalSum(ExactOrder, ExactRing):
     def _cmp(self, other) -> int:
         return (self - RadicalSum.of(other)).sign()
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QuadNum, RadicalSum)):
-            return (self - RadicalSum.of(other)).is_zero()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    def _key(self):
+        t = self.terms
+        return frozenset(t.items()) if t.keys() - {1} else t.get(1, Fraction(0))
 
     def to_exact(self) -> Scalar | "RadicalSum":
         """Collapse to Fraction or QuadNum when at most one radical survives."""
@@ -878,15 +882,10 @@ class MPoly(ExactRing):
                 t[e] = t.get(e, Fraction(0)) + c1 * c2
         return MPoly(self.vars, t)
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.vars, other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+    def _key(self):
+        if self.degree():
+            return self.vars, frozenset(self.terms.items())
+        return sum(self.terms.values(), Fraction(0))
 
     # -- structure -------------------------------------------------------------
 
@@ -949,7 +948,7 @@ def poly_equal(p: MPoly, q: MPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials / rational functions
+# univariate polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -1002,14 +1001,8 @@ class Poly1(ExactRing):
                 out[i + j] += a * b
         return Poly1(out)
 
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    def _key(self):
+        return self.coeffs if len(self.coeffs) > 1 else sum(self.coeffs, Fraction(0))
 
     def evaluate(self, x):
         """p(x) for an int, Fraction or QuadNum x, by one integer Horner loop.
@@ -1094,65 +1087,6 @@ class Poly1(ExactRing):
             else:
                 parts.append(f"{format_rat(c)}*x^{i}")
         return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-class RatFunc1(ExactRing):
-    """Univariate rational function num/den over Q; equality by cross-multiplication."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly1, den: Poly1 | None = None):
-        den = den if den is not None else Poly1([1])
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator polynomial")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def of(cls, x) -> "RatFunc1":
-        if isinstance(x, RatFunc1):
-            return x
-        if isinstance(x, Poly1):
-            return cls(x)
-        return cls(Poly1([x]))
-
-    def __add__(self, other):
-        o = RatFunc1.of(other)
-        return RatFunc1(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __neg__(self):
-        return RatFunc1(-self.num, self.den)
-
-    def __mul__(self, other):
-        o = RatFunc1.of(other)
-        return RatFunc1(self.num * o.num, self.den * o.den)
-
-    def __truediv__(self, other):
-        o = RatFunc1.of(other)
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc1(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc1.of(other) / self
-
-    def __eq__(self, other):
-        o = RatFunc1.of(other)
-        return (self.num * o.den - o.num * self.den).is_zero()
-
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        return hash((self.num, self.den))
-
-    def evaluate(self, x):
-        d = self.den.evaluate(x)
-        if scalar_sign(d) == 0:
-            raise ZeroDivisionError("pole of rational function")
-        return self.num.evaluate(x) / d
-
-    def __str__(self):
-        return f"({self.num}) / ({self.den})"
 
     __repr__ = __str__
 

@@ -42,7 +42,6 @@ from .exactnum import (
     Poly1,
     QuadNum,
     RadicalSum,
-    RatFunc1,
     compare_scalars,
     format_scalar,
     poly_equal,
@@ -615,36 +614,56 @@ def suite_clifford(perturb: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _compose_affine_rf(rf, p0, dp):
-    return RatFunc1(rf.num.compose_affine(p0, dp), rf.den.compose_affine(p0, dp))
+# Prop. 5.2's values are (numerator, denominator) pairs of Poly1s; an
+# identity holds iff its two sides are equal cross-multiplied
+_ONE = Poly1([1])
 
 
-def _clifford_rf(piece: str):
-    """Per-rank Clifford pieces as rational functions of mu."""
+def _clifford_piece(piece: str):
+    """Per-rank Clifford piece as a (numerator, denominator) pair in mu."""
     if piece == "bn":
-        return RatFunc1(Poly1([64]), Poly1([64, -1]))
+        return Poly1([64]), Poly1([64, -1])
     if piece == "low":
-        return RatFunc1(Poly1([1, 0, Fraction(5, 1024)]))
+        return Poly1([1, 0, Fraction(5, 1024)]), _ONE
     if piece == "high":
-        return RatFunc1(Poly1([5, Fraction(-1, 8), Fraction(5, 1024)]))
+        return Poly1([5, Fraction(-1, 8), Fraction(5, 1024)]), _ONE
     if piece == "lin":
-        return RatFunc1(Poly1([-46, 1]))
+        return Poly1([-46, 1]), _ONE
     raise ValueError(piece)
+
+
+def _pair_sum(*pairs):
+    """The sum of (numerator, denominator) pairs, as one pair."""
+    num, den = Poly1([]), _ONE
+    for n, d in pairs:
+        num, den = num * d + n * den, den * d
+    return num, den
+
+
+def _prop52_holds(first: str, second: str, target) -> bool:
+    """(lam_first(32x) + lam_second(64 - 32x))/16 + x - 5/4 == target."""
+    n1, d1 = (p.compose_affine(0, 32) for p in _clifford_piece(first))
+    n2, d2 = (p.compose_affine(64, -32) for p in _clifford_piece(second))
+    num, den = _pair_sum((n1, 16 * d1), (n2, 16 * d2), (Poly1([Fraction(-5, 4), 1]), _ONE))
+    target_num, target_den = target
+    return num * target_den == target_num * den
+
+
+# the recomposition cases: the two pieces and the target in x, where
+# 1/(16 - 8x) is the Brill-Noether piece's share
+_BN_SHARE = (Poly1([1]), Poly1([16, -8]))
+_PROP52_CASES = {
+    1: ("bn", "lin", _pair_sum(_BN_SHARE, (Poly1([Fraction(-1, 8), -1]), _ONE))),
+    2: ("bn", "high", _pair_sum(_BN_SHARE, (Poly1([Fraction(-3, 16), 0, Fraction(5, 16)]), _ONE))),
+    3: ("low", "high", (Poly1([Fraction(-1, 8), 0, Fraction(5, 8)]), _ONE)),
+}
 
 
 def suite_prop52(perturb: bool = False):
     reports = []
 
-    def composed(first: str, second: str):
-        lam = _compose_affine_rf(_clifford_rf(first), Fraction(0), Fraction(32)) + _compose_affine_rf(
-            _clifford_rf(second), Fraction(64), Fraction(-32)
-        )
-        return lam * Fraction(1, 16) + RatFunc1(Poly1([Fraction(-5, 4), 1]))
-
     def check_case1():
-        got = composed("bn", "lin")
-        target = RatFunc1(Poly1([1]), Poly1([16, -8])) + RatFunc1(Poly1([Fraction(-1, 8), -1]))
-        ok = got == target
+        ok = _prop52_holds(*_PROP52_CASES[1])
         # dominance by x^2 - x on (0, (4-sqrt13)/3]: cubic -8x^3+16x^2-x+1 >= 0
         cubic = Poly1([1, -1, 16, -8])
         if perturb:
@@ -657,13 +676,7 @@ def suite_prop52(perturb: bool = False):
     reports.append(_run("prop52_case1_recomposition", check_case1))
 
     def check_case2():
-        got = composed("bn", "high")
-        target = (
-            RatFunc1(Poly1([0, 0, Fraction(5, 16)]))
-            + RatFunc1(Poly1([1]), Poly1([16, -8]))
-            + RatFunc1(Poly1([Fraction(-3, 16)]))
-        )
-        ok = got == target
+        ok = _prop52_holds(*_PROP52_CASES[2])
         # dominated by piece 1 (x^2 - x) on ((sqrt69-8)/5, (8-sqrt61)/3]
         cubic = Poly1([4, -35, 38, -11])
         lo = (QuadNum(0, 1, 69) - 8) / 5
@@ -674,16 +687,16 @@ def suite_prop52(perturb: bool = False):
     reports.append(_run("prop52_case2_recomposition", check_case2))
 
     def check_case3():
-        got = composed("low", "high")
-        lead = Fraction(3, 4) if perturb else Fraction(5, 8)
-        target = RatFunc1(Poly1([Fraction(-1, 8), 0, lead]))
-        ok = got == target
+        first, second, (num, den) = _PROP52_CASES[3]
+        if perturb:
+            num += Poly1([0, 0, Fraction(1, 8)])  # lead 5/8 -> 3/4
+        ok = _prop52_holds(first, second, (num, den))
         # on ((8-sqrt61)/3, (4-sqrt13)/3] piece 1 dominates: 3x^2-8x+1 >= 0
         quad = Poly1([1, -8, 3])
         lo = (8 - QuadNum(0, 1, 61)) / 3
         hi = (4 - QuadNum(0, 1, 13)) / 3
         ok = ok and scalar_sign(_poly_min_on_interval(quad, lo, hi)[0]) >= 0
-        return ok, 2, None if ok else {"lead": format_scalar(lead)}
+        return ok, 2, None if ok else {"lead": format_scalar(num.coeffs[2])}
 
     reports.append(_run("prop52_case3_recomposition", check_case3))
 

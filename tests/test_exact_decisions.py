@@ -20,7 +20,6 @@ from tiltbound.exactnum import (
     Poly1,
     QuadNum,
     RadicalSum,
-    RatFunc1,
     decimal_str,
     floor_scalar,
     scalar_sign,
@@ -138,7 +137,6 @@ _RING_VALUES = {
     "RadicalSum": RadicalSum({1: 1, 2: 1, 3: 1}),
     "MPoly": MPoly.variables("r", "d")[0],
     "Poly1": Poly1([1, 1]),
-    "RatFunc1": RatFunc1(Poly1([1]), Poly1([1, 1])),
 }
 for _name, _v in _RING_VALUES.items():
     ENTRIES[f"{_name}_sub"] = lambda x, v=_v: v - x
@@ -208,10 +206,13 @@ def test_no_import_inside_a_function():
 # operators that ExactRing derives; PlanePoint is a plane vector, not a ring element
 DERIVED_OPERATORS = {"__radd__", "__rsub__", "__rmul__", "__pow__", "__sub__"}
 OPERATOR_HOMES = {"ExactRing": DERIVED_OPERATORS, "PlanePoint": {"__sub__"}}
+# SlopeValue is an ordered wrapper with +infinity, not a ring element
+EQ_HASH = {"__eq__", "__hash__"}
+EQ_HASH_HOMES = {"ExactRing": EQ_HASH, "SlopeValue": EQ_HASH}
 
 
-def _operator_sites(tree):
-    """Derived operators a class defines or binds, outside their homes."""
+def _method_sites(tree, methods, homes):
+    """Methods a class defines or binds, outside their homes."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
@@ -223,7 +224,7 @@ def _operator_sites(tree):
             else:
                 continue
             for name in names:
-                if name in DERIVED_OPERATORS - OPERATOR_HOMES.get(cls.name, set()):
+                if name in methods - homes.get(cls.name, set()):
                     yield f"{cls.name}.{name}"
 
 
@@ -232,6 +233,16 @@ def test_derived_operators_live_in_exact_ring():
     sites = [
         f"{path.name}:{site}"
         for path in sorted(SRC.glob("*.py"))
-        for site in _operator_sites(ast.parse(path.read_text()))
+        for site in _method_sites(ast.parse(path.read_text()), DERIVED_OPERATORS, OPERATOR_HOMES)
+    ]
+    assert sites == []
+
+
+def test_eq_and_hash_live_in_exact_ring():
+    # each exact type writes only its canonical _key; ExactRing compares and hashes it
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(SRC.glob("*.py"))
+        for site in _method_sites(ast.parse(path.read_text()), EQ_HASH, EQ_HASH_HOMES)
     ]
     assert sites == []

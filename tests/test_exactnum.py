@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltbound import exactnum
 from tiltbound.exactnum import (
@@ -18,7 +20,6 @@ from tiltbound.exactnum import (
     Poly1,
     QuadNum,
     RadicalSum,
-    RatFunc1,
     clear_denominators,
     compare_scalars,
     decimal_str,
@@ -337,7 +338,7 @@ def test_radical_identity_not_homogeneous():
         radical_identity_check(r * r + r, r, (F(0), F(1)))
 
 
-# -- Poly1 / RatFunc1 -----------------------------------------------------------
+# -- Poly1 ---------------------------------------------------------------------
 
 
 def test_poly1_roots():
@@ -356,14 +357,6 @@ def test_poly1_compose_affine():
     p = Poly1([F(-1, 2), 0, 1])  # x^2 - 1/2
     q = p.compose_affine(F(1), F(-1))  # (1-t)^2 - 1/2
     assert q == Poly1([F(1, 2), -2, 1])
-
-
-def test_ratfunc_equality_cross_multiplied():
-    f = RatFunc1(Poly1([1]), Poly1([16, -8]))  # 1/(16-8x)
-    g = RatFunc1(Poly1([2]), Poly1([32, -16]))
-    assert f == g
-    h = f + RatFunc1.of(Poly1([F(-1, 8), -1]))
-    assert h.evaluate(F(1, 10)) == F(-1, 10) + F(1, 1) / (8 * (2 - F(1, 10))) - F(1, 8)
 
 
 def test_compare_mixed_radicands_against_interval_oracle():
@@ -494,7 +487,7 @@ def test_clear_denominators_is_the_least_integer_frame():
             assert unscale(y, den) == x
 
 
-# -- ExactRing: the derived arithmetic of the five value types ----------------------
+# -- ExactRing: the derived arithmetic of the four value types ----------------------
 
 
 def _rat(rng):
@@ -511,7 +504,6 @@ RING_VALUES = {
     "RadicalSum": lambda rng: RadicalSum({1: _rat(rng), 2: _rat(rng), 3: _rat(rng), 5: _rat(rng)}),
     "MPoly": _mpoly,
     "Poly1": lambda rng: Poly1([_rat(rng) for _ in range(rng.randrange(0, 4))]),
-    "RatFunc1": lambda rng: RatFunc1(Poly1([_rat(rng), _rat(rng)]), Poly1([1, _rat(rng), 1])),
 }
 RING_ONE = {"QuadNum": lambda a: QuadNum(1), "MPoly": lambda a: MPoly.const(a.vars, 1), "Poly1": lambda a: Poly1([1])}
 
@@ -578,3 +570,69 @@ def test_mpoly_negative_power_raises_at_once():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["TypeError"] * len(NOT_EXPONENTS)
+
+
+# -- ExactRing: one equality and one hash ----------------------------------------
+
+_Q = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_NONZERO_Q = _Q.filter(bool)
+_VARS = st.sampled_from([("r", "d"), ("x",)])
+_EXACT = st.one_of(
+    st.integers(-6, 6),
+    _Q,
+    st.builds(QuadNum, _Q),
+    # radicands 8 and 12 reduce to 2 and 3
+    st.builds(QuadNum, _Q, _NONZERO_Q, st.sampled_from([2, 3, 8, 12])),
+    st.dictionaries(st.sampled_from([1, 2, 3, 6]), _Q, max_size=3).map(RadicalSum),
+    st.builds(MPoly.const, _VARS, _Q),
+    st.builds(lambda c, e: MPoly(("r", "d"), {(e, 1): c}), _Q, st.integers(0, 2)),
+    st.lists(_Q, max_size=3).map(Poly1),
+)
+
+
+def _equal_forms(x):
+    """Values of every exact type equal to x, built independently of it."""
+    if isinstance(x, (int, F)) or (isinstance(x, QuadNum) and not x.b):
+        f = F(x) if isinstance(x, (int, F)) else x.a
+        forms = [f, QuadNum(f), RadicalSum.of(f), Poly1([f]), MPoly.const(("r", "d"), f), MPoly.const(("x",), f)]
+        return forms + [f.numerator] * (f.denominator == 1)
+    if isinstance(x, QuadNum):
+        return [QuadNum(x.a, x.b / 2, 4 * x.m), RadicalSum.of(x)]
+    if isinstance(x, RadicalSum):
+        return [RadicalSum(dict(x.terms)), x.to_exact()]
+    if isinstance(x, MPoly):
+        return [MPoly(x.vars, dict(x.terms))]
+    return [Poly1(x.coeffs)]
+
+
+_PAIRS = st.one_of(
+    st.tuples(_EXACT, _EXACT),
+    _EXACT.flatmap(lambda x: st.tuples(st.just(x), st.sampled_from(_equal_forms(x)))),
+    st.tuples(_EXACT, st.one_of(st.floats(), st.text(max_size=3))),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(pair=_PAIRS)
+def test_equality_is_symmetric_and_hash_consistent(pair):
+    a, b = pair
+    assert (a == b) == (b == a)
+    assert (a != b) == (not a == b)
+    if a == b:
+        assert hash(a) == hash(b)
+    if isinstance(b, (float, str)):
+        assert a != b and b != a
+
+
+def test_equal_values_hash_equal_across_types():
+    for a, b in (
+        (Poly1([1]), 1),
+        (RadicalSum({1: 1}), 1),
+        (MPoly.const(("x",), 2), 2),
+        (QuadNum(1, 1, 2), RadicalSum({1: 1, 2: 1})),
+        (QuadNum(3), Poly1([3])),
+        (MPoly.const(("x",), 2), MPoly.const(("r", "d"), 2)),
+    ):
+        assert a == b and b == a and hash(a) == hash(b), (a, b)
+    assert len({Poly1([3]), 3, F(3)}) == 1
+    assert MPoly.variables("x")[0] != MPoly.variables("x", "y")[0]

@@ -5,8 +5,11 @@ from pathlib import Path
 import pytest
 
 from tiltbound.bounds import bg_quadratic_family, piecewise_check
+from tiltbound.exactnum import Poly1
 from tiltbound.verify import (
+    _PROP52_CASES,
     _perturbed_linear_family,
+    _prop52_holds,
     reports_to_json,
     run_suite,
     run_suites,
@@ -28,6 +31,17 @@ def test_fast_suites_pass():
         reports = run_suite(name)
         assert reports, name
         assert all(r.status == "pass" for r in reports), name
+
+
+def test_prop52_identities_fail_under_each_one_coefficient_change():
+    # the suite's control perturbs case 3 only; each identity must be able to fail
+    for case, (first, second, target) in _PROP52_CASES.items():
+        assert _prop52_holds(first, second, target), case
+        for side in (0, 1):
+            for i in range(len(target[side].coeffs)):
+                changed = list(target)
+                changed[side] += Poly1([0] * i + [1])
+                assert not _prop52_holds(first, second, tuple(changed)), (case, side, i)
 
 
 def test_q00_suite_passes_and_counts_samples():
