@@ -146,6 +146,8 @@ class SpadeCase:
     value(x, y) = lin_x*x + lin_y*y + srt*sqrt(q_xx x^2 + q_xy xy + q_yy y^2)
                 + num(x,y)/den(x,y)   (num quadratic form, den linear form)
     with at most one of the sqrt / ratio parts present (checked on creation).
+    The written fields are the readable table; ``value`` and ``enclosure``
+    both evaluate ``integral``, through ``_frame``.
     """
 
     case_id: int
@@ -155,7 +157,7 @@ class SpadeCase:
     q: tuple | None = None  # (xx, xy, yy)
     num: tuple | None = None  # quadratic form (xx, xy, yy)
     den: tuple | None = None  # linear form (x, y)
-    # c times the row with integer coefficients, for ``enclosure``:
+    # c times the row with integer coefficients, the one evaluated form:
     # (c, (L_x, L_y), S, Q, N, D) with c*value = L.(x, y) + S*sqrt(Q(x, y))
     # + N(x, y)/D(x, y); derived from the fields above
     integral: tuple = field(init=False, repr=False, compare=False, default=())
@@ -170,69 +172,62 @@ class SpadeCase:
         num = self.num and tuple(scaled[3:])
         object.__setattr__(self, "integral", (c, tuple(scaled[:2]), scaled[2], q, num, den))
 
-    def value(self, x, y):
-        out = self.lin[0] * x + self.lin[1] * y
-        if self.srt is not None:
-            xx, xy, yy = self.q
-            rad = rational_or_quad(xx * x * x + xy * x * y + yy * y * y)
-            if isinstance(rad, QuadNum):
-                raise NestedRadical(f"nested radical sqrt({format_scalar(rad)})")
-            if rad < 0:
-                raise SlopeOutOfTable("negative radicand outside the case range")
-            root = self.srt * sqrt_exact(rad)
-            if isinstance(out, QuadNum):
-                # an irrational point: the root's radicand may differ from
-                # the coordinates', so add in RadicalSum
-                return (RadicalSum.of(out) + RadicalSum.of(root)).to_exact()
-            out = out + root
-        if self.num is not None:
-            xx, xy, yy = self.num
-            dx, dy = self.den
-            denom = dx * x + dy * y
-            if scalar_sign(denom) == 0:
-                raise SlopeOutOfTable("ratio denominator vanishes")
-            out = out + (xx * x * x + xy * x * y + yy * y * y) / denom
-        return out
-
-    def enclosure(self, x, y, bits: int) -> tuple[int, int]:
-        """Integers lo <= value(x, y) * 2**bits <= hi, with no factoring.
-
-        The root is ``math.isqrt`` of the radicand shifted left by 2*bits, so
-        hi - lo <= |srt numerator| + 2, and a ratio row is exact to within
-        one unit.  Raises what ``value`` raises: SlopeOutOfTable for a
-        negative radicand or a zero denominator, NestedRadical for an
-        irrational radicand.  At a rational point the ratio is kept as a
-        numerator over ``div``, so an integer point (the brute force's
-        ``clear_denominators`` frame) costs integer arithmetic only; at an
-        irrational point the linear and ratio parts are summed exactly and
-        enclosed by ``scalar_interval``.
-        """
+    def _frame(self, x, y) -> tuple:
+        """(out, div, rad) with value(x, y) = (out + S*sqrt(rad))/div for the
+        ``integral`` root coefficient S: the row's one evaluation and the one
+        home of its refusals.  The point is written over one denominator d
+        (an int point already is), so value(x, y) = value(d*x, d*y)/d by
+        homogeneity: rad is an int, div a nonzero int, and out an int or, at
+        an irrational point, a QuadNum."""
+        d = 1
+        if type(x) is not int or type(y) is not int:
+            (x, y), d = clear_denominators((x, y))
         c, (lx, ly), s, q, num, den = self.integral
-        rational = not (isinstance(x, QuadNum) or isinstance(y, QuadNum))
-        out, div = lx * x + ly * y, c  # c*value = out/div + the root part
+        out, div, rad = lx * x + ly * y, c * d, 0
         if num is not None:
             denom = den[0] * x + den[1] * y
             if scalar_sign(denom) == 0:
                 raise SlopeOutOfTable("ratio denominator vanishes")
             quad = num[0] * x * x + num[1] * x * y + num[2] * y * y
-            if rational:
-                out, div = out * denom + quad, c * denom
-            else:
+            if isinstance(out, QuadNum):
                 out = out + quad / denom
-        root_lo = root_hi = 0
+            else:
+                out, div = out * denom + quad, div * denom
         if s:
             rad = q[0] * x * x + q[1] * x * y + q[2] * y * y
-            if not rational:
-                rad = rational_or_quad(rad)
             if isinstance(rad, QuadNum):
-                raise NestedRadical(f"nested radical sqrt({format_scalar(rad)})")
+                if rad.b:
+                    raise NestedRadical(f"nested radical sqrt({format_scalar(rad / (d * d))})")
+                rad = rad.a.numerator
             if rad < 0:
                 raise SlopeOutOfTable("negative radicand outside the case range")
-            r = math.isqrt((rad.numerator << 2 * bits) // rad.denominator)
-            root_lo, root_hi = sorted((s * r, s * (r + 1)))  # div == c here
+        return out, div, rad
+
+    def value(self, x, y):
+        out, div, rad = self._frame(x, y)
+        s = self.integral[2]
+        if not s:
+            return Fraction(out, div) if type(out) is int else out / div
+        root = s * sqrt_exact(rad)
+        if isinstance(out, QuadNum):
+            # an irrational point: the root's radicand may differ from the
+            # coordinates', so add in RadicalSum
+            return (RadicalSum.of(out) + RadicalSum.of(root)).scale(Fraction(1, div)).to_exact()
+        return (out + root) / div
+
+    def enclosure(self, x, y, bits: int) -> tuple[int, int]:
+        """Integers lo <= value(x, y) * 2**bits <= hi, with no factoring: the
+        root is ``math.isqrt`` of the frame's radicand shifted left by 2*bits,
+        so hi - lo <= |srt numerator| + 2, and a ratio row is exact to within
+        one unit.  Refuses what ``value`` refuses.  An int point (the brute
+        force's frame) costs integer arithmetic only; at an irrational point
+        ``scalar_interval`` encloses the frame's exact part."""
+        out, div, rad = self._frame(x, y)
+        s, r = self.integral[2], math.isqrt(rad << 2 * bits)
+        root_lo, root_hi = sorted((s * r, s * (r + 1)))
         out_lo = out_hi = out
         if isinstance(out, QuadNum):
-            # an irrational point: enclose the exact part to width < 1
+            # enclose the exact part to width < 1
             out_lo, out_hi = scalar_interval(out, bits + out.b.numerator.bit_length())
         unit = 1 << bits
         return (out_lo * unit + root_lo) // div, -(-(out_hi * unit + root_hi) // div)

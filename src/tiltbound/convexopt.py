@@ -22,8 +22,8 @@ global sections of Harder-Narasimhan configurations.  Three tools:
   the DP along the lattice lines parallel to it.  Exactness is lazy: a
   merge walk down the same boundary list gives each direction its row,
   ``SpadeCase.enclosure`` values it by integer enclosures (no factoring),
-  and exact values are built only where two enclosures overlap and for
-  the winning chain.
+  and ``SpadeCase.value`` builds exact values, at the same integral
+  point, only where two enclosures overlap and for the winning chain.
 * ``clifford_chain_bound`` -- the wall-triangle derivation of the Clifford
   bound (universal bound on the O->P leg, fixed case rows for the others,
   Bogomolov value in the Brill-Noether band, and the d - 46r branch on
@@ -464,11 +464,11 @@ def maximize_bruteforce(
     no factoring: ``clear_denominators`` writes the triangle's coordinates
     over their common denominator D, so each step a*P + b*Q is a point over
     n*D with integral coordinates (ints, or QuadNums with integral parts for
-    an irrational triangle).  The DP compares these enclosures; only where
-    two overlap are the exact ``RadicalSum`` values built, and ``spade``
-    rows are valued exactly once per step, for those comparisons and for the
-    winning chain.  Every decision is exact, so the value and the chain are
-    the exact DP's.
+    an irrational triangle).  The DP compares these enclosures; exact
+    ``RadicalSum`` values are built only where two overlap and for the
+    winning chain, once per step: ``SpadeCase.value`` at the integral point
+    its enclosure read, over n*D.  Every decision is exact, so the value and
+    the chain are the exact DP's.
     """
     if grid_n > 60:
         raise GridTooLarge("grid_n must be <= 60")
@@ -494,7 +494,7 @@ def maximize_bruteforce(
         return scalar_sign(x * inner[k][1] - inner[k][0] * y)
 
     k = len(inner) - 1
-    dirs = []  # (a, b, row, lo, hi): lo <= step value * 2**64 <= hi
+    dirs = []  # (a, b, row, x, y, lo, hi): lo <= step value * 2**64 <= hi
     for a, b in _cone_order(n):
         x, y = a * px + b * qx, a * py + b * qy
         if b == 0:
@@ -511,16 +511,15 @@ def maximize_bruteforce(
             lo, hi = row.enclosure(x, y, 64)
         except (SlopeOutOfTable, NestedRadical):
             continue
-        dirs.append((a, b, row, lo // scale, -(-hi // scale)))
+        dirs.append((a, b, row, x, y, lo // scale, -(-hi // scale)))
 
     step_values: dict = {}
 
     def step_value(k: int) -> RadicalSum:
         value = step_values.get(k)
         if value is None:
-            a, b, row = dirs[k][:3]
-            point = (a * p.x + b * q.x, a * p.y + b * q.y)
-            value = step_values[k] = RadicalSum.of(row.value(*point)).scale(Fraction(1, n))
+            row, x, y = dirs[k][2:5]  # the point the enclosure read
+            value = step_values[k] = RadicalSum.of(row.value(x, y)).scale(Fraction(1, scale))
         return value
 
     # DP on certified integer enclosures, one entry per cell (i, j) at
@@ -545,13 +544,13 @@ def maximize_bruteforce(
         return total
 
     width = n + 1
-    floor = 2 * n * min([0, *(d[3] for d in dirs)]) - 1
+    floor = 2 * n * min([0, *(d[5] for d in dirs)]) - 1
     lo_of = [floor] * (width * width)
     hi_of = list(lo_of)
     rec_of: list = [None] * (width * width)
     lo_of[0] = hi_of[0] = 0
     rec_of[0] = root
-    for k, (a, b, _, val_lo, val_hi) in enumerate(dirs):
+    for k, (a, b, _, _, _, val_lo, val_hi) in enumerate(dirs):
         delta = a * width + b
         # every target w after its source w - (a, b), so a direction's steps
         # chain within its pass: rows of constant j by increasing j (b > 0),

@@ -575,10 +575,6 @@ def scalar_interval(x, bits: int = 64) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-# past this precision RadicalSum.sign checks its keys once before going on
-_SIGN_KEY_CHECK_BITS = 1 << 14
-
-
 def _sqrt_bounds(m: int, bits: int) -> tuple[Fraction, Fraction]:
     s = math.isqrt(m << (2 * bits))
     return Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
@@ -589,40 +585,51 @@ class RadicalSum(ExactOrder, ExactRing):
 
     The key-1 entry holds the rational part.  Zero testing is exact by
     Q-linear independence of square roots of distinct square-free integers;
-    nonzero signs are certified by interval refinement.
+    nonzero signs are certified by interval refinement.  The constructor
+    writes each key k > 1 as core*sq^2 (``square_free_core``) and adds c*sq
+    to the core's coefficient; a key below 1 raises ValueError.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Fraction] | None = None):
-        t = {m: q for m, c in (terms or {}).items() if (q := as_fraction(c))}
-        object.__setattr__(self, "terms", t)
+        t: dict[int, Fraction] = {}
+        for k, c in (terms or {}).items():
+            if operator.index(k) < 1:
+                raise ValueError("RadicalSum keys must be positive")
+            core, sq = square_free_core(k) if k > 1 else (1, 1)
+            t[core] = t.get(core, 0) + as_fraction(c) * sq
+        object.__setattr__(self, "terms", {m: q for m, q in t.items() if q})
+
+    @classmethod
+    def _reduced(cls, terms: dict) -> "RadicalSum":
+        """The sum of Fraction terms over keys that are already square-free
+        (no factoring); zero terms are dropped."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "terms", {m: q for m, q in terms.items() if q})
+        return x
 
     @classmethod
     def of(cls, x) -> "RadicalSum":
         if isinstance(x, RadicalSum):
             return x
         if isinstance(x, QuadNum):
-            t: dict[int, Fraction] = {}
-            if x.a:
-                t[1] = x.a
-            if x.b:
-                t[x.m] = x.b
-            return cls(t)
-        return cls({1: x})
+            return cls._reduced({1: x.a, x.m: x.b})  # m == 0 iff b == 0: dropped
+        return cls._reduced({1: as_fraction(x)})
 
     def __add__(self, other):
         o = RadicalSum.of(other)
         t = dict(self.terms)
         for m, c in o.terms.items():
-            t[m] = t.get(m, Fraction(0)) + c
-        return RadicalSum(t)
+            t[m] = t.get(m, 0) + c
+        return RadicalSum._reduced(t)
 
     def __neg__(self):
-        return RadicalSum({m: -c for m, c in self.terms.items()})
+        return RadicalSum._reduced({m: -c for m, c in self.terms.items()})
 
     def scale(self, q) -> "RadicalSum":
-        return RadicalSum({m: c * q for m, c in self.terms.items()})
+        q = as_fraction(q)
+        return RadicalSum._reduced({m: c * q for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -638,7 +645,7 @@ class RadicalSum(ExactOrder, ExactRing):
             mk = (m // g) * (k // g)
             t[m] = t.get(m, 0) + c * other.a
             t[mk] = t.get(mk, 0) + c * other.b * g
-        return RadicalSum(t)
+        return RadicalSum._reduced(t)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -671,18 +678,12 @@ class RadicalSum(ExactOrder, ExactRing):
         bits = max(
             64, *(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in t.values())
         )
-        keys_checked = False
         while True:
             lo, hi = self.interval(bits)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            if bits >= _SIGN_KEY_CHECK_BITS and not keys_checked:
-                # a zero sum over keys like 4 or 8 would refine forever
-                if any(square_free_core(m)[0] != m for m in t):
-                    raise ValueError("RadicalSum keys must be square-free")
-                keys_checked = True
             bits *= 2
 
     def _cmp(self, other) -> int:

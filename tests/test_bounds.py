@@ -220,6 +220,8 @@ _R2 = QuadNum(0, 1, 2)
 _RAT = st.fractions(min_value=-200, max_value=200, max_denominator=40)
 _POINTS = {
     "rational": st.tuples(_RAT, _RAT),
+    # plain ints, as in the brute force's integer frame (no clear_denominators)
+    "integer": st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6)),
     "sqrt2_scaled": st.tuples(_RAT, _RAT).map(lambda xy: (xy[0] * _R2, xy[1] * _R2)),
     "a_plus_b_sqrt2": st.tuples(_RAT, _RAT, _RAT, _RAT).map(
         lambda c: (QuadNum(c[0], c[1], 2), QuadNum(c[2], c[3], 2))

@@ -1,10 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
-
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -217,10 +218,12 @@ def test_precision_env_override(capsys, monkeypatch):
 
 
 def test_console_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "tiltbound.cli", "eval", "--bound", "gamma", "--at", "1/2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "1/4"

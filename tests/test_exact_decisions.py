@@ -246,3 +246,32 @@ def test_eq_and_hash_live_in_exact_ring():
         for site in _method_sites(ast.parse(path.read_text()), EQ_HASH, EQ_HASH_HOMES)
     ]
     assert sites == []
+
+
+# the spade row's refusals: NestedRadical, and SlopeOutOfTable by message
+ROW_REFUSALS = ("nested radical", "negative radicand", "ratio denominator vanishes")
+
+
+def _row_refusal_sites(tree):
+    """(refusal, enclosing Class.function) of each raise of a row refusal."""
+    stack = [(tree, "")]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name):
+            text = ast.unparse(exc.args[0]) if exc.args else ""
+            if exc.func.id == "NestedRadical":
+                yield "nested radical", where
+            elif exc.func.id == "SlopeOutOfTable":
+                yield from ((refusal, where) for refusal in ROW_REFUSALS[1:] if refusal in text)
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+
+
+def test_row_refusals_live_in_the_row_frame():
+    # value and enclosure finish from SpadeCase._frame, which refuses once
+    sites = {}
+    for refusal, where in _row_refusal_sites(ast.parse((SRC / "bounds.py").read_text())):
+        sites.setdefault(refusal, []).append(where)
+    assert sites == {refusal: ["SpadeCase._frame"] for refusal in ROW_REFUSALS}

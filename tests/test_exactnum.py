@@ -426,10 +426,22 @@ def test_radicalsum_sign_needs_more_than_16384_bits():
     assert (-terms).sign() == -1
 
 
-def test_radicalsum_sign_rejects_keys_that_are_not_square_free():
-    # 2 - 2 + sqrt(2) - sqrt(8)/2 is zero, which only the key check can tell
-    with pytest.raises(ValueError, match="square-free"):
-        RadicalSum({4: 1, 1: -2, 2: 1, 8: F(-1, 2)}).sign()
+def test_radicalsum_reduces_keys_that_are_not_square_free():
+    # the constructor writes a key k as core*sq^2 and adds c*sq to the core's
+    # coefficient, so equality, hash and sign agree with compare_scalars
+    cases = [
+        (RadicalSum({4: 1}), 2),
+        (RadicalSum({12: 1}), QuadNum(0, 2, 3)),
+        (RadicalSum({8: 1, 2: -2, 3: 1, 12: F(-1, 2)}), 0),
+        (RadicalSum({4: 1, 1: -2, 2: 1, 8: F(-1, 2)}), 0),
+    ]
+    for x, y in cases:
+        assert x == y and hash(x) == hash(y)
+        assert compare_scalars(x, y) == 0 and (x - y).sign() == 0
+    assert RadicalSum({8: 1, 2: -2, 3: 1, 12: F(-1, 2)}).is_zero()
+    for key in (0, -2):
+        with pytest.raises(ValueError, match="positive"):
+            RadicalSum({key: 1})
 
 
 def test_arithmetic_does_not_refactor_the_radicand(monkeypatch):

@@ -1,8 +1,11 @@
 """Exact arithmetic checked against sympy: comparisons against the sign of
-the same radical sum, square-free parts against ``factorint``, and quadratic
-roots against ``sympy.roots``."""
+the same radical sum, square-free parts against ``factorint``, quadratic
+roots against ``sympy.roots``, and each spade row against its written
+fields."""
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +13,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiltbound.bounds import _FALLBACK_CASE, SPADE_CASES, Interval, NestedRadical, SlopeOutOfTable, _band
 from tiltbound.exactnum import Poly1, QuadNum, RadicalSum, compare_scalars, square_free_core
 
 SQUARE_FREE = [2, 3, 5, 6, 7, 10, 13, 61, 69, 2374, 22281]
@@ -237,3 +241,70 @@ def test_real_roots_rejects_zero_and_high_degree():
     with pytest.raises(NotImplementedError):
         Poly1([1, 0, 0, F(1, 3)]).real_roots()
     assert Poly1([F(5, 7)]).real_roots() == []
+
+
+# spade rows: SpadeCase evaluates only ``integral``, the cleared form that
+# __post_init__ derives; the oracle builds each row from its written fields
+
+
+def _row_parts(row, x, y):
+    """(linear part, radicand, ratio) of the row as sympy expressions from
+    the written fields; the radicand or the ratio is None where the row has
+    none, and a ratio is (numerator, denominator)."""
+    R = sympy.Rational
+    lin = R(row.lin[0]) * x + R(row.lin[1]) * y
+    rad = ratio = None
+    if row.srt is not None:
+        rad = sympy.expand(sum(R(c) * m for c, m in zip(row.q, (x * x, x * y, y * y))))
+    if row.num is not None:
+        num = sum(R(c) * m for c, m in zip(row.num, (x * x, x * y, y * y)))
+        ratio = (num, sympy.expand(R(row.den[0]) * x + R(row.den[1]) * y))
+    return lin, rad, ratio
+
+
+def _spade_row_points(row, rng, n):
+    """Seeded rational, sqrt(2)-scaled and a+b*sqrt(2) points: slopes in the
+    row's ranges (or a band's) and anywhere in [-30, 30], plus a zero of a
+    ratio row's denominator."""
+    r2 = QuadNum(0, 1, 2)
+    ranges = (row.ranges or (_band(rng.randint(1, 4))[row.case_id - 8],)) if row.case_id else (Interval(-30, 30),)
+    for _ in range(n):
+        r = rng.choice(ranges)
+        s = r.lo + (r.hi - r.lo) * F(rng.randint(0, 20), 20) if rng.random() < 0.5 else F(rng.randint(-600, 600), 20)
+        y = F(rng.randint(1, 40), rng.randint(1, 9))
+        if row.den is not None and rng.random() < 0.2:
+            s = -row.den[1] / row.den[0]
+        x = s * y
+        yield x, y
+        yield x * r2, y * r2
+        yield QuadNum(x, F(rng.randint(-9, 9), rng.randint(1, 4)), 2), QuadNum(y, F(rng.randint(-9, 9), 3), 2)
+
+
+@pytest.mark.parametrize("row", (*SPADE_CASES, _FALLBACK_CASE), ids=lambda row: f"case{row.case_id}")
+def test_spade_row_matches_its_written_fields(row):
+    outcomes = Counter()
+    for x, y in _spade_row_points(row, random.Random(row.case_id), 16):
+        lin, rad, ratio = _row_parts(row, _sympy(x), _sympy(y))
+        if ratio is not None and ratio[1] == 0:
+            outcomes["zero denominator"] += 1
+            with pytest.raises(SlopeOutOfTable, match="ratio denominator vanishes"):
+                row.value(x, y)
+            continue
+        if rad is not None and not rad.is_Rational:
+            outcomes["nested radical"] += 1
+            with pytest.raises(NestedRadical):
+                row.value(x, y)
+            continue
+        if rad is not None and rad < 0:
+            outcomes["negative radicand"] += 1
+            with pytest.raises(SlopeOutOfTable, match="negative radicand"):
+                row.value(x, y)
+            continue
+        outcomes["value"] += 1
+        want = lin + (sympy.Rational(row.srt) * sympy.sqrt(rad) if rad is not None else ratio[0] / ratio[1])
+        assert sympy.expand(sympy.radsimp(_sympy(row.value(x, y)) - want)) == 0, (x, y)
+    # every outcome the row can reach is reached: x^2 + 20y^2 is never negative
+    reachable = {"value", "zero denominator"} if row.num else {"value", "nested radical"}
+    if row.srt is not None and row.q[2] < 0:
+        reachable.add("negative radicand")
+    assert set(outcomes) == reachable
