@@ -30,6 +30,7 @@ from .exactnum import (
     scalar_interval,
     scalar_sign,
     sqrt_exact,
+    square_free_core,
 )
 
 __all__ = [
@@ -204,16 +205,27 @@ class SpadeCase:
         return out, div, rad
 
     def value(self, x, y):
+        """The row's exact value at (x, y), finished from ``_frame``.
+
+        At a rational point the frame is all integers, so the value is built
+        in one step from ``square_free_core(rad) = (core, sq)``: the Fraction
+        (out + S*sq)/div when core is 1 (or S or rad is 0), else the QuadNum
+        out/div + (S*sq/div)*sqrt(core).  At an irrational point the root's
+        radicand may differ from the coordinates', so the sum is taken in
+        ``RadicalSum``."""
         out, div, rad = self._frame(x, y)
         s = self.integral[2]
         if not s:
             return Fraction(out, div) if type(out) is int else out / div
-        root = s * sqrt_exact(rad)
         if isinstance(out, QuadNum):
-            # an irrational point: the root's radicand may differ from the
-            # coordinates', so add in RadicalSum
-            return (RadicalSum.of(out) + RadicalSum.of(root)).scale(Fraction(1, div)).to_exact()
-        return (out + root) / div
+            root = RadicalSum.of(s * sqrt_exact(rad))
+            return (RadicalSum.of(out) + root).scale(Fraction(1, div)).to_exact()
+        if not rad:
+            return Fraction(out, div)
+        core, sq = square_free_core(rad)
+        if core == 1:
+            return Fraction(out + s * sq, div)
+        return QuadNum._reduced(Fraction(out, div), Fraction(s * sq, div), core)
 
     def enclosure(self, x, y, bits: int) -> tuple[int, int]:
         """Integers lo <= value(x, y) * 2**bits <= hi, with no factoring: the

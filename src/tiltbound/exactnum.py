@@ -27,6 +27,14 @@ canonical key, so a rational value equals and hashes as its Fraction.
 ``rational_or_quad`` is the one demotion of a rational ``QuadNum`` to a
 Fraction.
 
+Rational operands are decided and combined on integers, not through
+Fraction's generic operator protocol: ``compare_scalars`` orders an
+int/Fraction pair by the sign of one cross-multiplied integer,
+``scalar_sign`` and ``_sgn`` read the sign of the numerator, the radical
+sign tests square on cleared numerators, and ``QuadNum``'s ``+``, ``*``
+and ``/`` act on (a, b) directly when the other operand is an int or a
+Fraction (never wrapping it as ``QuadNum(r)``).
+
 Exact inputs only: ``as_fraction`` is the one door through which a value
 becomes a rational, at every constructor and entry point, so a binary float
 or a string raises TypeError instead of being converted; text enters through
@@ -225,35 +233,36 @@ def sqrt_exact(q: Fraction | int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _sgn(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _sgn(x) -> int:
+    """Sign of an int or a Fraction, read from its numerator."""
+    n = x.numerator
+    return (n > 0) - (n < 0)
 
 
 def _sign_single(u: Fraction, b: Fraction, m: int) -> int:
     """Exact sign of u + b*sqrt(m), m square-free > 1 unless b == 0."""
-    if b == 0:
-        return _sgn(u)
-    if u == 0:
-        return _sgn(b)
-    su, sb = _sgn(u), _sgn(b)
-    if su == sb:
+    sb = _sgn(b)
+    su = _sgn(u)
+    if not sb or su == sb:
         return su
-    t = u * u - b * b * m
-    if t == 0:
-        return 0
-    return su if t > 0 else sb
+    if not su:
+        return sb
+    # opposite signs: the sign of u^2 - b^2 m, cleared of denominators
+    un, ud, bn, bd = u.numerator, u.denominator, b.numerator, b.denominator
+    t = un * un * bd * bd - bn * bn * m * ud * ud
+    return su if t > 0 else (sb if t < 0 else 0)
 
 
 def _sign_rad_pair(u: Fraction, b: Fraction, m: int, e: Fraction, k: int) -> int:
     """Exact sign of u + b*sqrt(m) + e*sqrt(k); m != k square-free > 1, except
     that a radicand whose coefficient is 0 may be anything.  The one dispatch
     of the zero-radical cases."""
-    if b == 0 and e == 0:
-        return _sgn(u)
-    if e == 0:
-        return _sign_single(u, b, m)
-    if b == 0:
+    if not b:
         return _sign_single(u, e, k)
+    if not e:
+        return _sign_single(u, b, m)
+    # a positive common denominator leaves the sign as it is: decide on ints
+    (u, b, e), _ = clear_denominators((u, b, e))
     # sign of v = b*sqrt(m) + e*sqrt(k)
     sb, se = _sgn(b), _sgn(e)
     if sb == se:
@@ -261,21 +270,15 @@ def _sign_rad_pair(u: Fraction, b: Fraction, m: int, e: Fraction, k: int) -> int
     else:
         t = b * b * m - e * e * k
         sv = sb if t > 0 else (se if t < 0 else 0)
-    if u == 0:
-        return sv
     su = _sgn(u)
-    if sv == 0:
-        return su
-    if su == sv:
-        return su
+    if not su or not sv or su == sv:
+        return su or sv
     # opposite signs: compare u^2 with v^2 = b^2 m + e^2 k + 2be*sqrt(mk),
     # where sqrt(mk) = g*sqrt((m/g)(k/g)) for g = gcd(m, k)
     g = math.gcd(m, k)
     diff = u * u - (b * b * m + e * e * k)
     s2 = _sign_single(diff, -2 * b * e * g, (m // g) * (k // g))  # sign of u^2 - v^2
-    if s2 == 0:
-        return 0
-    return su if s2 > 0 else sv
+    return su if s2 > 0 else (sv if s2 < 0 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -410,55 +413,55 @@ class QuadNum(ExactOrder, ExactRing):
         return RadicalSum.of(self).interval(bits)
 
     # -- arithmetic (same radicand only) ------------------------------------
-
-    def _coerce(self, other) -> "QuadNum":
-        if isinstance(other, QuadNum):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadNum(other)
-        return NotImplemented  # type: ignore[return-value]
+    # an int or a Fraction operand acts on (a, b) directly
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self.m and o.m and self.m != o.m:
-            raise MixedRadicandError(f"add: sqrt({self.m}) vs sqrt({o.m})")
-        return QuadNum._reduced(self.a + o.a, self.b + o.b, self.m or o.m)
+        if isinstance(other, QuadNum):
+            if self.m and other.m and self.m != other.m:
+                raise MixedRadicandError(f"add: sqrt({self.m}) vs sqrt({other.m})")
+            return QuadNum._reduced(self.a + other.a, self.b + other.b, self.m or other.m)
+        if isinstance(other, _RATIONAL_TYPES):
+            return QuadNum._reduced(self.a + other, self.b, self.m)
+        return NotImplemented
 
     def __neg__(self):
         return QuadNum._reduced(-self.a, -self.b, self.m)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self.m and o.m and self.m != o.m:
-            raise MixedRadicandError(f"mul: sqrt({self.m}) vs sqrt({o.m})")
-        m = self.m or o.m
-        a = self.a * o.a + self.b * o.b * m
-        b = self.a * o.b + self.b * o.a
-        return QuadNum._reduced(a, b, m)
+        if isinstance(other, QuadNum):
+            if self.m and other.m and self.m != other.m:
+                raise MixedRadicandError(f"mul: sqrt({self.m}) vs sqrt({other.m})")
+            m = self.m or other.m
+            a = self.a * other.a + self.b * other.b * m
+            b = self.a * other.b + self.b * other.a
+            return QuadNum._reduced(a, b, m)
+        if isinstance(other, _RATIONAL_TYPES):
+            return QuadNum._reduced(self.a * other, self.b * other, self.m)
+        return NotImplemented
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self.m and o.m and self.m != o.m:
-            raise MixedRadicandError(f"div: sqrt({self.m}) vs sqrt({o.m})")
-        m = self.m or o.m
-        # a^2 = b^2 m forces a = b = 0 for a square-free m > 1
-        norm = o.a * o.a - o.b * o.b * m
-        if norm == 0:
-            raise ZeroDivisionError("division by zero QuadNum")
-        inv = QuadNum._reduced(o.a / norm, -o.b / norm, m)
-        return self * inv
+        if isinstance(other, QuadNum):
+            if self.m and other.m and self.m != other.m:
+                raise MixedRadicandError(f"div: sqrt({self.m}) vs sqrt({other.m})")
+            return self * (1 / other)
+        if isinstance(other, _RATIONAL_TYPES):
+            if not other:
+                raise ZeroDivisionError("division by zero QuadNum")
+            return QuadNum._reduced(self.a / other, self.b / other, self.m)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        """other / self = other * (a - b*sqrt(m)) / (a^2 - b^2 m) for a
+        rational other; the one inverse (``__truediv__`` multiplies by
+        ``1 / other``)."""
+        if not isinstance(other, _RATIONAL_TYPES):
             return NotImplemented
-        return o / self
+        # a^2 = b^2 m forces a = b = 0 for a square-free m > 1
+        norm = self.a * self.a - self.b * self.b * self.m
+        if not norm:
+            raise ZeroDivisionError("division by zero QuadNum")
+        k = other / norm
+        return QuadNum._reduced(self.a * k, -self.b * k, self.m)
 
     # -- comparison ----------------------------------------------------------
 
@@ -490,7 +493,7 @@ _RATIONAL_TYPES = (int, Fraction)
 
 def scalar_sign(x) -> int:
     if type(x) in _RATIONAL_TYPES:
-        return (x > 0) - (x < 0)
+        return _sgn(x)
     if isinstance(x, QuadNum):
         return x.sign()
     if isinstance(x, RadicalSum):
@@ -501,7 +504,8 @@ def scalar_sign(x) -> int:
 def compare_scalars(x, y) -> int:
     """Exact three-way comparison of Fraction/QuadNum/RadicalSum values."""
     if type(x) in _RATIONAL_TYPES and type(y) in _RATIONAL_TYPES:
-        return (x > y) - (x < y)
+        d = x.numerator * y.denominator - y.numerator * x.denominator
+        return (d > 0) - (d < 0)
     if isinstance(x, RadicalSum) or isinstance(y, RadicalSum):
         return (RadicalSum.of(x) - RadicalSum.of(y)).sign()
     xa, xb, xm = (x.a, x.b, x.m) if isinstance(x, QuadNum) else (as_fraction(x), 0, 0)
@@ -699,7 +703,7 @@ class RadicalSum(ExactOrder, ExactRing):
         if not rad:
             return self.terms.get(1, Fraction(0))
         if len(rad) == 1:
-            return QuadNum(self.terms.get(1, Fraction(0)), rad[0][1], rad[0][0])
+            return QuadNum._reduced(self.terms.get(1, Fraction(0)), rad[0][1], rad[0][0])
         return self
 
     def __float__(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiltbound import bounds, exactnum
 from tiltbound.bounds import (
     _FALLBACK_CASE,
     CLIFFORD_BREAK,
@@ -249,6 +250,42 @@ def test_enclosure_brackets_the_exact_value(row, kind):
         assert hi - lo <= abs(row.srt.numerator if row.srt is not None else 0) + 2
 
     check()
+
+
+def _count_square_free_core(monkeypatch) -> list:
+    """The argument of every square_free_core call, from exactnum or bounds."""
+    calls, original = [], exactnum.square_free_core
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    for module in (exactnum, bounds):
+        monkeypatch.setattr(module, "square_free_core", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "row", [row for row in SPADE_CASES if row.srt is not None] + [_FALLBACK_CASE], ids=lambda row: f"case{row.case_id}"
+)
+def test_spade_finishes_a_rational_point_in_one_step(row, monkeypatch):
+    # the value is built from one square_free_core of the frame's radicand,
+    # with no sqrt_exact; the fallback row is reached from an off-table slope
+    s = (row.ranges[0].lo + row.ranges[0].hi) / 2 if row.ranges else F(3, 8)
+    y = F(7, 3)
+    calls = _count_square_free_core(monkeypatch)
+    monkeypatch.setattr(bounds, "sqrt_exact", None)
+    value = spade((s * y, y), fallback=not row.ranges)
+    assert len(calls) == 1, calls
+    assert isinstance(value, QuadNum) and value.b
+
+
+def test_irrational_spade_point_factors_only_its_radicand(monkeypatch):
+    # RadicalSum.to_exact collapses over a key that is already square-free
+    r2, expected = QuadNum(0, 1, 2), QuadNum(0, 5, 2)
+    calls = _count_square_free_core(monkeypatch)
+    assert SPADE_CASES[2].value(r2, 2 * r2) == expected
+    assert calls == [162]
 
 
 # -- clifford -----------------------------------------------------------------------

@@ -264,7 +264,8 @@ def test_bruteforce_values_only_the_winning_chain_exactly(monkeypatch):
         return square_free_core(n)
 
     monkeypatch.setattr(bounds.SpadeCase, "value", counted_value)
-    monkeypatch.setattr(exactnum, "square_free_core", counted_core)
+    for module in (exactnum, bounds):
+        monkeypatch.setattr(module, "square_free_core", counted_core)
     res = maximize_bruteforce(ORIGIN, p, q, 40)
     steps = res.chain.segments()  # distinct directions never merge here
     assert steps == 2

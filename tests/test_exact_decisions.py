@@ -143,6 +143,10 @@ for _name, _v in _RING_VALUES.items():
     ENTRIES[f"{_name}_rsub"] = lambda x, v=_v: x - v
     ENTRIES[f"{_name}_radd"] = lambda x, v=_v: x + v
     ENTRIES[f"{_name}_rmul"] = lambda x, v=_v: x * v
+# QuadNum's own operators with a rational operand act on (a, b) directly
+ENTRIES["QuadNum_add"] = lambda x: _RING_VALUES["QuadNum"] + x
+ENTRIES["QuadNum_mul"] = lambda x: _RING_VALUES["QuadNum"] * x
+ENTRIES["QuadNum_truediv"] = lambda x: _RING_VALUES["QuadNum"] / x
 
 
 @pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
@@ -275,3 +279,25 @@ def test_row_refusals_live_in_the_row_frame():
     for refusal, where in _row_refusal_sites(ast.parse((SRC / "bounds.py").read_text())):
         sites.setdefault(refusal, []).append(where)
     assert sites == {refusal: ["SpadeCase._frame"] for refusal in ROW_REFUSALS}
+
+
+def _one_argument_quadnums(tree):
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "QuadNum"
+            and len(node.args) + len(node.keywords) == 1
+        ):
+            yield node.lineno
+
+
+def test_no_rational_wrapped_as_quadnum():
+    # a rational operand acts on a QuadNum's (a, b) directly; wrapping it as
+    # QuadNum(r) first would be a second, slower arithmetic path
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in sorted(_one_argument_quadnums(ast.parse(path.read_text())))
+    ]
+    assert sites == []

@@ -32,6 +32,7 @@ from tiltbound.exactnum import (
     qn_compare,
     radical_identity_check,
     scalar_interval,
+    scalar_sign,
     sqrt_exact,
     square_free_core,
     unscale,
@@ -156,6 +157,29 @@ def test_compare_against_interval_oracle():
             assert qn_compare(x, p) > 0
         else:  # exact tie
             assert qn_compare(x, p) == 0
+
+
+# int and Fraction pairs are decided on integers; Fraction's own order is the oracle
+RATIONAL_EDGES = [0, F(0), 3, F(3), -3, F(-3), F(7, 2), F(-7, 2), F(1, 3), F(-1, 3), 10**40, F(-(10**40), 7)]
+
+
+def _fraction_order(x, y) -> int:
+    return (F(x) > F(y)) - (F(x) < F(y))
+
+
+@pytest.mark.parametrize("x", RATIONAL_EDGES, ids=repr)
+def test_rational_compare_and_sign_match_fraction_order(x):
+    assert scalar_sign(x) == _fraction_order(x, 0)
+    for y in RATIONAL_EDGES:
+        assert compare_scalars(x, y) == _fraction_order(x, y), (x, y)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.one_of(st.integers(), st.fractions()), st.one_of(st.integers(), st.fractions()))
+def test_rational_compare_matches_fraction_order_randomized(x, y):
+    assert compare_scalars(x, y) == _fraction_order(x, y)
+    assert compare_scalars(y, x) == -_fraction_order(x, y)
+    assert scalar_sign(x) == _fraction_order(x, 0)
 
 
 def test_quadnum_field_axioms_same_radicand():

@@ -88,6 +88,55 @@ def test_cancelling_sums_match_sympy(pair, tail):
     _check_order(diff, 0)
 
 
+# QuadNum arithmetic with a rational operand: an int, a Fraction or a bool acts
+# on (a, b) directly, and must give what the operand gives as a rational QuadNum
+
+
+@st.composite
+def irrational_quadnums(draw):
+    """a + b*sqrt(m), b != 0; radicands with a square factor are reduced."""
+    m = draw(st.sampled_from(SQUARE_FREE + [8, 12, 50]))
+    return QuadNum(draw(coeffs), draw(coeffs.filter(bool)), m)
+
+
+rational_operands = st.one_of(
+    st.integers(-50, 50), coeffs, st.booleans(), st.builds(QuadNum, coeffs)
+)
+
+RATIONAL_OPS = {
+    "q+r": lambda q, r: q + r,
+    "q-r": lambda q, r: q - r,
+    "r+q": lambda q, r: r + q,
+    "r-q": lambda q, r: r - q,
+    "q*r": lambda q, r: q * r,
+    "r*q": lambda q, r: r * q,
+    "q/r": lambda q, r: q / r,
+    "r/q": lambda q, r: r / q,
+}
+
+
+@PROPS
+@given(irrational_quadnums(), rational_operands)
+def test_rational_operand_arithmetic_matches_sympy(q, r):
+    wrapped = r if isinstance(r, QuadNum) else QuadNum(r)
+    sq, sr = _sympy(q), _sympy(r)
+    for name, op in RATIONAL_OPS.items():
+        if name == "q/r" and r == 0:
+            with pytest.raises(ZeroDivisionError):
+                op(q, r)
+            continue
+        got = op(q, r)
+        assert type(got) is QuadNum and type(got.a) is F and type(got.b) is F, (name, got)
+        assert repr(got) == repr(op(q, wrapped)), name
+        # a quotient is checked by multiplying back, which needs no radsimp
+        if name == "q/r":
+            assert sympy.expand(_sympy(got) * sr - sq) == 0, name
+        elif name == "r/q":
+            assert sympy.expand(_sympy(got) * sq - sr) == 0, name
+        else:
+            assert sympy.expand(_sympy(got) - op(sq, sr)) == 0, name
+
+
 # the Miller-Rabin witnesses, the primes just above them and primes around 1e6
 FACTOR_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 999983, 1000003]
 
