@@ -19,11 +19,13 @@ global sections of Harder-Narasimhan configurations.  Three tools:
   lattice chains on the (grid_n x grid_n) refinement of the triangle.  In
   lattice coordinates (a, b) -> a*P + b*Q the directions are the integer
   cone a+b >= 0, b >= 0, by increasing b/(a+b), and each direction relaxes
-  the DP along the lattice lines parallel to it.  Exactness is lazy: a
-  merge walk down the same boundary list gives each direction its row,
-  ``SpadeCase.enclosure`` values it by integer enclosures (no factoring),
-  and ``SpadeCase.value`` builds exact values, at the same integral
-  point, only where two enclosures overlap and for the winning chain.
+  the DP only along the lattice lines parallel to it that a chain from O
+  to Q can still use (exact integer bounds; a step too long for the grid
+  is never valued).  Exactness is lazy: a merge walk down the same
+  boundary list gives each direction its row, ``SpadeCase.enclosure``
+  values it by integer enclosures (no factoring), and ``SpadeCase.value``
+  builds exact values, at the same integral point, only where two
+  enclosures overlap and for the winning chain.
 * ``clifford_chain_bound`` -- the wall-triangle derivation of the Clifford
   bound (universal bound on the O->P leg, fixed case rows for the others,
   Bogomolov value in the Brill-Noether band, and the d - 46r branch on
@@ -452,11 +454,16 @@ def maximize_bruteforce(
     Deterministic dynamic program over the primitive directions (a, b) of
     the triangle's cone by strictly decreasing slope, in the order
     ``_cone_order`` takes from the integers alone (collapsed triangles
-    included).  Each direction walks every lattice line along it from the
+    included).  Each direction walks the lattice lines along it from the
     line's first point (every cell after the cell one step back), so
     unbounded reuse of a direction within its pass realizes the collinear
-    merge.  Increments off the slope table (unless the fallback values
-    them) or needing a nested radical are excluded.
+    merge.  It walks only what a chain from O to Q can use: a direction
+    (a, b) with max(a, 0) + b > grid_n has no step in the grid and is
+    skipped unvalued, and a cell (i, j) is walked only if
+    b*i - a*j >= max(0, -a*grid_n) (proof at the loop).  Pruned cells are
+    never read by kept ones, so the value, the chain and the tie-breaks are
+    those of the full walk.  Increments off the slope table (unless the
+    fallback values them) or needing a nested radical are excluded.
 
     Exactness is lazy.  A merge walk down the cone's boundary list (the one
     ``maximize_reduced`` cuts with) gives each direction its row, and
@@ -496,6 +503,8 @@ def maximize_bruteforce(
     k = len(inner) - 1
     dirs = []  # (a, b, row, x, y, lo, hi): lo <= step value * 2**64 <= hi
     for a, b in _cone_order(n):
+        if max(a, 0) + b > n:  # no step along (a, b) fits in the grid
+            continue
         x, y = a * px + b * qx, a * py + b * qy
         if b == 0:
             row = owners[-1]
@@ -553,13 +562,26 @@ def maximize_bruteforce(
     for k, (a, b, _, _, _, val_lo, val_hi) in enumerate(dirs):
         delta = a * width + b
         # every target w after its source w - (a, b), so a direction's steps
-        # chain within its pass: rows of constant j by increasing j (b > 0),
-        # or of constant i by increasing i for (1, 0)
+        # chain within its pass: rows of constant j by increasing j.  Only
+        # the cells a chain from O to Q can use at this pass are walked:
+        # c = b*i - a*j is constant along each line parallel to (a, b), and a
+        # usable cell has c >= c_min = max(0, -a*n).
+        # - O side: a reached cell is a sum of earlier directions (a', b'),
+        #   each with b*a' - a*b' >= 0, so c >= 0.
+        # - Q side: Q - (i, j) = (-i, n - j) must be a sum of this and later
+        #   directions, so b*i + a*(n - j) >= 0, i.e. c >= -a*n.
+        # A pruned line is still unreached (O side) or read by no later pass
+        # (the Q side only tightens along the order), so every cell a kept
+        # one reads gets the same record.  For (1, 0), c = -j: the row j = 0.
         if b:
-            i0 = max(a, 0)
-            rows = [range(i0 * width + j, (n - j) * width + j + 1, width) for j in range(b, n - i0 + 1)]
+            c_min = max(0, -a * n)
+            j_max = b * n // (a + b) if a > 0 else n  # last row with b*(n - j) >= a*j + c_min
+            rows = [
+                range(-(-(a * j + c_min) // b) * width + j, (n - j) * width + j + 1, width)
+                for j in range(b, j_max + 1)
+            ]
         else:
-            rows = [range(i * width, i * width + n - i + 1) for i in range(1, n + 1)]
+            rows = [range(width, n * width + 1, width)]
         for row in rows:
             for w in row:
                 src = w - delta

@@ -252,20 +252,20 @@ def suite_q00(grid_denominator: int = 64, perturb: bool = False):
     reports.append(_run("q00_case2_line_and_sqrt2374", check_case2_line))
 
     def check_grid():
-        lo_x = Fraction(10, 11)
+        # the region is filtered on the integers i = N*x', j = N*s (N > 0)
         samples = 0
         violations = []
         for i in range(-N, N + 1):
-            xp = Fraction(i, N)  # x' = H^2ch1 / H^3rk
             for j in range(-N, N + 1):
-                s = Fraction(j, N)  # s = H.ch2 / H^3rk
                 samples += 1
-                if not (lo_x <= xp <= 1):
+                if not (10 * N <= 11 * i <= 11 * N):  # x' in [10/11, 1]
                     continue
-                if not (0 < s and 2 * s <= xp):  # nu_BN in (0, 1/2]
+                if not (0 < j and 2 * j <= i):  # nu_BN in (0, 1/2]
                     continue
-                if 220 * s < 79 * xp:  # case (2): nu_BN >= 79/220
+                if 220 * j < 79 * i:  # case (2): nu_BN >= 79/220
                     continue
+                xp = Fraction(i, N)  # x' = H^2ch1 / H^3rk
+                s = Fraction(j, N)  # s = H.ch2 / H^3rk
                 # (c2) needs only the region
                 if scalar_sign(xp * (1 - xp)) < 0:
                     violations.append(("c2", xp, s))
@@ -488,7 +488,7 @@ def _mu_samples():
         Fraction(2024, 1000),
         Fraction(2025, 1000),
     ]
-    out = list(dict.fromkeys(fixed))
+    out = dict.fromkeys(fixed)  # an insertion-ordered set
     while len(out) < _MU_SAMPLES:
         if rng.random() < 0.5:
             num = rng.randrange(0, 16 * 64 + 1)
@@ -496,9 +496,8 @@ def _mu_samples():
         else:
             num = rng.randrange(48 * 64, 64 * 64 + 1)
             mu = Fraction(num, 64)
-        if mu not in out:
-            out.append(mu)
-    return out
+        out[mu] = None
+    return list(out)
 
 
 def suite_clifford(perturb: bool = False):

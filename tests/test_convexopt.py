@@ -273,6 +273,25 @@ def test_bruteforce_values_only_the_winning_chain_exactly(monkeypatch):
     assert compare_scalars(res.value, maximize_reduced(ORIGIN, p, q).value) <= 0
 
 
+def test_bruteforce_values_only_the_steps_that_fit_the_grid(monkeypatch):
+    # a direction (a, b) with max(a, 0) + b > n has no step in the grid: of
+    # the 1,471 directions of grid 40, 981 fit, and only those are valued
+    fits = sum(max(a, 0) + b <= 40 for a, b in _cone_order(40))
+    assert (fits, len(_cone_order(40))) == (981, 1471)
+    calls = []
+    enclosure = bounds.SpadeCase.enclosure
+
+    def counted(self, x, y, bits):
+        calls.append((x, y))
+        return enclosure(self, x, y, bits)
+
+    monkeypatch.setattr(bounds.SpadeCase, "enclosure", counted)
+    tri = triangle_from_first_wall((1, 16))
+    res = maximize_bruteforce(tri.origin, tri.p, tri.q, 40)
+    assert 0 < len(calls) <= fits, len(calls)
+    assert compare_scalars(res.value, F(9, 4)) == 0
+
+
 def test_bruteforce_rebuilds_one_vertex_per_run_of_steps(monkeypatch):
     # the winning chain of that triangle takes about 80 raw grid steps in 2
     # directions: each run of equal steps becomes one vertex, not one each
@@ -466,13 +485,13 @@ def test_spade_on_quadnum_point_adds_across_radicands():
     assert RadicalSum.of(value) == RadicalSum({2: F(19, 200), 8178: F(7, 200)})
 
 
-def _reference_bruteforce(p, q, n):
+def _reference_bruteforce(p, q, n, fallback=False):
     """The DP as first written: every simplex point sorted by progress along
     each direction, exact RadicalSum comparisons, strict improvement only."""
     dirs = []
     for a, b in _reference_cone(p, q, n):
         try:
-            val = spade((a * p.x + b * q.x, a * p.y + b * q.y))
+            val = spade((a * p.x + b * q.x, a * p.y + b * q.y), fallback=fallback)
         except SlopeOutOfTable:
             continue
         dirs.append((a, b, RadicalSum.of(val).scale(F(1, n))))
@@ -505,12 +524,18 @@ def test_bruteforce_matches_sorted_reference_dp():
         triangles.append((PlanePoint(s_op * y_p, y_p), PlanePoint(s_oq * y_q, y_q)))
     r2 = QuadNum(0, 1, 2)
     triangles.append((PlanePoint(F(19, 100), 1).scale(r2), PlanePoint(F(-1, 15), F(10, 3)).scale(r2)))
-    for p, q in triangles:
-        for n in (7, 10):
-            value, chain = _reference_bruteforce(p, q, n)
-            res = maximize_bruteforce(ORIGIN, p, q, n)
-            assert (RadicalSum.of(res.value) - value).is_zero(), (p, q, n)
-            assert res.chain.vertices == chain.vertices, (p, q, n)
+    # a triangle across rows whose winning chains pass through edge PQ
+    triangles.append((PlanePoint(F(31, 8), F(57, 7)), PlanePoint(1, 20)))
+    cases = [(p, q, False) for p, q in triangles]
+    # a wide cone: its inner table boundaries change the row inside the cone,
+    # and its a < 0 directions lose cells to the Q-side bound
+    cases += [(PlanePoint(16, 1), PlanePoint(F(1, 3), 2), fallback) for fallback in (False, True)]
+    for p, q, fallback in cases:
+        for n in (7, 10, 13):
+            value, chain = _reference_bruteforce(p, q, n, fallback)
+            res = maximize_bruteforce(ORIGIN, p, q, n, fallback=fallback)
+            assert (RadicalSum.of(res.value) - value).is_zero(), (p, q, n, fallback)
+            assert res.chain.vertices == chain.vertices, (p, q, n, fallback)
 
 
 def test_bruteforce_decides_overlapping_enclosures_exactly(monkeypatch):
