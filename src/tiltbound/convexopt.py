@@ -5,16 +5,13 @@ decreasing slope x/y, and the sum of the increments' spade values bounds
 global sections of Harder-Narasimhan configurations.  Three tools:
 
 * ``maximize_reduced`` -- sharp maximum over 1- and 2-segment chains in a
-  triangle O-P-Q.  Every 2-chain O->V->Q has value u*spade(D) +
-  spade(Q - u*D) for V = u*D (or Q - u*D; the sum is order-free), so the
-  optimizer walks the directions D in {P, Q-P} plus every slope-table
-  boundary inside the cone (slope(PQ), slope(OP)), each valued with the
-  rows on both sides of it.  In the cone coordinates D = alpha*P +
-  beta*(Q-P) the triangle is 0 <= beta <= alpha <= 1, so each u-range ends
-  in closed form at 1/max(alpha, beta).  The same boundaries cut each range
-  (slope is monotone along affine paths), and the value is evaluated
-  exactly at every cut with the rows on both sides.  Every row is convex
-  along an affine path, so each piece's maximum sits at a cut.
+  triangle O-P-Q.  The cone slopes are slope(PQ), every slope-table
+  boundary inside the cone and slope(OP); each is valued once, on its
+  vector (Q - P, (s, 1) or P), with the largest of the rows owning it or a
+  cone cell next to it.  Every row is convex along an affine path, so the
+  best 2-chain O->V->Q has both segments on cone slopes, one above
+  slope(OQ) and one below: Q = lam*e_i + mu*e_j by Cramer's rule, worth
+  lam*f_i + mu*f_j because every row is homogeneous of degree 1.
 * ``maximize_bruteforce`` -- independent oracle: exact DP over convex
   lattice chains on the (grid_n x grid_n) refinement of the triangle.  In
   lattice coordinates (a, b) -> a*P + b*Q the directions are the integer
@@ -240,61 +237,23 @@ def _cone_rows(s_pq, s_op, fallback: bool) -> tuple:
     return slopes, owners, cells
 
 
-def _optimize_path(q, d, sd, u_max, fallback: bool, boundaries: list):
-    """Candidate (value, u) pairs for F(u) = u*sd + spade(Q - u*d) over
-    [0, u_max]: every cut where Q - u*d crosses one of the cone's table
-    boundaries, plus the two ends, each valued with the row on either side.
-    Q - u*d stays in the triangle's cone, so its y is positive on the
-    whole range and its slope stays in [slope(PQ), slope(OP)].
-
-    The cuts are the only candidates because every row is convex along an
-    affine path with y > 0, so each piece's maximum sits at one of its
-    ends.  Square-root rows (1, 3, 5, 6, 7 and the fallback): with the
-    radicand along the path written Au^2 + Bu + C, 4AC - B^2 =
-    4 det(M) (Q x d)^2 for M = [[xx, xy/2], [xy/2, yy]], and
-    srt * det(M) = 10 > 0.  Ratio rows (2, 4, 8, 9): num = c*y^2 and den
-    D is linear, so (c*y^2/D)'' = 2c Y(u_pole)^2 D1^2 / D^3, and c*D > 0
-    on every range and band of these rows.
-    """
-
-    def point(u):
-        return PlanePoint(q.x - u * d.x, q.y - u * d.y)
-
-    # slope is monotone along an affine path, so each boundary is crossed
-    # at most once
-    cuts = {Fraction(0): None, u_max: None}  # u -> boundary slope there
-    for s0 in boundaries:
-        den = s0 * d.y - d.x  # slope(Q - u*d) = s0
-        if scalar_sign(den) == 0:
-            continue
-        u = (s0 * q.y - q.x) / den
-        if scalar_sign(u) > 0 and compare_scalars(u, u_max) < 0:
-            cuts[u] = s0
-    ordered = sorted(cuts)
-
-    candidates = []
-    for a, b in zip(ordered, ordered[1:]):
-        mid = point((a + b) / 2)
-        row = _row_or_fallback(mid.x / mid.y, fallback)
-        if row is None:
-            continue
-        for u in (a, b):
-            w, s0 = point(u), cuts[u]
-            try:
-                # at a cut w = y(w) * (s0, 1) with s0 rational: valued on
-                # that ray, an irrational w needs no nested radical
-                at = row.value(w.x, w.y) if s0 is None else RadicalSum.of(row.value(s0, 1)) * w.y
-                value = RadicalSum.of(sd) * u + RadicalSum.of(at)
-            except (SlopeOutOfTable, ZeroDivisionError):
-                continue
-            candidates.append((value, u))
-    return candidates
-
-
 @dataclass(frozen=True)
 class ReducedResult:
     value: object
     chain: ConvexChain
+
+
+def _largest_value(rows, w: PlanePoint):
+    """Largest value at w of the rows that are not None and value it (a row
+    refuses an off-range radicand or pole with SlopeOutOfTable); None if
+    none does.  NestedRadical is not caught."""
+    values = []
+    for row in rows - {None}:
+        try:
+            values.append(RadicalSum.of(row.value(w.x, w.y)))
+        except SlopeOutOfTable:
+            pass
+    return max(values, default=None)
 
 
 def maximize_reduced(
@@ -302,64 +261,72 @@ def maximize_reduced(
 ) -> ReducedResult:
     """Sharp maximum of spade sums over 1- and 2-segment chains in O-P-Q.
 
-    The cone's boundaries are the slope-table boundaries strictly inside
-    (slope(PQ), slope(OP)).  Rays from O and from Q at these slopes cut the
-    triangle into cells; every row is convex along an affine path, so on
-    each cell the chain value is convex and its supremum sits at a cell
-    vertex, valued with that cell's rows.  So the directions are P, Q-P and
-    every cone boundary but slope(OQ), each valued with the largest of the
-    rows owning its slope or the cone cells on either side (off the table,
-    the fallback row when requested), and the same boundaries cut each
-    direction's u-range.  In the cone coordinates d = alpha*P + beta*(Q-P)
-    the triangle is 0 <= beta <= alpha <= 1, so at u_max =
-    1/max(alpha, beta) the vertex u*d reaches edge PQ (alpha >= beta) or
-    Q - u*d reaches edge OP (beta > alpha), and Q - u*d has y > 0 on all of
-    [0, u_max].  Each cut is valued exactly with both adjacent rows, so the
-    value is a certified upper bound for all chain values; a candidate that
-    needs a nested radical raises NestedRadical instead of being skipped.
+    The cone slopes are slope(PQ), the slope-table boundaries strictly
+    inside (slope(PQ), slope(OP)), and slope(OP).  A 2-chain O->V->Q is
+    worth g(V) = spade(V) + spade(Q - V), and V, Q - V lie in the cone.  Fix
+    the closed cone cells holding slope(V) and slope(Q - V): the V that
+    keep them there form a convex polygon cut out by the rays from O and
+    from Q at the cells' end slopes, and on it g, with each cell's row
+    extended to its ends, is convex, so its supremum sits at a vertex.
+    A vertex is O or Q (the chain O->Q) or V = lam*e_i with Q - V = mu*e_j,
+    for cone slopes s_i > slope(OQ) > s_j with vectors e_i, e_j (Q - P,
+    (s, 1) or P).  Every row is homogeneous of degree 1, so that vertex is
+    worth lam*f_i + mu*f_j, where f_k is the largest value at e_k of the
+    rows owning s_k or a cone cell next to it (off the table, the fallback
+    row when requested), and lam, mu > 0 solve Q = lam*e_i + mu*e_j by
+    Cramer's rule.  O->Q is valued with the row of the cell holding
+    slope(OQ), or, when slope(OQ) is a boundary, with its owner and both
+    cells.  So each slope is valued once, the candidates are the pairs
+    (i, j), and the value is a certified upper bound for all chain values,
+    attained or a supremum; a value at Q, P or Q - P that needs a nested
+    radical raises NestedRadical instead of being skipped.
+
+    Every row is convex along an affine path with y > 0.  Square-root rows
+    (1, 3, 5, 6, 7 and the fallback): with the radicand along p0 + t*d
+    written At^2 + Bt + C, 4AC - B^2 = 4 det(M) (p0 x d)^2 for
+    M = [[xx, xy/2], [xy/2, yy]], and srt * det(M) = 10 > 0.  Ratio rows
+    (2, 4, 8, 9): num = c*y^2 and den D is linear, so (c*y^2/D)'' =
+    2c Y(t_pole)^2 D1^2 / D^3, and c*D > 0 on every range and band of these
+    rows.
+
+    Ties keep the first chain reached: O->Q, then P paired with the lower
+    slopes nearest slope(OQ) first, then each lower slope upward (Q - P
+    first) paired with the upper ones below slope(OP), upward.
     """
     s_op, s_oq, s_pq, collapsed = _triangle_slopes(o, p, q)
-    best: tuple | None = None
-    try:
-        best = (RadicalSum.of(spade(q, fallback=fallback)), ConvexChain([ORIGIN, q]))
-    except SlopeOutOfTable:
-        pass
     if collapsed:
-        if best is None:
-            raise SlopeOutOfTable("collapsed triangle with off-table slope")
-        return ReducedResult(best[0].to_exact(), best[1])
+        try:
+            value = RadicalSum.of(spade(q, fallback=fallback))
+        except SlopeOutOfTable:
+            raise SlopeOutOfTable("collapsed triangle with off-table slope") from None
+        return ReducedResult(value.to_exact(), ConvexChain([ORIGIN, q]))
 
     slopes, owners, cells = _cone_rows(s_pq, s_op, fallback)
-    inner = slopes[1:-1]
-    # (direction, index in slopes); P and Q-P first, so ties keep their chain
-    directions = [(p, len(inner) + 1), (q - p, 0)]
-    directions += [(PlanePoint(s, 1), k) for k, s in enumerate(inner, 1) if compare_scalars(s, s_oq) != 0]
-    e = q - p
-    det = p.x * e.y - p.y * e.x
+    # slopes[:k] lie below slope(OQ), slopes[k] is at or above it
+    k = next(i for i, s in enumerate(slopes) if compare_scalars(s, s_oq) >= 0)
+    on_oq = compare_scalars(slopes[k], s_oq) == 0
+    top = len(slopes) - 1
+    best = None
+    value = _largest_value({owners[k], cells[k - 1], cells[k]} if on_oq else {cells[k - 1]}, q)
+    if value is not None:
+        best = (value, ConvexChain([ORIGIN, q]))
 
-    for d, k in directions:
-        values = []
-        for row in {owners[k], *cells[max(k - 1, 0) : k + 1]} - {None}:
-            try:
-                values.append(RadicalSum.of(row.value(d.x, d.y)))
-            except SlopeOutOfTable:
-                pass
-        if not values:
+    vectors = [q - p, *(PlanePoint(s, 1) for s in slopes[1:-1]), p]
+    f = {}
+    for i in (top, *range(top)):  # P first: the order a NestedRadical is met in
+        if not (on_oq and i == k):
+            f[i] = _largest_value({owners[i], *cells[max(i - 1, 0) : i + 1]}, vectors[i])
+    below, above = range(k), range(k + on_oq, top)  # above: without P
+    for i, j in [(top, j) for j in reversed(below)] + [(i, j) for j in below for i in above]:
+        if f[i] is None or f[j] is None:
             continue
-        sd = max(values)
-        alpha = (d.x * e.y - d.y * e.x) / det
-        beta = (p.x * d.y - p.y * d.x) / det
-        u_max = 1 / max(alpha, beta)
-        for value, u in _optimize_path(q, d, sd, u_max, fallback, inner):
-            if best is None or value > best[0]:
-                v1 = d.scale(u)
-                v2 = q - v1
-                if v1.is_zero():
-                    chain = ConvexChain([ORIGIN, q])
-                else:
-                    vertex = v1 if compare_scalars(v1.slope(), v2.slope()) >= 0 else v2
-                    chain = ConvexChain([ORIGIN, vertex, q])
-                best = (value, chain)
+        e_i, e_j = vectors[i], vectors[j]
+        det = e_i.x * e_j.y - e_i.y * e_j.x  # > 0: slope(e_i) > slope(e_j)
+        lam = (q.x * e_j.y - q.y * e_j.x) / det
+        mu = (e_i.x * q.y - e_i.y * q.x) / det
+        value = f[i] * lam + f[j] * mu
+        if best is None or value > best[0]:
+            best = (value, ConvexChain([ORIGIN, e_i.scale(lam), q]))
     if best is None:
         raise SlopeOutOfTable("no spade-evaluable chain in this triangle")
     return ReducedResult(best[0].to_exact(), best[1])
@@ -466,7 +433,7 @@ def maximize_bruteforce(
     fallback values them) or needing a nested radical are excluded.
 
     Exactness is lazy.  A merge walk down the cone's boundary list (the one
-    ``maximize_reduced`` cuts with) gives each direction its row, and
+    ``maximize_reduced`` pairs) gives each direction its row, and
     ``SpadeCase.enclosure`` values it as integers around value * 2**64 with
     no factoring: ``clear_denominators`` writes the triangle's coordinates
     over their common denominator D, so each step a*P + b*Q is a point over

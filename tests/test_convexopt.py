@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -134,7 +135,7 @@ def test_maximize_reduced_sharp_exceeds_closed_form_at_mu8():
     assert compare_scalars(res.value, clifford_bound((1, 8))) > 0
 
 
-# maximize_reduced evaluates each direction only at the slope-table cuts; that
+# maximize_reduced values only chains whose segments lie on cone slopes; that
 # is exact because every row is convex along an affine path with y > 0.
 
 
@@ -423,38 +424,29 @@ def test_cone_order_matches_slope_sort_on_grids_1_to_40():
         assert list(_cone_order(n)) == _reference_cone(tri.p, tri.q, n), n
 
 
-def test_reduced_exit_reaches_the_far_edge():
-    # every direction d leaves the triangle at u_max: u*d lands on edge PQ
-    # when slope(d) >= slope(OQ), else Q - u*d lands on edge OP; Q - u*d
-    # keeps y > 0 on [0, u_max] (affine in u, so the ends decide)
+def test_reduced_chains_bend_inside_the_cone():
+    # a returned 2-chain O -> V -> Q has both segments in the triangle's
+    # cone: y > 0 and slope in [slope(PQ), slope(OP)]
     rng = random.Random(89)
     r2 = QuadNum(0, 1, 2)
     triangles = [_random_triangle(rng, _rational) for _ in range(40)]
     triangles += [(p.scale(r2), q.scale(r2)) for p, q in triangles[:15]]
-    calls = []
-
-    def record(q, d, sd, u_max, fallback, cap):
-        calls.append((d, u_max))
-        return []
-
+    bends = 0
     for p, q in triangles:
-        calls.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(convexopt, "_optimize_path", record)
-            try:
-                maximize_reduced(ORIGIN, p, q, fallback=True)
-            except SlopeOutOfTable:
-                pass  # spade(Q) itself was not evaluable
-        assert len(calls) >= 2, (p, q)
-        for d, u_max in calls:
-            v, w = d.scale(u_max), q - d.scale(u_max)
-            assert scalar_sign(q.y) > 0 and scalar_sign(w.y) > 0, (p, q, d)
-            if compare_scalars(d.slope(), q.slope()) > 0:
-                s = (v.y - p.y) / (q.y - p.y)  # v = P + s*(Q - P)
-                assert v.x == p.x + s * (q.x - p.x) and 0 <= s <= 1, (p, q, d)
-            else:
-                t = w.y / p.y  # w = t*P
-                assert w.x == t * p.x and 0 <= t <= 1, (p, q, d)
+        try:
+            res = maximize_reduced(ORIGIN, p, q, fallback=True)
+        except SlopeOutOfTable:
+            continue  # no chain of the triangle is evaluable
+        assert res.chain.vertices[-1] == q, (p, q)
+        if res.chain.segments() == 1:
+            continue
+        bends += 1
+        v = res.chain.vertices[1]
+        for w in (v, q - v):
+            assert scalar_sign(w.y) > 0, (p, q, v)
+            s = w.slope()
+            assert compare_scalars((q - p).slope(), s) <= 0 <= compare_scalars(p.slope(), s), (p, q, v)
+    assert bends >= 50, bends
 
 
 def test_bruteforce_on_quadnum_triangle_scales_the_rational_one():
@@ -577,28 +569,95 @@ def _table_slopes_inside(lo, hi):
     return sorted(s for s in ends if lo < s < hi)
 
 
-def test_reduced_directions_are_the_cone_boundaries():
-    # P, Q-P, then every table boundary inside (slope(PQ), slope(OP)) except
-    # slope(OQ); the same list gives every direction its cuts
+def _recorded_points(monkeypatch):
+    """Every point passed to SpadeCase.value from now on, in call order."""
+    points = []
+    value = bounds.SpadeCase.value
+
+    def recorded(self, x, y):
+        points.append(PlanePoint(x, y))
+        return value(self, x, y)
+
+    monkeypatch.setattr(bounds.SpadeCase, "value", recorded)
+    return points
+
+
+def test_reduced_values_each_cone_slope_once_on_its_vector(monkeypatch):
+    # Q, P, Q-P and (s, 1) for every table boundary s inside
+    # (slope(PQ), slope(OP)) but slope(OQ), upward, each in one run (one
+    # call per row): no other point is valued, and none is valued twice
     rng = random.Random(97)
     triangles = [_random_triangle(rng, _rational) for _ in range(30)]
     triangles.append((PlanePoint(30, 3), PlanePoint(F(371778, 13253), F(1419, 457))))
+    points = _recorded_points(monkeypatch)
     for p, q in triangles:
-        calls = []
-
-        def record(q_, d, sd, u_max, fallback, boundaries):
-            calls.append((d, boundaries))
-            return []
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(convexopt, "_optimize_path", record)
-            try:
-                maximize_reduced(ORIGIN, p, q, fallback=True)
-            except SlopeOutOfTable:
-                pass
+        points.clear()
+        try:
+            maximize_reduced(ORIGIN, p, q, fallback=True)
+        except SlopeOutOfTable:
+            pass
         inner = _table_slopes_inside((q - p).slope(), p.slope())
-        assert [d for d, _ in calls] == [p, q - p] + [PlanePoint(s, 1) for s in inner if s != q.slope()]
-        assert all(b == inner for _, b in calls), (p, q)
+        expected = [q, p, q - p] + [PlanePoint(s, 1) for s in inner if s != q.slope()]
+        assert [w for w, _ in itertools.groupby(points)] == expected, (p, q)
+
+
+def test_reduced_valuations_are_linear_in_the_cone_slopes(monkeypatch):
+    # a wide cone: each of its B slopes, and Q, is valued with at most
+    # three rows, so there are at most 3*(B + 1) valuations (145 here)
+    p, q = PlanePoint(64, 1), PlanePoint(F(1, 3), 2)
+    slopes, _, _ = convexopt._cone_rows((q - p).slope(), p.slope(), True)
+    b = len(slopes)
+    assert b == 73
+    points = _recorded_points(monkeypatch)
+    res = maximize_reduced(ORIGIN, p, q, fallback=True)
+    assert 0 < len(points) <= 3 * (b + 1), len(points)
+    assert compare_scalars(maximize_bruteforce(ORIGIN, p, q, 4, fallback=True).value, res.value) <= 0
+
+
+def test_reduced_values_a_cone_edge_with_the_row_that_owns_it():
+    # a segment on a cone edge is worth its owner row's value there, not
+    # only the adjacent cell's.  The mu = 64 wall triangle P = (15, 2),
+    # Q = (0, 4) has slope(OP) = 15/2, owned by row 9 (band 2), while row 1
+    # holds the cell below: O -> P -> Q is worth 241/15 + 16/15 = 257/15
+    p, q = PlanePoint(15, 2), PlanePoint(0, 4)
+    assert compare_scalars(spade(p) + spade(q - p), F(257, 15)) == 0
+    pins = [(p, q, F(257, 15))]
+    for r, value in ((1, F(257, 15)), (2, F(514, 15)), (3, F(257, 5))):
+        tri = triangle_from_first_wall((r, 64 * r))
+        pins.append((tri.p, tri.q, value))
+    pins.append((PlanePoint(F(15, 2), 1), PlanePoint(F(23, 2), 2), F(391, 30)))
+    # the one cone cell here, (1/4, 1/2), is off the table: only the edges'
+    # owner rows (3 and 2) value a chain
+    pins.append((PlanePoint(4, 8), PlanePoint(F(9, 2), 10), QuadNum(F(81, 4), F(1, 4), 321)))
+    for p, q, value in pins:
+        res = maximize_reduced(ORIGIN, p, q)
+        assert compare_scalars(res.value, value) == 0, (p, q, res.value)
+        assert compare_scalars(spade_sum(res.chain), value) == 0, (p, q, res.chain)
+        assert compare_scalars(maximize_bruteforce(ORIGIN, p, q, 2).value, value) == 0, (p, q)
+
+    # every pair s_op > s_pq of the 26 table and band boundaries with
+    # |s| <= 18 as the triangle's edges, at two scales
+    ends = _table_slopes_inside(F(-19), F(19))
+    assert len(ends) == 26
+    calls = 0
+    for s_op, s_pq in itertools.combinations(reversed(ends), 2):
+        for y_p, t in ((1, 1), (2, F(1, 3))):
+            p = PlanePoint(s_op * y_p, y_p)
+            q = p + PlanePoint(s_pq * t, t)
+            for fallback in (False, True):
+                try:
+                    red = maximize_reduced(ORIGIN, p, q, fallback=fallback).value
+                except SlopeOutOfTable:
+                    red = None
+                for n in (2, 6):
+                    try:
+                        bf = maximize_bruteforce(ORIGIN, p, q, n, fallback=fallback).value
+                    except ConvexOptError:
+                        continue
+                    calls += 1
+                    assert red is not None, (p, q, fallback, n)
+                    assert compare_scalars(bf, red) <= 0, (p, q, fallback, n)
+    assert calls == 2600, calls
 
 
 def test_reduced_reaches_a_chain_across_two_rows():
