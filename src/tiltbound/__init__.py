@@ -14,13 +14,13 @@ from .exactnum import (
     QuadNum,
     Rat,
     RadicalSum,
+    compare_scalars,
     decimal_str,
     format_rat,
     format_scalar,
     parse_rat,
     parse_scalar,
     poly_equal,
-    qn_compare,
     radical_identity_check,
     sqrt_exact,
     square_free_core,

@@ -5,13 +5,10 @@ decreasing slope x/y, and the sum of the increments' spade values bounds
 global sections of Harder-Narasimhan configurations.  Three tools:
 
 * ``maximize_reduced`` -- sharp maximum over 1- and 2-segment chains in a
-  triangle O-P-Q.  The cone slopes are slope(PQ), every slope-table
-  boundary inside the cone and slope(OP); each is valued once, on its
-  vector (Q - P, (s, 1) or P), with the largest of the rows owning it or a
-  cone cell next to it.  Every row is convex along an affine path, so the
-  best 2-chain O->V->Q has both segments on cone slopes, one above
-  slope(OQ) and one below: Q = lam*e_i + mu*e_j by Cramer's rule, worth
-  lam*f_i + mu*f_j because every row is homogeneous of degree 1.
+  triangle O-P-Q: each cone slope (slope(PQ), the table boundaries inside,
+  slope(OQ), slope(OP)) is valued once on its vector, and the maximum is
+  read at slope(OQ) off the upper hull of the points (slope, value / y),
+  built by one monotone-chain walk.
 * ``maximize_bruteforce`` -- independent oracle: exact DP over convex
   lattice chains on the (grid_n x grid_n) refinement of the triangle.  In
   lattice coordinates (a, b) -> a*P + b*Q the directions are the integer
@@ -31,6 +28,7 @@ global sections of Harder-Narasimhan configurations.  Three tools:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -220,18 +218,17 @@ def _row_or_fallback(s, fallback: bool):
         return _FALLBACK_CASE if fallback else None
 
 
-def _cone_rows(s_pq, s_op, fallback: bool) -> tuple:
+def _cone_rows(s_pq, s_op, fallback: bool, *inside) -> tuple:
     """(slopes, owners, cells) of the cone [s_pq, s_op]: slopes is s_pq, the
-    slope-table boundaries strictly inside, then s_op, increasing; owners[k]
-    is the row owning slopes[k] and cells[k] the row on the open cell
-    (slopes[k], slopes[k+1]), which no boundary cuts (off the table, the
-    fallback row if requested, else None)."""
+    slope-table boundaries and the slopes ``inside`` strictly inside, then
+    s_op, increasing; owners[k] is the row owning slopes[k] and cells[k] the
+    row on the open cell (slopes[k], slopes[k+1]), which no boundary cuts
+    (off the table, the fallback row if requested, else None)."""
     # band n's boundaries have |slope| >= 4n - 1/n >= 4n - 1
-    ends = set(_TABLE_BOUNDARIES)
-    for n in range(1, (floor_scalar(max(-s_pq, s_op)) + 1) // 4 + 1):
-        ends.update(end for r in _band(n) for end in (r.lo, r.hi))
-    inner = [s for s in sorted(ends) if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0]
-    slopes = [s_pq, *inner, s_op]
+    bands = range(1, (floor_scalar(max(-s_pq, s_op)) + 1) // 4 + 1)
+    ends = [*_TABLE_BOUNDARIES, *inside, *(end for n in bands for r in _band(n) for end in (r.lo, r.hi))]
+    inner = {s for s in ends if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0}
+    slopes = [s_pq, *sorted(inner), s_op]
     owners = [_row_or_fallback(s, fallback) for s in slopes]
     cells = [_row_or_fallback((a + b) / 2, fallback) for a, b in zip(slopes, slopes[1:])]
     return slopes, owners, cells
@@ -261,25 +258,26 @@ def maximize_reduced(
 ) -> ReducedResult:
     """Sharp maximum of spade sums over 1- and 2-segment chains in O-P-Q.
 
-    The cone slopes are slope(PQ), the slope-table boundaries strictly
-    inside (slope(PQ), slope(OP)), and slope(OP).  A 2-chain O->V->Q is
-    worth g(V) = spade(V) + spade(Q - V), and V, Q - V lie in the cone.  Fix
-    the closed cone cells holding slope(V) and slope(Q - V): the V that
-    keep them there form a convex polygon cut out by the rays from O and
-    from Q at the cells' end slopes, and on it g, with each cell's row
-    extended to its ends, is convex, so its supremum sits at a vertex.
-    A vertex is O or Q (the chain O->Q) or V = lam*e_i with Q - V = mu*e_j,
-    for cone slopes s_i > slope(OQ) > s_j with vectors e_i, e_j (Q - P,
-    (s, 1) or P).  Every row is homogeneous of degree 1, so that vertex is
-    worth lam*f_i + mu*f_j, where f_k is the largest value at e_k of the
-    rows owning s_k or a cone cell next to it (off the table, the fallback
-    row when requested), and lam, mu > 0 solve Q = lam*e_i + mu*e_j by
-    Cramer's rule.  O->Q is valued with the row of the cell holding
-    slope(OQ), or, when slope(OQ) is a boundary, with its owner and both
-    cells.  So each slope is valued once, the candidates are the pairs
-    (i, j), and the value is a certified upper bound for all chain values,
-    attained or a supremum; a value at Q, P or Q - P that needs a nested
-    radical raises NestedRadical instead of being skipped.
+    The cone slopes s_k are slope(PQ), the slope-table boundaries strictly
+    inside (slope(PQ), slope(OP)), slope(OQ) and slope(OP); f_k is the
+    largest value at e_k (Q - P, (s, 1), Q or P) of the rows owning s_k or
+    a cone cell next to it (off the table, the fallback row when requested).
+    A 2-chain O->V->Q, worth g(V) = spade(V) + spade(Q - V), has V and Q - V
+    in the cone.  Fix the closed cone cells holding slope(V) and
+    slope(Q - V): the V that keep them there form a convex polygon cut out
+    by the rays from O and from Q at the cells' end slopes, and on it g,
+    with each cell's row extended to its ends, is convex, so its supremum
+    sits at a vertex: O or Q (the chain O->Q), or V = lam*e_i with
+    Q - V = mu*e_j for s_i > slope(OQ) > s_j (Cramer's rule).  Every row is
+    homogeneous of degree 1, so that is worth lam*f_i + mu*f_j, y(Q) times
+    the chord of the points (s_k, f_k/y(e_k)), k = i, j, at slope(OQ), and
+    O->Q is y(Q) times Q's own point.  So the maximum is y(Q) times their
+    upper hull at slope(OQ), one monotone-chain walk (A. M. Andrew, IPL
+    1979) whose turn at b is the sign of det[(x, y, f)] over a, b, c, < 0
+    when b is strictly below the chord a-c.  It is O->Q if Q is on the hull,
+    else the hull edge over slope(OQ), the bridge; a certified upper bound
+    for all chain values, attained or a supremum.  A value at Q, P or Q - P
+    that needs a nested radical raises NestedRadical, never skipped.
 
     Every row is convex along an affine path with y > 0.  Square-root rows
     (1, 3, 5, 6, 7 and the fallback): with the radicand along p0 + t*d
@@ -289,9 +287,11 @@ def maximize_reduced(
     2c Y(t_pole)^2 D1^2 / D^3, and c*D > 0 on every range and band of these
     rows.
 
-    Ties keep the first chain reached: O->Q, then P paired with the lower
-    slopes nearest slope(OQ) first, then each lower slope upward (Q - P
-    first) paired with the upper ones below slope(OP), upward.
+    Ties keep the first maximizer in the order O->Q, P with the lower slopes
+    nearest slope(OQ) first, each lower slope upward with the upper ones
+    upward: bridge-line points stay on the hull, so O->Q if Q is on it, else
+    P and the vertex just below slope(OQ) if P is on the bridge line, else
+    the vertex just above and the lowest vertex on the bridge line.
     """
     s_op, s_oq, s_pq, collapsed = _triangle_slopes(o, p, q)
     if collapsed:
@@ -301,35 +301,40 @@ def maximize_reduced(
             raise SlopeOutOfTable("collapsed triangle with off-table slope") from None
         return ReducedResult(value.to_exact(), ConvexChain([ORIGIN, q]))
 
-    slopes, owners, cells = _cone_rows(s_pq, s_op, fallback)
-    # slopes[:k] lie below slope(OQ), slopes[k] is at or above it
-    k = next(i for i, s in enumerate(slopes) if compare_scalars(s, s_oq) >= 0)
-    on_oq = compare_scalars(slopes[k], s_oq) == 0
-    top = len(slopes) - 1
-    best = None
-    value = _largest_value({owners[k], cells[k - 1], cells[k]} if on_oq else {cells[k - 1]}, q)
-    if value is not None:
-        best = (value, ConvexChain([ORIGIN, q]))
-
+    slopes, owners, cells = _cone_rows(s_pq, s_op, fallback, s_oq)
+    kq, top = slopes.index(s_oq), len(slopes) - 1
     vectors = [q - p, *(PlanePoint(s, 1) for s in slopes[1:-1]), p]
-    f = {}
-    for i in (top, *range(top)):  # P first: the order a NestedRadical is met in
-        if not (on_oq and i == k):
-            f[i] = _largest_value({owners[i], *cells[max(i - 1, 0) : i + 1]}, vectors[i])
-    below, above = range(k), range(k + on_oq, top)  # above: without P
-    for i, j in [(top, j) for j in reversed(below)] + [(i, j) for j in below for i in above]:
-        if f[i] is None or f[j] is None:
-            continue
-        e_i, e_j = vectors[i], vectors[j]
-        det = e_i.x * e_j.y - e_i.y * e_j.x  # > 0: slope(e_i) > slope(e_j)
-        lam = (q.x * e_j.y - q.y * e_j.x) / det
-        mu = (e_i.x * q.y - e_i.y * q.x) / det
-        value = f[i] * lam + f[j] * mu
-        if best is None or value > best[0]:
-            best = (value, ConvexChain([ORIGIN, e_i.scale(lam), q]))
-    if best is None:
+    vectors[kq] = q
+    f = {  # Q, then P: the order a NestedRadical is met in
+        i: _largest_value({owners[i], *cells[max(i - 1, 0) : i + 1]}, vectors[i])
+        for i in dict.fromkeys((kq, top, *range(top)))
+    }
+
+    def turn(a: int, b: int, c: int) -> int:
+        (xa, ya), (xb, yb), (xc, yc) = ((vectors[k].x, vectors[k].y) for k in (a, b, c))
+        return (f[a] * (xb * yc - xc * yb) + f[b] * (xc * ya - xa * yc) + f[c] * (xa * yb - xb * ya)).sign()
+
+    hull = []
+    for c in (k for k in range(top + 1) if f[k] is not None):
+        while len(hull) > 1 and turn(hull[-2], hull[-1], c) < 0:
+            hull.pop()
+        hull.append(c)
+    if kq in hull:
+        return ReducedResult(f[kq].to_exact(), ConvexChain([ORIGIN, q]))
+    m = bisect.bisect(hull, kq)
+    if not 0 < m < len(hull):
         raise SlopeOutOfTable("no spade-evaluable chain in this triangle")
-    return ReducedResult(best[0].to_exact(), best[1])
+    j, i = hull[m - 1], hull[m]  # the bridge
+    if i != top and hull[-1] == top and turn(j, i, top) == 0:
+        i = top
+    while i != top and m > 1 and turn(hull[m - 2], j, i) == 0:
+        m -= 1  # down to the lowest vertex on the bridge line
+    j = hull[m - 1]
+    e_i, e_j = vectors[i], vectors[j]
+    det = e_i.x * e_j.y - e_i.y * e_j.x  # > 0: slope(e_i) > slope(e_j)
+    lam = (q.x * e_j.y - q.y * e_j.x) / det
+    mu = (e_i.x * q.y - e_i.y * q.x) / det
+    return ReducedResult((f[i] * lam + f[j] * mu).to_exact(), ConvexChain([ORIGIN, e_i.scale(lam), q]))
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +438,16 @@ def maximize_bruteforce(
     fallback values them) or needing a nested radical are excluded.
 
     Exactness is lazy.  A merge walk down the cone's boundary list (the one
-    ``maximize_reduced`` pairs) gives each direction its row, and
-    ``SpadeCase.enclosure`` values it as integers around value * 2**64 with
-    no factoring: ``clear_denominators`` writes the triangle's coordinates
-    over their common denominator D, so each step a*P + b*Q is a point over
-    n*D with integral coordinates (ints, or QuadNums with integral parts for
-    an irrational triangle).  The DP compares these enclosures; exact
-    ``RadicalSum`` values are built only where two overlap and for the
-    winning chain, once per step: ``SpadeCase.value`` at the integral point
-    its enclosure read, over n*D.  Every decision is exact, so the value and
-    the chain are the exact DP's.
+    ``maximize_reduced`` walks, without slope(OQ): all rational) gives each
+    direction its row, and ``SpadeCase.enclosure`` values it as integers
+    around value * 2**64 with no factoring: ``clear_denominators`` writes
+    the triangle's coordinates over their common denominator D, so each
+    step a*P + b*Q is a point over n*D with integral coordinates (ints, or
+    QuadNums with integral parts for an irrational triangle).  The DP
+    compares these enclosures; exact ``RadicalSum`` values are built only
+    where two overlap and for the winning chain, once per step:
+    ``SpadeCase.value`` at the integral point its enclosure read, over n*D.
+    Every decision is exact, so the value and the chain are the exact DP's.
     """
     if grid_n > 60:
         raise GridTooLarge("grid_n must be <= 60")

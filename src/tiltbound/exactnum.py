@@ -66,7 +66,6 @@ __all__ = [
     "RadicalSum",
     "ExactOrder",
     "ExactRing",
-    "qn_compare",
     "compare_scalars",
     "scalar_sign",
     "as_fraction",
@@ -514,11 +513,6 @@ def compare_scalars(x, y) -> int:
     if xm == ym:
         return _sign_single(u, xb - yb, xm)
     return _sign_rad_pair(u, xb, xm, -yb, ym)
-
-
-def qn_compare(x, y) -> int:
-    """Ordering of two exact values: -1, 0 or 1 (never floating point)."""
-    return compare_scalars(x, y)
 
 
 def as_fraction(x) -> Fraction:

@@ -26,7 +26,6 @@ from tiltbound.exactnum import (
     Poly1,
     QuadNum,
     compare_scalars,
-    qn_compare,
     scalar_sign,
 )
 from tiltbound.verify import (
@@ -120,7 +119,7 @@ def test_acceptance_04_clifford_consistency():
         got = clifford_chain_bound(r, d)
         assert compare_scalars(got.value, clifford_bound((r, d))) == 0, mu
         if 48 <= mu <= 64:
-            beyond = qn_compare(mu, CLIFFORD_BREAK) > 0
+            beyond = compare_scalars(mu, CLIFFORD_BREAK) > 0
             assert beyond == (got.branch == "max_branch_linear"), mu
             switched += beyond
     assert switched > 0  # the sweep crosses the sqrt(69) switch
@@ -180,7 +179,7 @@ def test_acceptance_08_q00_chain():
         assert r.status == "pass", r.check_name
     grid = next(r for r in reports if r.check_name == "q00_constrained_grid_nonnegativity")
     assert grid.samples_tested >= 10_000
-    assert qn_compare(QuadNum(F(79, 275), F(-3, 275), 2374), F(-1, 4)) > 0
+    assert compare_scalars(QuadNum(F(79, 275), F(-3, 275), 2374), F(-1, 4)) > 0
 
 
 @_criterion(9, "prop52-recomposition", 1.0)

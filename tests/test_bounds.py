@@ -30,7 +30,7 @@ from tiltbound.bounds import (
 )
 from tiltbound.chern import CurveClass
 from tiltbound.convexopt import triangle_from_first_wall
-from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars, qn_compare, scalar_sign
+from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars, scalar_sign
 
 
 # -- spade -------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_clifford_break_switch():
     assert scalar_sign(val) == 0
     below = F(62)  # < (576-32 sqrt69)/5 ~ 62.036
     above = F(6204, 100)
-    assert qn_compare(below, CLIFFORD_BREAK) < 0 < qn_compare(above, CLIFFORD_BREAK)
+    assert compare_scalars(below, CLIFFORD_BREAK) < 0 < compare_scalars(above, CLIFFORD_BREAK)
     r, d = below.denominator, below.numerator
     assert clifford_bound((r, d)) == 5 * d * d / F(1024 * r) + 5 * r - F(d, 8)
     r, d = above.denominator, above.numerator

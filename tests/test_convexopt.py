@@ -505,6 +505,41 @@ def _reference_bruteforce(p, q, n, fallback=False):
     return value, ConvexChain(verts).merged()
 
 
+def _reference_reduced(p, q, fallback=False):
+    """maximize_reduced as first written in closed form: O->Q, then every
+    pair of cone slopes straddling slope(OQ), solved by Cramer's rule, in
+    first-visit order with strict improvement only (non-collapsed triangles)."""
+    s_op, s_oq, s_pq, collapsed = convexopt._triangle_slopes(ORIGIN, p, q)
+    assert not collapsed
+    slopes, owners, cells = convexopt._cone_rows(s_pq, s_op, fallback)
+    k = next(i for i, s in enumerate(slopes) if compare_scalars(s, s_oq) >= 0)
+    on_oq = compare_scalars(slopes[k], s_oq) == 0
+    top = len(slopes) - 1
+    best = None
+    value = convexopt._largest_value({owners[k], cells[k - 1], cells[k]} if on_oq else {cells[k - 1]}, q)
+    if value is not None:
+        best = (value, ConvexChain([ORIGIN, q]))
+    vectors = [q - p, *(PlanePoint(s, 1) for s in slopes[1:-1]), p]
+    f = {}
+    for i in (top, *range(top)):
+        if not (on_oq and i == k):
+            f[i] = convexopt._largest_value({owners[i], *cells[max(i - 1, 0) : i + 1]}, vectors[i])
+    below, above = range(k), range(k + on_oq, top)
+    for i, j in [(top, j) for j in reversed(below)] + [(i, j) for j in below for i in above]:
+        if f[i] is None or f[j] is None:
+            continue
+        e_i, e_j = vectors[i], vectors[j]
+        det = e_i.x * e_j.y - e_i.y * e_j.x
+        lam = (q.x * e_j.y - q.y * e_j.x) / det
+        mu = (e_i.x * q.y - e_i.y * q.x) / det
+        value = f[i] * lam + f[j] * mu
+        if best is None or value > best[0]:
+            best = (value, ConvexChain([ORIGIN, e_i.scale(lam), q]))
+    if best is None:
+        raise SlopeOutOfTable("no spade-evaluable chain in this triangle")
+    return convexopt.ReducedResult(best[0].to_exact(), best[1])
+
+
 def test_bruteforce_matches_sorted_reference_dp():
     rng = random.Random(83)
     triangles = [(tri.p, tri.q) for tri in (triangle_from_first_wall((1, 16)),)]
@@ -602,16 +637,40 @@ def test_reduced_values_each_cone_slope_once_on_its_vector(monkeypatch):
 
 
 def test_reduced_valuations_are_linear_in_the_cone_slopes(monkeypatch):
-    # a wide cone: each of its B slopes, and Q, is valued with at most
-    # three rows, so there are at most 3*(B + 1) valuations (145 here)
-    p, q = PlanePoint(64, 1), PlanePoint(F(1, 3), 2)
-    slopes, _, _ = convexopt._cone_rows((q - p).slope(), p.slope(), True)
-    b = len(slopes)
-    assert b == 73
+    # wide cones: each of the B slopes, and Q, is valued with at most three
+    # rows, and the hull walk makes at most two turn tests per point, so
+    # there are at most 3*(B + 1) valuations and 3*(B + 1) exact signs
+    # (146, 529 and 2,688 signs here)
     points = _recorded_points(monkeypatch)
-    res = maximize_reduced(ORIGIN, p, q, fallback=True)
-    assert 0 < len(points) <= 3 * (b + 1), len(points)
-    assert compare_scalars(maximize_bruteforce(ORIGIN, p, q, 4, fallback=True).value, res.value) <= 0
+    signs = []
+    sign = RadicalSum.sign
+
+    def counted(self):
+        signs.append(self)
+        return sign(self)
+
+    monkeypatch.setattr(RadicalSum, "sign", counted)
+    # the last is draw 89 of _random_triangle(random.Random(2026), _quadratic)
+    p = PlanePoint(QuadNum(43, 8, 2), QuadNum(-6, F(17, 4), 2))
+    q = PlanePoint(QuadNum(-38, 1, 2), QuadNum(F(-29, 5), F(14, 3), 2))
+    cases = [(PlanePoint(s, 1), PlanePoint(F(1, 3), 2), True, b) for s, b in ((64, 73), (256, 265))]
+    for p_, q_, fallback, b in [*cases, (p, q, False, 2676)]:
+        slopes, _, _ = convexopt._cone_rows((q_ - p_).slope(), p_.slope(), fallback)
+        assert len(slopes) == b
+        points.clear()
+        signs.clear()
+        res = maximize_reduced(ORIGIN, p_, q_, fallback=fallback)
+        assert 0 < len(points) <= 3 * (b + 1), (b, len(points))
+        assert len(signs) <= 3 * (b + 1), (b, len(signs))
+        if fallback:
+            assert compare_scalars(maximize_bruteforce(ORIGIN, p_, q_, 4, fallback=True).value, res.value) <= 0
+    # the oracle finds no evaluable chain in the irrational one at grids 2
+    # and 4, so its value is pinned, and spade_sum of its chain is that value
+    value = QuadNum(F(-1299508889, 1929920), F(24940571617, 48633984), 2)
+    assert compare_scalars(res.value, value) == 0
+    assert compare_scalars(spade_sum(res.chain), value) == 0
+    with pytest.raises(NestedRadical):
+        maximize_reduced(ORIGIN, p, q, fallback=True)
 
 
 def test_reduced_values_a_cone_edge_with_the_row_that_owns_it():
@@ -658,6 +717,54 @@ def test_reduced_values_a_cone_edge_with_the_row_that_owns_it():
                     assert red is not None, (p, q, fallback, n)
                     assert compare_scalars(bf, red) <= 0, (p, q, fallback, n)
     assert calls == 2600, calls
+
+
+def _outcome(call):
+    """(type, value, chain vertices) of a reduced result, or (type, message)
+    of the exception it raises."""
+    try:
+        res = call()
+    except (ConvexOptError, SlopeOutOfTable, NestedRadical) as exc:
+        return type(exc), str(exc)
+    return type(res.value), res.value, res.chain.vertices
+
+
+def test_reduced_hull_matches_the_reference_pair_loop():
+    # the upper-hull walk gives the pair loop's value, chain (ties included)
+    # and exception on every triangle family, with and without the fallback
+    triangles = [
+        # ties: P on the bridge line (the hull edge over slope(OQ)); in the
+        # third, the vertex just below slope(OQ) is between collinear ones
+        (PlanePoint(8, 1), PlanePoint(F(27, 2), 2)),
+        (PlanePoint(4, 1), PlanePoint(F(7, 2), 2)),
+        (PlanePoint(16, 2), PlanePoint(F(107, 6), F(7, 3))),
+        # ties: the lowest hull vertex on the bridge line
+        (PlanePoint(F(47, 8), F(22, 3)), PlanePoint(F(-27, 2), F(47, 4))),
+        (PlanePoint(F(22, 5), F(53, 8)).scale(QuadNum(0, 1, 2)), PlanePoint(F(-54, 7), F(19, 2)).scale(QuadNum(0, 1, 2))),
+        # ties: Q on the bridge line, so O -> Q
+        (PlanePoint(F(11, 2), 1), PlanePoint(6, 2)),
+    ]
+    rng = random.Random(7)
+    triangles += [_random_triangle(rng, _rational) for _ in range(60)]
+    triangles += [_random_triangle(rng, _quadratic) for _ in range(12)]
+    rng = random.Random(11)
+    r2 = QuadNum(0, 1, 2)
+    triangles += [(p.scale(r2), q.scale(r2)) for p, q in (_random_triangle(rng, _rational) for _ in range(40))]
+    triangles += [
+        (tri.p, tri.q)
+        for r in (1, 2, 3)
+        for d in (*range(1, 16 * r + 1, 3 * r + 1), *range(48 * r, 64 * r + 1, 3 * r + 1))
+        for tri in (triangle_from_first_wall((r, d)),)
+    ]
+    ends = _table_slopes_inside(F(-19), F(19))
+    for s_op, s_pq in itertools.islice(itertools.combinations(reversed(ends), 2), 0, None, 5):
+        p = PlanePoint(2 * s_op, 2)
+        triangles.append((p, p + PlanePoint(s_pq / 3, F(1, 3))))
+    for p, q in triangles:
+        for fallback in (False, True):
+            ref = _outcome(lambda: _reference_reduced(p, q, fallback))
+            res = _outcome(lambda: maximize_reduced(ORIGIN, p, q, fallback))
+            assert res == ref, (p, q, fallback)
 
 
 def test_reduced_reaches_a_chain_across_two_rows():

@@ -29,7 +29,6 @@ from tiltbound.exactnum import (
     parse_rat,
     parse_scalar,
     poly_equal,
-    qn_compare,
     radical_identity_check,
     scalar_interval,
     scalar_sign,
@@ -115,30 +114,30 @@ def test_quadnum_normalization():
     assert QuadNum(F(1, 2)).m == 0
 
 
-# -- qn_compare spec examples -------------------------------------------------
+# -- compare_scalars spec examples --------------------------------------------
 
 
 def test_compare_sqrt13_vs_rational():
-    assert qn_compare(QuadNum(0, 1, 13), F(18, 5)) > 0  # 13 > 324/100
+    assert compare_scalars(QuadNum(0, 1, 13), F(18, 5)) > 0  # 13 > 324/100
 
 
 def test_compare_breakpoint_positive():
     bp = QuadNum(F(4, 3), F(-1, 3), 13)  # (4 - sqrt 13)/3
-    assert qn_compare(bp, 0) > 0
+    assert compare_scalars(bp, 0) > 0
 
 
 def test_compare_reflexive():
     x = QuadNum(F(7, 5), F(-2, 3), 61)
-    assert qn_compare(x, x) == 0
+    assert compare_scalars(x, x) == 0
 
 
 def test_compare_mixed_radicands():
     # (4-sqrt13)/3 = 0.1315... vs (256-32*sqrt61)/96 = 0.0635...
     a = QuadNum(F(4, 3), F(-1, 3), 13)
     b = QuadNum(F(256, 96), F(-32, 96), 61)
-    assert qn_compare(a, b) > 0
-    assert qn_compare(b, a) < 0
-    assert qn_compare(a, a) == 0
+    assert compare_scalars(a, b) > 0
+    assert compare_scalars(b, a) < 0
+    assert compare_scalars(a, a) == 0
 
 
 def test_compare_against_interval_oracle():
@@ -152,11 +151,11 @@ def test_compare_against_interval_oracle():
         p = F(rng.randrange(-200, 201), rng.randrange(1, 40))
         lo, hi = x.interval(digits_bits)
         if hi < p:
-            assert qn_compare(x, p) < 0
+            assert compare_scalars(x, p) < 0
         elif lo > p:
-            assert qn_compare(x, p) > 0
+            assert compare_scalars(x, p) > 0
         else:  # exact tie
-            assert qn_compare(x, p) == 0
+            assert compare_scalars(x, p) == 0
 
 
 # int and Fraction pairs are decided on integers; Fraction's own order is the oracle
@@ -400,7 +399,7 @@ def test_compare_mixed_radicands_against_interval_oracle():
         )
         xlo, xhi = x.interval(213)
         ylo, yhi = y.interval(213)
-        got = qn_compare(x, y)
+        got = compare_scalars(x, y)
         if xhi < ylo:
             assert got < 0
         elif xlo > yhi:

@@ -5,7 +5,7 @@ import pytest
 
 from tiltbound import tilt, walls
 from tiltbound.chern import S222, X24, ChernVec, grr_push_to_k3, CurveClass
-from tiltbound.exactnum import MPoly, QuadNum, qn_compare, rational_or_quad, scalar_sign
+from tiltbound.exactnum import MPoly, QuadNum, compare_scalars, rational_or_quad, scalar_sign
 from tiltbound.tilt import TiltParams, wall_det_core
 from tiltbound.verify import run_suite
 from tiltbound.walls import (
@@ -221,7 +221,7 @@ def test_first_wall_bn_flag():
     assert scalar_sign(BN_THRESHOLD_POLY.evaluate(thr)) == 0
     assert first_wall_bounds(F(2024, 1000)).bn_semistable
     assert not first_wall_bounds(F(2025, 1000)).bn_semistable
-    assert qn_compare(F(2024, 1000), thr) < 0 < qn_compare(F(2025, 1000), thr)
+    assert compare_scalars(F(2024, 1000), thr) < 0 < compare_scalars(F(2025, 1000), thr)
 
 
 def test_first_wall_exceptions():
