@@ -15,11 +15,12 @@ global sections of Harder-Narasimhan configurations.  Three tools:
   cone a+b >= 0, b >= 0, by increasing b/(a+b), and each direction relaxes
   the DP only along the lattice lines parallel to it that a chain from O
   to Q can still use (exact integer bounds; a step too long for the grid
-  is never valued).  Exactness is lazy: a merge walk down the same
-  boundary list gives each direction its row, ``SpadeCase.enclosure``
-  values it by integer enclosures (no factoring), and ``SpadeCase.value``
-  builds exact values, at the same integral point, only where two
-  enclosures overlap and for the winning chain.
+  is never valued).  That lattice walk depends on the grid alone and is
+  built once per grid, on the first call.  Exactness is lazy: a merge walk
+  down the same boundary list gives each direction its row,
+  ``SpadeCase.enclosure`` values it by integer enclosures (no factoring),
+  and ``SpadeCase.value`` builds exact values, at the same integral point,
+  only where two enclosures overlap and for the winning chain.
 * ``clifford_chain_bound`` -- the wall-triangle derivation of the Clifford
   bound (universal bound on the O->P leg, fixed case rows for the others,
   Bogomolov value in the Brill-Noether band, and the d - 46r branch on
@@ -42,7 +43,6 @@ from .bounds import (
     NestedRadical,
     PlanePoint,
     SlopeOutOfTable,
-    _band,
     clifford_case,
     spade,
     spade_case_for_slope,
@@ -224,11 +224,21 @@ def _cone_rows(s_pq, s_op, fallback: bool, *inside) -> tuple:
     s_op, increasing; owners[k] is the row owning slopes[k] and cells[k] the
     row on the open cell (slopes[k], slopes[k+1]), which no boundary cuts
     (off the table, the fallback row if requested, else None)."""
-    # band n's boundaries have |slope| >= 4n - 1/n >= 4n - 1
-    bands = range(1, (floor_scalar(max(-s_pq, s_op)) + 1) // 4 + 1)
-    ends = [*_TABLE_BOUNDARIES, *inside, *(end for n in bands for r in _band(n) for end in (r.lo, r.hi))]
-    inner = {s for s in ends if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0}
-    slopes = [s_pq, *sorted(inner), s_op]
+    table = _TABLE_BOUNDARIES[bisect.bisect_right(_TABLE_BOUNDARIES, s_pq) : bisect.bisect_left(_TABLE_BOUNDARIES, s_op)]
+    # band k != 0 (cases 8, 9 of band |k|, see _band) ends at 4k and 4k - 1/k,
+    # both in [4k - 1, 4k + 1]: with fl <= s_pq < fl + 1 and fh <= s_op, only
+    # bands with fl - 1 < 4k < fh + 2 can end inside the cone, and only those
+    # with 4k < fl + 2 or 4k >= fh - 1 need a comparison
+    fl, fh = floor_scalar(s_pq), floor_scalar(s_op)
+    bands = [
+        end
+        for k in range((fl - 1) // 4 + 1, (fh + 1) // 4 + 1)
+        if k
+        for end in sorted((Fraction(4 * k), Fraction(4 * k * k - 1, k)))
+        if fl + 2 <= 4 * k < fh - 1 or (compare_scalars(s_pq, end) < 0 and compare_scalars(end, s_op) < 0)
+    ]
+    inside = [s for s in inside if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0]
+    slopes = [s_pq, *sorted({*table, *inside, *bands}), s_op]
     owners = [_row_or_fallback(s, fallback) for s in slopes]
     cells = [_row_or_fallback((a + b) / 2, fallback) for a, b in zip(slopes, slopes[1:])]
     return slopes, owners, cells
@@ -392,7 +402,6 @@ class BruteForceResult:
     chain: ConvexChain
 
 
-@functools.lru_cache(maxsize=None)  # n <= 60 (GridTooLarge), immutable results
 def _cone_order(n: int) -> tuple:
     """Primitive (a, b) in [-n, n]^2 with a+b >= 0 and b >= 0, by increasing
     b/(a+b), with a+b = 0 last.
@@ -417,6 +426,47 @@ def _cone_order(n: int) -> tuple:
     return tuple(cone)
 
 
+@functools.lru_cache(maxsize=None)  # n <= 60 (GridTooLarge), immutable results
+def _walk_plan(n: int) -> tuple:
+    """(a, b, delta, rows) for each direction (a, b) of ``_cone_order(n)``
+    with a step in the grid (max(a, 0) + b <= n), in that order: the cell
+    (i, j) sits at i*(n + 1) + j, delta = a*(n + 1) + b is the flat step,
+    and rows are the ranges of target cells the direction walks.  Built once
+    per grid on the first brute-force call; equal rows are one object.
+
+    Every target w comes after its source w - (a, b), so a direction's steps
+    chain within its pass: rows of constant j by increasing j.  Only the
+    cells a chain from O to Q can use at this pass are walked:
+    c = b*i - a*j is constant along each line parallel to (a, b), and a
+    usable cell has c >= c_min = max(0, -a*n).
+    - O side: a reached cell is a sum of earlier directions (a', b'), each
+      with b*a' - a*b' >= 0, so c >= 0.
+    - Q side: Q - (i, j) = (-i, n - j) must be a sum of this and later
+      directions, so b*i + a*(n - j) >= 0, i.e. c >= -a*n.
+    A pruned line is still unreached (O side) or read by no later pass (the
+    Q side only tightens along the order), so every cell a kept one reads
+    gets the same record.  For (1, 0), c = -j: the row j = 0.
+    """
+    width = n + 1
+    interned: dict = {}
+    plan = []
+    for a, b in _cone_order(n):
+        if max(a, 0) + b > n:  # no step along (a, b) fits in the grid
+            continue
+        if b:
+            c_min = max(0, -a * n)
+            j_max = b * n // (a + b) if a > 0 else n  # last row with b*(n - j) >= a*j + c_min
+            spans = [
+                (-(-(a * j + c_min) // b) * width + j, (n - j) * width + j + 1)
+                for j in range(b, j_max + 1)
+            ]
+        else:
+            spans = [(width, n * width + 1)]
+        rows = tuple(interned.setdefault(span, range(*span, width)) for span in spans)
+        plan.append((a, b, a * width + b, rows))
+    return tuple(plan)
+
+
 def maximize_bruteforce(
     o: PlanePoint, p: PlanePoint, q: PlanePoint, grid_n: int, fallback: bool = False
 ) -> BruteForceResult:
@@ -432,10 +482,13 @@ def maximize_bruteforce(
     merge.  It walks only what a chain from O to Q can use: a direction
     (a, b) with max(a, 0) + b > grid_n has no step in the grid and is
     skipped unvalued, and a cell (i, j) is walked only if
-    b*i - a*j >= max(0, -a*grid_n) (proof at the loop).  Pruned cells are
-    never read by kept ones, so the value, the chain and the tie-breaks are
-    those of the full walk.  Increments off the slope table (unless the
-    fallback values them) or needing a nested radical are excluded.
+    b*i - a*j >= max(0, -a*grid_n).  Pruned cells are never read by kept
+    ones, so the value, the chain and the tie-breaks are those of the full
+    walk.  That lattice walk depends on grid_n alone: ``_walk_plan`` builds
+    it once per grid (with the proof), and a call only values the
+    directions and relaxes the cells.  Increments off the slope table
+    (unless the fallback values them) or needing a nested radical are
+    excluded.
 
     Exactness is lazy.  A merge walk down the cone's boundary list (the one
     ``maximize_reduced`` walks, without slope(OQ): all rational) gives each
@@ -473,10 +526,8 @@ def maximize_bruteforce(
         return scalar_sign(x * inner[k][1] - inner[k][0] * y)
 
     k = len(inner) - 1
-    dirs = []  # (a, b, row, x, y, lo, hi): lo <= step value * 2**64 <= hi
-    for a, b in _cone_order(n):
-        if max(a, 0) + b > n:  # no step along (a, b) fits in the grid
-            continue
+    dirs = []  # (a, b, delta, rows, row, x, y, lo, hi): lo <= step value * 2**64 <= hi
+    for a, b, delta, rows in _walk_plan(n):
         x, y = a * px + b * qx, a * py + b * qy
         if b == 0:
             row = owners[-1]
@@ -492,14 +543,14 @@ def maximize_bruteforce(
             lo, hi = row.enclosure(x, y, 64)
         except (SlopeOutOfTable, NestedRadical):
             continue
-        dirs.append((a, b, row, x, y, lo // scale, -(-hi // scale)))
+        dirs.append((a, b, delta, rows, row, x, y, lo // scale, -(-hi // scale)))
 
     step_values: dict = {}
 
     def step_value(k: int) -> RadicalSum:
         value = step_values.get(k)
         if value is None:
-            row, x, y = dirs[k][2:5]  # the point the enclosure read
+            row, x, y = dirs[k][4:7]  # the point the enclosure read
             value = step_values[k] = RadicalSum.of(row.value(x, y)).scale(Fraction(1, scale))
         return value
 
@@ -525,35 +576,13 @@ def maximize_bruteforce(
         return total
 
     width = n + 1
-    floor = 2 * n * min([0, *(d[5] for d in dirs)]) - 1
+    floor = 2 * n * min([0, *(d[7] for d in dirs)]) - 1
     lo_of = [floor] * (width * width)
     hi_of = list(lo_of)
     rec_of: list = [None] * (width * width)
     lo_of[0] = hi_of[0] = 0
     rec_of[0] = root
-    for k, (a, b, _, _, _, val_lo, val_hi) in enumerate(dirs):
-        delta = a * width + b
-        # every target w after its source w - (a, b), so a direction's steps
-        # chain within its pass: rows of constant j by increasing j.  Only
-        # the cells a chain from O to Q can use at this pass are walked:
-        # c = b*i - a*j is constant along each line parallel to (a, b), and a
-        # usable cell has c >= c_min = max(0, -a*n).
-        # - O side: a reached cell is a sum of earlier directions (a', b'),
-        #   each with b*a' - a*b' >= 0, so c >= 0.
-        # - Q side: Q - (i, j) = (-i, n - j) must be a sum of this and later
-        #   directions, so b*i + a*(n - j) >= 0, i.e. c >= -a*n.
-        # A pruned line is still unreached (O side) or read by no later pass
-        # (the Q side only tightens along the order), so every cell a kept
-        # one reads gets the same record.  For (1, 0), c = -j: the row j = 0.
-        if b:
-            c_min = max(0, -a * n)
-            j_max = b * n // (a + b) if a > 0 else n  # last row with b*(n - j) >= a*j + c_min
-            rows = [
-                range(-(-(a * j + c_min) // b) * width + j, (n - j) * width + j + 1, width)
-                for j in range(b, j_max + 1)
-            ]
-        else:
-            rows = [range(width, n * width + 1, width)]
+    for k, (_, _, delta, rows, _, _, _, val_lo, val_hi) in enumerate(dirs):
         for row in rows:
             for w in row:
                 src = w - delta

@@ -28,13 +28,14 @@ from tiltbound.convexopt import (
     ORIGIN,
     PlanePoint,
     _cone_order,
+    _walk_plan,
     clifford_chain_bound,
     maximize_bruteforce,
     maximize_reduced,
     spade_sum,
     triangle_from_first_wall,
 )
-from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars, scalar_sign, sqrt_exact
+from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars, floor_scalar, scalar_sign, sqrt_exact
 
 
 # -- chains -----------------------------------------------------------------------
@@ -276,9 +277,11 @@ def test_bruteforce_values_only_the_winning_chain_exactly(monkeypatch):
 
 def test_bruteforce_values_only_the_steps_that_fit_the_grid(monkeypatch):
     # a direction (a, b) with max(a, 0) + b > n has no step in the grid: of
-    # the 1,471 directions of grid 40, 981 fit, and only those are valued
-    fits = sum(max(a, 0) + b <= 40 for a, b in _cone_order(40))
-    assert (fits, len(_cone_order(40))) == (981, 1471)
+    # the 1,471 directions of grid 40, 981 fit, the walk plan holds exactly
+    # those, and only those are valued
+    fits = [(a, b) for a, b in _cone_order(40) if max(a, 0) + b <= 40]
+    assert (len(fits), len(_cone_order(40))) == (981, 1471)
+    assert [(a, b) for a, b, _, _ in _walk_plan(40)] == fits
     calls = []
     enclosure = bounds.SpadeCase.enclosure
 
@@ -289,7 +292,7 @@ def test_bruteforce_values_only_the_steps_that_fit_the_grid(monkeypatch):
     monkeypatch.setattr(bounds.SpadeCase, "enclosure", counted)
     tri = triangle_from_first_wall((1, 16))
     res = maximize_bruteforce(tri.origin, tri.p, tri.q, 40)
-    assert 0 < len(calls) <= fits, len(calls)
+    assert 0 < len(calls) <= len(fits), len(calls)
     assert compare_scalars(res.value, F(9, 4)) == 0
 
 
@@ -309,6 +312,59 @@ def test_bruteforce_rebuilds_one_vertex_per_run_of_steps(monkeypatch):
     res = maximize_bruteforce(ORIGIN, p, q, 40)
     assert sizes and max(sizes) <= 3, sizes
     assert res.chain.vertices[-1] == q
+
+
+def test_walk_plan_walks_exactly_the_usable_cells():
+    # for every grid, each direction with a step in the grid walks, row by
+    # row, exactly the targets (i, j) whose source (i - a, j - b) is a grid
+    # cell and whose line c = b*i - a*j >= max(0, -a*n) a chain from O to Q
+    # can use; equal rows are one range object
+    for n in range(1, 61):
+        width = n + 1
+        plan = _walk_plan(n)
+        assert [(a, b) for a, b, _, _ in plan] == [(a, b) for a, b in _cone_order(n) if max(a, 0) + b <= n], n
+        for a, b, delta, rows in plan:
+            assert delta == a * width + b, (n, a, b)
+            c_min = max(0, -a * n)
+            usable = [
+                i * width + j
+                for j in range(b, n + 1)
+                for i in range(max(a, 0), n - j + 1)
+                if b * i - a * j >= c_min
+            ]
+            assert [w for row in rows for w in row] == usable, (n, a, b)
+        rows = [row for *_, dir_rows in plan for row in dir_rows]
+        assert len({id(row) for row in rows}) == len({(row.start, row.stop) for row in rows}), n
+    rows = [row for *_, dir_rows in _walk_plan(40) for row in dir_rows]
+    counts = (len(_walk_plan(40)), len(rows), len({id(row) for row in rows}), sum(map(len, rows)))
+    assert counts == (981, 10509, 821, 76072)
+
+
+def test_bruteforce_is_the_same_from_a_cold_and_a_warm_plan():
+    # the walk plan is built by the first call on a grid and reused after:
+    # value and chain do not depend on which call built it
+    lo, hi = F(-29, 10), F(-6, 10)  # the case-4 hull, as oracle-grid40 cuts it
+    s_pq, s_oq, s_op = (lo + (hi - lo) * F(c, 48) for c in (24, 34, 39))
+    p = PlanePoint(s_op * 3, 3)
+    q_y = 3 * (s_op - s_pq) / (s_oq - s_pq)
+    q = PlanePoint(s_oq * q_y, q_y)
+    r2 = QuadNum(0, 1, 2)
+    cases = [
+        (p, q, 40, False),
+        (p.scale(r2), q.scale(r2), 40, False),
+        (PlanePoint(-24, 2), PlanePoint(-48, 4), 9, False),  # collapsed
+        (PlanePoint(10, 1), PlanePoint(30, 3), 9, True),  # collapsed, off the table
+        (PlanePoint(16, 1), PlanePoint(F(1, 3), 2), 13, True),
+    ]
+    for p, q, n, fallback in cases:
+        convexopt._walk_plan.cache_clear()
+        cold = maximize_bruteforce(ORIGIN, p, q, n, fallback=fallback)
+        assert convexopt._walk_plan.cache_info().misses == 1
+        warm = maximize_bruteforce(ORIGIN, p, q, n, fallback=fallback)
+        assert convexopt._walk_plan.cache_info().hits == 1
+        assert type(cold.value) is type(warm.value), (p, q, n)
+        assert compare_scalars(cold.value, warm.value) == 0, (p, q, n)
+        assert cold.chain.vertices == warm.chain.vertices, (p, q, n)
 
 
 def test_bruteforce_grid_guard():
@@ -602,6 +658,49 @@ def _table_slopes_inside(lo, hi):
         ends.update(end for r in _band(n) for end in (r.lo, r.hi))
         n += 1
     return sorted(s for s in ends if lo < s < hi)
+
+
+def _reference_cone_rows(s_pq, s_op, fallback, *inside):
+    """_cone_rows as first written: every table boundary, every band end up
+    to the wider edge and ``inside`` filtered against both edges, then sorted."""
+    bands = range(1, (floor_scalar(max(-s_pq, s_op)) + 1) // 4 + 1)
+    ends = [*bounds._TABLE_BOUNDARIES, *inside, *(end for n in bands for r in _band(n) for end in (r.lo, r.hi))]
+    inner = {s for s in ends if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0}
+    slopes = [s_pq, *sorted(inner), s_op]
+    owners = [convexopt._row_or_fallback(s, fallback) for s in slopes]
+    cells = [convexopt._row_or_fallback((a + b) / 2, fallback) for a, b in zip(slopes, slopes[1:])]
+    return slopes, owners, cells
+
+
+def test_cone_rows_match_the_reference_filter():
+    # bisecting the sorted table boundaries and taking the band ends in
+    # closed form keeps the filter's slopes (and their types), owners and
+    # cells: rational and a+b*sqrt(2) edges, edges on a table boundary or a
+    # band end, and wide cones up to |s| = 1024
+    rng = random.Random(97)
+    ends = _table_slopes_inside(F(-41), F(41))
+
+    def edge(kind):
+        if kind == "rational":
+            return F(rng.randrange(-400, 401), rng.randrange(1, 25))
+        if kind == "sqrt2":
+            return QuadNum(F(rng.randrange(-120, 121), rng.randrange(1, 9)), F(rng.randrange(-40, 41), rng.randrange(1, 9)), 2)
+        return rng.choice(ends)
+
+    kinds = ("rational", "sqrt2", "end")
+    cases = [(F(1, 3) - s, F(s), fallback) for s in (16, 64, 256, 1024) for fallback in (False, True)]
+    cases += [(F(s - 3, 2), F(s), False) for s in (-1024, 256)]  # narrow cones far out
+    for _ in range(400):
+        a, b = edge(rng.choice(kinds)), edge(rng.choice(kinds))
+        if compare_scalars(a, b):
+            cases.append((min(a, b), max(a, b), rng.random() < 0.5))
+    assert len(cases) > 380
+    for k, (s_pq, s_op, fallback) in enumerate(cases):
+        inside = ((), (edge(kinds[k % 3]),), (edge("end"),))[k % 3]
+        got = convexopt._cone_rows(s_pq, s_op, fallback, *inside)
+        want = _reference_cone_rows(s_pq, s_op, fallback, *inside)
+        assert got == want, (s_pq, s_op, fallback, inside)
+        assert [type(s) for s in got[0]] == [type(s) for s in want[0]], (s_pq, s_op, inside)
 
 
 def _recorded_points(monkeypatch):

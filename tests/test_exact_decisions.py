@@ -189,6 +189,40 @@ def test_math_lcm_lives_in_exactnum():
     assert sites == []
 
 
+CACHES = {"lru_cache", "cache"}
+
+
+def _cache_sites(tree):
+    """Functions a functools cache decorates, by name; any other use of one
+    (a call, or a name imported from functools), by line."""
+    decorators = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in fn.decorator_list:
+                node = node.func if isinstance(node, ast.Call) else node
+                if isinstance(node, ast.Attribute) and node.attr in CACHES:
+                    decorators.add(id(node))
+                    yield fn.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in CACHES and id(node) not in decorators:
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in CACHES for alias in node.names):
+                yield node.lineno
+
+
+def test_lru_cache_is_the_walk_plan_alone():
+    # one per-grid cache, convexopt._walk_plan (the brute force's lattice
+    # walk); everything else is built per call or held by an object
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(SRC.glob("*.py"))
+        for site in _cache_sites(ast.parse(path.read_text()))
+    ]
+    assert sites == ["convexopt.py:_walk_plan"]
+
+
 def _function_imports(tree):
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
