@@ -415,6 +415,11 @@ def _cone_order(n: int) -> tuple:
     ((a+b) + b*(lam-1))*P with y > 0, and by homogeneity every chain along
     that one ray is worth spade(Q): any of its direction sets and orders
     gives the same maximum and the merged chain O->Q.
+
+    The sort key is the integer floor(4n^2 * b/(a+b)), not a Fraction per
+    direction: with 0 < a+b <= 2n, two distinct b/(a+b) differ by at least
+    1/(2n)^2, so 4n^2 times them differ by at least 1 and their floors keep
+    their order (the only direction with a+b = 0 is (-1, 1)).
     """
     cone = [
         (a, b)
@@ -422,7 +427,8 @@ def _cone_order(n: int) -> tuple:
         for a in range(-b, n + 1)
         if (a, b) != (0, 0) and math.gcd(a, b) == 1
     ]
-    cone.sort(key=lambda ab: (ab[0] + ab[1] == 0, Fraction(ab[1], ab[0] + ab[1] or 1)))
+    scale = 4 * n * n
+    cone.sort(key=lambda ab: (ab[0] + ab[1] == 0, ab[1] * scale // (ab[0] + ab[1] or 1)))
     return tuple(cone)
 
 

@@ -158,14 +158,17 @@ def suite_radicals(perturb: bool = False):
     reports.append(_run("radicals_f1_square_collapse", check_f1))
 
     def check_residuals():
+        # k*x - Gamma_n(x) is the Poly1 -c0 + (k - c1)x - c2 x^2 at x, one
+        # integer Horner loop per sample
         samples = 0
         for side, table in _INTERSECT_RANGES.items():
             for lo, hi, n in table:
-                piece = walls.gamma_piece(n)
+                c0, c1, c2 = walls.gamma_piece(n).coeffs
+                step = (hi - lo) / _K_PER_RANGE
                 for k_idx in range(_K_PER_RANGE):
-                    k = lo + (hi - lo) * Fraction(k_idx, _K_PER_RANGE)
+                    k = lo + step * k_idx
                     x = walls.line_gamma_intersection(k, side)
-                    residual = k * x - piece.evaluate(x)
+                    residual = Poly1((-c0, k - c1, -c2)).evaluate(x)
                     samples += 1
                     if scalar_sign(residual) != 0:
                         return False, samples, {
@@ -823,20 +826,20 @@ def suite_walls(perturb: bool = False):
         rng = random.Random(0xB10C)
         samples = 0
         for _ in range(1000):
-            c0 = Fraction(rng.randrange(1, 6))
+            r = rng.randrange(1, 6)
             c1 = Fraction(rng.randrange(-8, 9), rng.choice((1, 2, 4)))
             c2 = Fraction(rng.randrange(-8, 9), rng.choice((1, 2, 4, 8)))
             c3 = Fraction(rng.randrange(-8, 9), rng.choice((1, 2, 4, 8)))
-            v = chern.ChernVec(chern.X24, (c0, c1, c2, c3))
-            a0 = Fraction(rng.randrange(1, 9), 4)
-            b0 = Fraction(rng.randrange(-8, 9), 4)
-            p0 = tilt.TiltParams(a0, b0)
-            # pick p1 on the line through p0 and p_H(v)
-            r0, s2, s1 = v.inum(0), v.inum(2), v.inum(1)
-            t = Fraction(rng.randrange(1, 5), 7)
-            a1 = a0 + t * (s2 / r0 - a0)
-            b1 = b0 + t * (s1 / r0 - b0)
-            p1 = tilt.TiltParams(a1, b1)
+            v = chern.ChernVec(chern.X24, (r, c1, c2, c3))
+            a4, b4 = rng.randrange(1, 9), rng.randrange(-8, 9)
+            p0 = tilt.TiltParams(Fraction(a4, 4), Fraction(b4, 4))
+            # p1 = (1 - t)*p0 + t*p_H(v) with p0 = (a4, b4)/4, t = t7/7 and
+            # p_H(v) = (c2, c1)/r, each coordinate one Fraction over 28*r*den(c)
+            t7 = rng.randrange(1, 5)
+            p1 = tilt.TiltParams(
+                Fraction((7 - t7) * a4 * r * c2.denominator + 4 * t7 * c2.numerator, 28 * r * c2.denominator),
+                Fraction((7 - t7) * b4 * r * c1.denominator + 4 * t7 * c1.numerator, 28 * r * c1.denominator),
+            )
             samples += 1
             try:
                 ok = tilt.wall_q_invariance_check(v, p0, p1)

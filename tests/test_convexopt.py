@@ -480,6 +480,21 @@ def test_cone_order_matches_slope_sort_on_grids_1_to_40():
         assert list(_cone_order(n)) == _reference_cone(tri.p, tri.q, n), n
 
 
+def _reference_cone_order(n):
+    """_cone_order as first written: the same directions sorted on a
+    Fraction key b/(a+b), with a+b = 0 last."""
+    cone = [(a, b) for b in range(n + 1) for a in range(-b, n + 1) if (a, b) != (0, 0) and math.gcd(a, b) == 1]
+    cone.sort(key=lambda ab: (ab[0] + ab[1] == 0, F(ab[1], ab[0] + ab[1] or 1)))
+    return cone
+
+
+def test_cone_order_integer_key_matches_the_fraction_sort():
+    # grids 1-40 are checked against the slope sort above; these reach the
+    # largest grid the brute force allows (60)
+    for n in (47, 53, 60):
+        assert list(_cone_order(n)) == _reference_cone_order(n), n
+
+
 def test_reduced_chains_bend_inside_the_cone():
     # a returned 2-chain O -> V -> Q has both segments in the triangle's
     # cone: y > 0 and slope in [slope(PQ), slope(OP)]

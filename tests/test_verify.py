@@ -1,12 +1,16 @@
 import json
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from tiltbound import chern, tilt, walls
 from tiltbound.bounds import bg_quadratic_family, piecewise_check
-from tiltbound.exactnum import Poly1
+from tiltbound.exactnum import Poly1, format_scalar
 from tiltbound.verify import (
+    _INTERSECT_RANGES,
+    _K_PER_RANGE,
     _PROP52_CASES,
     _perturbed_linear_family,
     _prop52_holds,
@@ -116,3 +120,64 @@ def test_run_suites_matches_recorded_check_list():
             row["failing_checks"] = r.witness["failing_checks"]
         got.append(row)
     assert got == expected
+
+
+@pytest.mark.parametrize("at", [0, _K_PER_RANGE])
+def test_residual_check_fails_on_a_shifted_root(monkeypatch, at):
+    # one intersection moved by 1/10^6 must fail the check at that sample
+    # (an irrational root at sample 0, a rational one at the first sample
+    # of the next range), with the residual k*x - Gamma_n(x) as witness
+    exact, calls = walls.line_gamma_intersection, []
+
+    def shifted(k, side):
+        x = exact(k, side) + (F(1, 10**6) if len(calls) == at else 0)
+        calls.append((k, side, x))
+        return x
+
+    monkeypatch.setattr(walls, "line_gamma_intersection", shifted)
+    rep = next(r for r in run_suite("radicals") if r.check_name == "radicals_x0_x1_residuals")
+    assert (rep.status, rep.samples_tested) == ("fail", at + 1)
+    k, side, x = calls[at]
+    n = _INTERSECT_RANGES[side][at // _K_PER_RANGE][2]
+    residual = k * x - walls.gamma_piece(n).evaluate(x)
+    assert rep.witness == {
+        "side": side,
+        "k": format_scalar(k),
+        "x": format_scalar(x),
+        "residual": format_scalar(residual),
+    }
+
+
+def _reference_wall_q_samples():
+    """The (v, p0, p1) of walls_q_invariance_randomized as first written:
+    p1 = p0 + t*(p_H(v) - p0) in Fraction arithmetic on v's H-numbers."""
+    rng = random.Random(0xB10C)
+    out = []
+    for _ in range(1000):
+        c0 = F(rng.randrange(1, 6))
+        c1 = F(rng.randrange(-8, 9), rng.choice((1, 2, 4)))
+        c2 = F(rng.randrange(-8, 9), rng.choice((1, 2, 4, 8)))
+        c3 = F(rng.randrange(-8, 9), rng.choice((1, 2, 4, 8)))
+        v = chern.ChernVec(chern.X24, (c0, c1, c2, c3))
+        a0 = F(rng.randrange(1, 9), 4)
+        b0 = F(rng.randrange(-8, 9), 4)
+        p0 = tilt.TiltParams(a0, b0)
+        r0, s2, s1 = v.inum(0), v.inum(2), v.inum(1)
+        t = F(rng.randrange(1, 5), 7)
+        a1 = a0 + t * (s2 / r0 - a0)
+        b1 = b0 + t * (s1 / r0 - b0)
+        out.append((v, p0, tilt.TiltParams(a1, b1)))
+    return out
+
+
+def test_wall_q_check_draws_the_reference_samples(monkeypatch):
+    drawn = []
+
+    def record(v, p0, p1):
+        drawn.append((v, p0, p1))
+        return True
+
+    monkeypatch.setattr(tilt, "wall_q_invariance_check", record)
+    rep = next(r for r in run_suite("walls") if r.check_name == "walls_q_invariance_randomized")
+    assert (rep.status, rep.samples_tested) == ("pass", 1000)
+    assert drawn == _reference_wall_q_samples()
