@@ -10,13 +10,14 @@ homogeneous of degree 1.
 
 from __future__ import annotations
 
-import math
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .chern import CurveClass
 from .exactnum import (
+    _enclosure,
     _poly_min_on_interval,
     Poly1,
     QuadNum,
@@ -27,7 +28,6 @@ from .exactnum import (
     floor_scalar,
     format_scalar,
     rational_or_quad,
-    scalar_interval,
     scalar_sign,
     sqrt_exact,
     square_free_core,
@@ -228,21 +228,18 @@ class SpadeCase:
         return QuadNum._reduced(Fraction(out, div), Fraction(s * sq, div), core)
 
     def enclosure(self, x, y, bits: int) -> tuple[int, int]:
-        """Integers lo <= value(x, y) * 2**bits <= hi, with no factoring: the
-        root is ``math.isqrt`` of the frame's radicand shifted left by 2*bits,
-        so hi - lo <= |srt numerator| + 2, and a ratio row is exact to within
-        one unit.  Refuses what ``value`` refuses.  An int point (the brute
-        force's frame) costs integer arithmetic only; at an irrational point
-        ``scalar_interval`` encloses the frame's exact part."""
+        """Integers lo <= value(x, y) * 2**bits <= hi, with no factoring: one
+        ``exactnum._enclosure`` of the frame's terms, the exact part and
+        S*sqrt(rad), so hi - lo <= 3, and a ratio row at a rational point is
+        exact to within one unit.  Refuses what ``value`` refuses.  At an
+        irrational point the exact part a + b*sqrt(m) is cleared of its
+        denominators first (a ratio row leaves them)."""
         out, div, rad = self._frame(x, y)
-        s, r = self.integral[2], math.isqrt(rad << 2 * bits)
-        root_lo, root_hi = sorted((s * r, s * (r + 1)))
-        out_lo = out_hi = out
+        terms = [(out, 1)]
         if isinstance(out, QuadNum):
-            # enclose the exact part to width < 1
-            out_lo, out_hi = scalar_interval(out, bits + out.b.numerator.bit_length())
-        unit = 1 << bits
-        return (out_lo * unit + root_lo) // div, -(-(out_hi * unit + root_hi) // div)
+            (a, b), d = clear_denominators((out.a, out.b))
+            terms, div = [(a, 1), (b, out.m)], div * d
+        return _enclosure((*terms, (self.integral[2], rad)), div, bits)
 
 
 def _rng(lo, lo_c, hi, hi_c):
@@ -380,20 +377,10 @@ def spade_case_for_slope(s) -> SpadeCase:
         return SPADE_CASES[7]
     if n > 0 and compare_scalars(s * n, 4 * n * n - 1) >= 0 and compare_scalars(s, 4 * n) <= 0:
         return SPADE_CASES[8]
-    # bisect the static-row boundaries; the owner tables give the row
-    lo, hi = 0, len(_TABLE_BOUNDARIES)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        c = compare_scalars(s, _TABLE_BOUNDARIES[mid])
-        if c == 0:
-            row = _POINT_OWNER[mid]
-            break
-        if c < 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    else:
-        row = _GAP_OWNER[lo]
+    # bisect the static-row boundaries (bisect_right, so that each test is
+    # the slope's own <); the owner tables give the row
+    k = bisect.bisect_right(_TABLE_BOUNDARIES, s)
+    row = _POINT_OWNER[k - 1] if k and compare_scalars(s, _TABLE_BOUNDARIES[k - 1]) == 0 else _GAP_OWNER[k]
     if row is None:
         raise SlopeOutOfTable(f"slope {format_scalar(s)} not covered by the table")
     return row

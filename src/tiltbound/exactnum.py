@@ -4,7 +4,7 @@ Rationals are plain ``fractions.Fraction`` (aliased ``Rat``).  On top of that
 this module provides
 
 * ``QuadNum`` -- numbers a + b*sqrt(m) with exact, float-free comparison,
-  including across two distinct radicands (iterated squaring);
+  including across two distinct radicands (enclosure refinement);
 * ``RadicalSum`` -- finite sums q0 + sum_i c_i*sqrt(m_i) with an exact zero
   test and certified-interval sign determination, used when convex-chain
   sums mix several radicals;
@@ -17,9 +17,11 @@ this module provides
 
 Everything is immutable and pure; floats appear only in ``__float__``
 conveniences, never in decision paths of the exact API.  Only this module
-decides order: at most two radicals by ``_sign_rad_pair``, larger sums by the
-certified enclosure ``RadicalSum.interval``; ``ExactOrder`` derives the rich
-comparisons (so ``min``, ``max``, ``sorted`` apply).  Beside it,
+decides order: one radical by its norm (``_sign_single``), larger sums by
+doubling the bits of ``_enclosure``, the one integer enclosure of a sum of
+square roots, which also gives ``interval``, ``floor_scalar`` and the spade
+rows' ``enclosure``; ``ExactOrder`` derives the rich comparisons (so
+``min``, ``max``, ``sorted`` apply).  Beside it,
 ``ExactRing`` derives the arithmetic of the four value types above from
 their own ``+``, unary ``-`` and ``*``: subtraction, the reflected
 operators, ``**`` and immutability; and their ``==`` and ``hash`` from one
@@ -30,10 +32,10 @@ Fraction.
 Rational operands are decided and combined on integers, not through
 Fraction's generic operator protocol: ``compare_scalars`` orders an
 int/Fraction pair by the sign of one cross-multiplied integer,
-``scalar_sign`` and ``_sgn`` read the sign of the numerator, the radical
-sign tests square on cleared numerators, and ``QuadNum``'s ``+``, ``*``
-and ``/`` act on (a, b) directly when the other operand is an int or a
-Fraction (never wrapping it as ``QuadNum(r)``).
+``scalar_sign`` and ``_sgn`` read the sign of the numerator, the sign tests
+square or enclose cleared numerators, and ``QuadNum``'s ``+``, ``*`` and
+``/`` act on (a, b) directly when the other operand is an int or a Fraction
+(never wrapping it as ``QuadNum(r)``).
 
 Exact inputs only: ``as_fraction`` is the one door through which a value
 becomes a rational, at every constructor and entry point, so a binary float
@@ -228,7 +230,7 @@ def sqrt_exact(q: Fraction | int) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# sign analysis for u + b*sqrt(m) [+ e*sqrt(k)]
+# signs and enclosures of sums of square roots
 # ---------------------------------------------------------------------------
 
 
@@ -252,32 +254,43 @@ def _sign_single(u: Fraction, b: Fraction, m: int) -> int:
     return su if t > 0 else (sb if t < 0 else 0)
 
 
-def _sign_rad_pair(u: Fraction, b: Fraction, m: int, e: Fraction, k: int) -> int:
-    """Exact sign of u + b*sqrt(m) + e*sqrt(k); m != k square-free > 1, except
-    that a radicand whose coefficient is 0 may be anything.  The one dispatch
-    of the zero-radical cases."""
-    if not b:
-        return _sign_single(u, e, k)
-    if not e:
-        return _sign_single(u, b, m)
-    # a positive common denominator leaves the sign as it is: decide on ints
-    (u, b, e), _ = clear_denominators((u, b, e))
-    # sign of v = b*sqrt(m) + e*sqrt(k)
-    sb, se = _sgn(b), _sgn(e)
-    if sb == se:
-        sv = sb
-    else:
-        t = b * b * m - e * e * k
-        sv = sb if t > 0 else (se if t < 0 else 0)
-    su = _sgn(u)
-    if not su or not sv or su == sv:
-        return su or sv
-    # opposite signs: compare u^2 with v^2 = b^2 m + e^2 k + 2be*sqrt(mk),
-    # where sqrt(mk) = g*sqrt((m/g)(k/g)) for g = gcd(m, k)
-    g = math.gcd(m, k)
-    diff = u * u - (b * b * m + e * e * k)
-    s2 = _sign_single(diff, -2 * b * e * g, (m // g) * (k // g))  # sign of u^2 - v^2
-    return su if s2 > 0 else (sv if s2 < 0 else 0)
+def _enclosure(terms, den: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2**bits * sum(n*sqrt(m) for n, m in terms) / den <= hi
+    for integer pairs (n, m), m >= 0, and an integer den > 0 (or den < 0 if
+    every term is exact, as at a ratio row's int frame): the library's one
+    enclosure of an irrational value.  Each term costs one ``math.isqrt`` of
+    n*n*m shifted left by 2*bits; it is exact when that is a square (a
+    rational part, m = 1, takes a shift instead) and widens the sum by 1
+    otherwise, and the division by den rounds outward."""
+    lo = hi = 0
+    for n, m in terms:
+        if m == 1:
+            lo, hi = lo + (n << bits), hi + (n << bits)
+            continue
+        sq = n * n * m << 2 * bits
+        r = math.isqrt(sq)
+        e = r * r != sq
+        if n < 0:
+            lo, hi = lo - r - e, hi - r
+        else:
+            lo, hi = lo + r, hi + r + e
+    return lo // den, -(-hi // den)
+
+
+def _sign_irrational(terms: Mapping[int, Fraction]) -> int:
+    """Sign of sum c*sqrt(m) over {m: c}: distinct square-free keys (1 for
+    the rational part), one key m > 1 with c != 0 at least.  Square roots of
+    distinct square-free integers are linearly independent over Q
+    (Besicovitch, 1940), so the sum is not 0 and doubling the bits of its
+    enclosure ends."""
+    nums, _ = clear_denominators(list(terms.values()))
+    pairs = list(zip(nums, terms))
+    bits = 32
+    while True:
+        lo, hi = _enclosure(pairs, 1, bits)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        bits *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +421,7 @@ class QuadNum(ExactOrder, ExactRing):
         return _sign_single(self.a, self.b, self.m)
 
     def interval(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Certified enclosure with width <= |b|/2**bits."""
+        """Certified enclosure of width at most 2/2**bits."""
         return RadicalSum.of(self).interval(bits)
 
     # -- arithmetic (same radicand only) ------------------------------------
@@ -510,9 +523,13 @@ def compare_scalars(x, y) -> int:
     xa, xb, xm = (x.a, x.b, x.m) if isinstance(x, QuadNum) else (as_fraction(x), 0, 0)
     ya, yb, ym = (y.a, y.b, y.m) if isinstance(y, QuadNum) else (as_fraction(y), 0, 0)
     u = xa - ya
+    if not yb:
+        return _sign_single(u, xb, xm)
+    if not xb:
+        return _sign_single(u, -yb, ym)
     if xm == ym:
         return _sign_single(u, xb - yb, xm)
-    return _sign_rad_pair(u, xb, xm, -yb, ym)
+    return _sign_irrational({1: u, xm: xb, ym: -yb})
 
 
 def as_fraction(x) -> Fraction:
@@ -551,16 +568,14 @@ def unscale(x, den: int):
 
 
 def floor_scalar(x) -> int:
-    """Exact floor of a Fraction or QuadNum."""
-    if isinstance(x, QuadNum):
-        if x.is_rational:
-            return math.floor(x.a)
-        # x = (A + B*sqrt(m))/d; B*sqrt(m) is irrational, strictly between
-        # consecutive integers around +-isqrt(B^2 m)
-        (A, B), d = clear_denominators((x.a, x.b))
-        r = math.isqrt(B * B * x.m)
-        return (A + r) // d if B > 0 else (A - r - 1) // d
-    return math.floor(as_fraction(x))
+    """Exact floor of a Fraction or QuadNum.  An irrational x = (A +
+    B*sqrt(m))/d is floored by the lower end of its enclosure at bits = 0,
+    which is exact: B*sqrt(m) is irrational, so it lies strictly between the
+    integers that end its term's enclosure."""
+    if isinstance(x, QuadNum) and x.b:
+        (a, b), d = clear_denominators((x.a, x.b))
+        return _enclosure(((a, 1), (b, x.m)), d, 0)[0]
+    return math.floor(rational_or_quad(x))
 
 
 def scalar_interval(x, bits: int = 64) -> tuple[Fraction, Fraction]:
@@ -571,11 +586,6 @@ def scalar_interval(x, bits: int = 64) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 # RadicalSum
 # ---------------------------------------------------------------------------
-
-
-def _sqrt_bounds(m: int, bits: int) -> tuple[Fraction, Fraction]:
-    s = math.isqrt(m << (2 * bits))
-    return Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
 
 
 class RadicalSum(ExactOrder, ExactRing):
@@ -649,40 +659,19 @@ class RadicalSum(ExactOrder, ExactRing):
         return not self.terms
 
     def interval(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        lo = hi = Fraction(0)
-        for m, c in self.terms.items():
-            if m == 1:
-                lo += c
-                hi += c
-                continue
-            slo, shi = _sqrt_bounds(m, bits)
-            if c > 0:
-                lo += c * slo
-                hi += c * shi
-            else:
-                lo += c * shi
-                hi += c * slo
-        return lo, hi
+        """Certified enclosure from ``_enclosure`` over the cleared
+        numerators: width at most (k + 1)/2**bits for k radicals."""
+        nums, den = clear_denominators(list(self.terms.values()))
+        lo, hi = _enclosure(zip(nums, self.terms), den, bits)
+        return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
     def sign(self) -> int:
         t = self.terms
         rad = [m for m in t if m != 1]
-        if len(rad) <= 2:
-            m, k = (*rad, 0, 0)[:2]
-            return _sign_rad_pair(t.get(1, 0), t.get(m, 0), m, t.get(k, 0), k)
-        # three or more nonzero radicals over distinct square-free keys never
-        # sum to zero, so refinement ends; start near the coefficient size to
-        # skip hopeless rounds
-        bits = max(
-            64, *(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in t.values())
-        )
-        while True:
-            lo, hi = self.interval(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
+        if len(rad) > 1:
+            return _sign_irrational(t)
+        m = rad[0] if rad else 0
+        return _sign_single(t.get(1, 0), t.get(m, 0), m)
 
     def _cmp(self, other) -> int:
         return (self - RadicalSum.of(other)).sign()
@@ -778,11 +767,13 @@ def decimal_str(x, digits: int = 12) -> str:
     """
     if not 4 <= digits <= 64:
         raise ValueError("digits must be in [4, 64]")
-    if isinstance(x, (QuadNum, RadicalSum)):
-        lo, hi = scalar_interval(x, bits=4 * digits + 32)
+    q = RadicalSum.of(x).to_exact()
+    if not isinstance(q, Fraction):
+        # the midpoint of an irrational value's enclosure; a rational value
+        # is rounded from its exact Fraction, which a non-dyadic one has no
+        # exact enclosure for
+        lo, hi = q.interval(4 * digits + 32)
         q = (lo + hi) / 2
-    else:
-        q = as_fraction(x)
     if q == 0:
         return "0"
     sign = "-" if q < 0 else ""

@@ -189,6 +189,34 @@ def test_math_lcm_lives_in_exactnum():
     assert sites == []
 
 
+def _isqrt_sites(tree):
+    """Where math.isqrt is named: its enclosing Class.function, or the
+    module-level name it is assigned to."""
+    stack = [(tree, "")]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        elif isinstance(node, ast.Assign) and not where:
+            where = ",".join(t.id for t in node.targets if isinstance(t, ast.Name))
+        if (isinstance(node, ast.Attribute) and node.attr == "isqrt") or (
+            isinstance(node, ast.ImportFrom) and any(alias.name == "isqrt" for alias in node.names)
+        ):
+            yield where
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+
+
+def test_math_isqrt_lives_in_the_enclosure_and_the_square_free_core():
+    # exactnum._enclosure is the one enclosure of an irrational value;
+    # square_free_core and its trial primes are the only other integer roots
+    sites = {
+        f"{path.name}:{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in _isqrt_sites(ast.parse(path.read_text()))
+    }
+    assert sites == {"exactnum.py:_enclosure", "exactnum.py:square_free_core", "exactnum.py:_TRIAL_PRIMES"}
+
+
 CACHES = {"lru_cache", "cache"}
 
 

@@ -250,6 +250,11 @@ def test_decimal_str():
     assert abs(float(s) - math.sqrt(2)) < 1e-10
     assert decimal_str(F(0), 8) == "0"
     assert decimal_str(F(-9, 100), 6).startswith("-0.09")
+    # a rational value rounds from its exact Fraction, half-way digit up;
+    # the midpoint of its enclosure lies below 1.0015 and would round down
+    for q, text in ((F(10005, 10000), "1.001"), (F(10015, 10000), "1.002")):
+        assert decimal_str(QuadNum(q), 4) == text
+        assert decimal_str(RadicalSum.of(q), 4) == text
     with pytest.raises(ValueError):
         decimal_str(F(1), 2)
 
@@ -380,35 +385,6 @@ def test_poly1_compose_affine():
     p = Poly1([F(-1, 2), 0, 1])  # x^2 - 1/2
     q = p.compose_affine(F(1), F(-1))  # (1-t)^2 - 1/2
     assert q == Poly1([F(1, 2), -2, 1])
-
-
-def test_compare_mixed_radicands_against_interval_oracle():
-    rng = random.Random(71)
-    rads = [2, 3, 5, 7, 13, 61, 69, 2374]
-    for _ in range(2000):
-        m, k = rng.sample(rads, 2)
-        x = QuadNum(
-            F(rng.randrange(-30, 31), rng.randrange(1, 9)),
-            F(rng.randrange(-30, 31), rng.randrange(1, 9)),
-            m,
-        )
-        y = QuadNum(
-            F(rng.randrange(-30, 31), rng.randrange(1, 9)),
-            F(rng.randrange(-30, 31), rng.randrange(1, 9)),
-            k,
-        )
-        xlo, xhi = x.interval(213)
-        ylo, yhi = y.interval(213)
-        got = compare_scalars(x, y)
-        if xhi < ylo:
-            assert got < 0
-        elif xlo > yhi:
-            assert got > 0
-        else:
-            # overlap at 64 digits: only exact coincidence survives, which
-            # for distinct square-free radicands forces both radical parts
-            # to vanish
-            assert got == 0 or min(abs(float(x) - float(y)), 1) < 1e-50
 
 
 def test_floor_scalar_huge_quadnum():

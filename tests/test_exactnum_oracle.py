@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltbound.bounds import _FALLBACK_CASE, SPADE_CASES, Interval, NestedRadical, SlopeOutOfTable, _band
+from tiltbound import exactnum
 from tiltbound.exactnum import Poly1, QuadNum, RadicalSum, compare_scalars, square_free_core
 
 SQUARE_FREE = [2, 3, 5, 6, 7, 10, 13, 61, 69, 2374, 22281]
@@ -78,14 +79,62 @@ def test_radicalsum_order_matches_sympy(x, y, same):
 def test_cancelling_sums_match_sympy(pair, tail):
     x, y = pair
     _check_order(x, y)
-    # the same near-tie as RadicalSums, alone (radical-pair algebra) and
-    # with a tail of more radicals (interval refinement)
+    # the same near-tie as RadicalSums, alone (two radicals) and with a
+    # tail of more radicals; both are decided by the enclosure loop
     rx, ry = RadicalSum.of(x), RadicalSum.of(y)
     _check_order(rx, ry)
     _check_order(rx + tail, ry)
     diff = rx - ry + tail.scale(F(1, 10**18))
     assert diff.sign() == _oracle_sign(_sympy(diff))
     _check_order(diff, 0)
+
+
+def test_compare_mixed_radicands_against_sympy():
+    rng = random.Random(71)
+    rads = [2, 3, 5, 7, 13, 61, 69, 2374]
+    for _ in range(2000):
+        m, k = rng.sample(rads, 2)
+        x, y = (
+            QuadNum(F(rng.randrange(-30, 31), rng.randrange(1, 9)), F(rng.randrange(-30, 31), rng.randrange(1, 9)), r)
+            for r in (m, k)
+        )
+        _check_order(x, y)
+
+
+def _below_2_100(rng):
+    """x = r*n*sqrt(m) + a and y = r*c*sqrt(k) + a over distinct radicands,
+    n/c the closest fraction to sqrt(k/m) with c <= 2**112: |x - y| < 2**-100
+    (checked by sympy), and the cleared numerators keep it that small."""
+    m, k = rng.sample(SQUARE_FREE, 2)
+    alpha = sympy.Rational(sympy.sqrt(sympy.Rational(k, m)).evalf(120))
+    nc = F(int(alpha.p), int(alpha.q)).limit_denominator(2**112)
+    r = F(rng.randrange(1, 50), rng.randrange(1, 50))
+    a = rng.choice([0, F(1, 3), F(-7, 5)])
+    x, y = QuadNum(a, r * nc.numerator, m), QuadNum(a, r * nc.denominator, k)
+    assert 0 < abs(_sympy(x) - _sympy(y)) < sympy.Rational(1, 2**100)
+    return x, y
+
+
+def test_near_ties_below_2_100_double_the_bits(monkeypatch):
+    # QuadNum pairs over distinct radicands and two-radical RadicalSums within
+    # 2**-100 of 0, on both sides: the enclosure loop doubles its bits at
+    # least twice, and each sign agrees with sympy
+    bits_seen = []
+    enclosure = exactnum._enclosure
+
+    def spy(terms, den, bits):
+        bits_seen.append(bits)
+        return enclosure(terms, den, bits)
+
+    monkeypatch.setattr(exactnum, "_enclosure", spy)
+    rng = random.Random(2100)
+    for _ in range(40):
+        x, y = _below_2_100(rng)
+        diff = RadicalSum.of(x) - RadicalSum.of(y)
+        for u, v in ((x, y), (y, x), (diff, 0), (-diff, 0)):
+            bits_seen.clear()
+            assert compare_scalars(u, v) == _oracle_sign(_sympy(u) - _sympy(v))
+            assert len(set(bits_seen)) >= 3, bits_seen
 
 
 # QuadNum arithmetic with a rational operand: an int, a Fraction or a bool acts
