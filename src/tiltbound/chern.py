@@ -125,7 +125,10 @@ class ChernVec:
 
     @classmethod
     def from_json(cls, text: str) -> "ChernVec":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ChernError("ChernVec JSON nests too deeply") from exc
         name = data.get("context") if isinstance(data, dict) else None
         if not isinstance(name, str) or name not in CONTEXTS:
             raise ChernError(f"ChernVec JSON needs a context among {sorted(CONTEXTS)}")

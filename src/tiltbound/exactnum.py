@@ -6,7 +6,7 @@ this module provides
 * ``QuadNum`` -- numbers a + b*sqrt(m) with exact, float-free comparison,
   including across two distinct radicands (enclosure refinement);
 * ``RadicalSum`` -- finite sums q0 + sum_i c_i*sqrt(m_i) with an exact zero
-  test and certified-interval sign determination, used when convex-chain
+  test and sign determination by enclosure refinement, used when convex-chain
   sums mix several radicals;
 * ``MPoly`` -- sparse multivariate polynomials over Q for identity checking;
 * ``Poly1`` -- dense univariate polynomials over Q with exact roots up to
@@ -18,12 +18,14 @@ this module provides
 Everything is immutable and pure; floats appear only in ``__float__``
 conveniences, never in decision paths of the exact API.  Only this module
 decides order: one radical by its norm (``_sign_single``), larger sums by
-doubling the bits of ``_enclosure``, the one integer enclosure of a sum of
-square roots, which also gives ``interval``, ``floor_scalar`` and the spade
-rows' ``enclosure``; ``ExactOrder`` derives the rich comparisons (so
-``min``, ``max``, ``sorted`` apply).  Beside it,
-``ExactRing`` derives the arithmetic of the four value types above from
-their own ``+``, unary ``-`` and ``*``: subtraction, the reflected
+the floor that ``_floor_irrational`` finds by doubling the bits of
+``_enclosure``, the one integer enclosure of a sum of square roots.
+``floor_scalar`` reads that enclosure at bits = 0 for one radical and the
+loop for more, ``decimal_str`` takes every digit from ``floor_scalar``, and
+the spade rows' ``enclosure`` reads ``_enclosure`` too.  ``ExactOrder``
+derives the rich comparisons (so ``min``, ``max``, ``sorted`` apply).
+Beside it, ``ExactRing`` derives the arithmetic of the four value types
+above from their own ``+``, unary ``-`` and ``*``: subtraction, the reflected
 operators, ``**`` and immutability; and their ``==`` and ``hash`` from one
 canonical key, so a rational value equals and hashes as its Fraction.
 ``rational_or_quad`` is the one demotion of a rational ``QuadNum`` to a
@@ -80,7 +82,6 @@ __all__ = [
     "parse_scalar",
     "format_scalar",
     "decimal_str",
-    "scalar_interval",
     "MPoly",
     "poly_equal",
     "radical_identity_check",
@@ -277,20 +278,28 @@ def _enclosure(terms, den: int, bits: int) -> tuple[int, int]:
     return lo // den, -(-hi // den)
 
 
+def _floor_irrational(pairs, den: int) -> int:
+    """floor(sum(n*sqrt(m) for n, m in pairs) / den) for an irrational sum
+    and den > 0: the one refinement loop.  The value times 2**bits lies
+    strictly inside its ``_enclosure`` (lo, hi), so its floor is lo >> bits
+    once no multiple of 2**bits lies strictly inside; until then the bits
+    double, from 32.  An irrational value is no integer, so the loop ends."""
+    bits = 32
+    while True:
+        lo, hi = _enclosure(pairs, den, bits)
+        if lo >> bits == (hi - 1) >> bits:
+            return lo >> bits
+        bits *= 2
+
+
 def _sign_irrational(terms: Mapping[int, Fraction]) -> int:
     """Sign of sum c*sqrt(m) over {m: c}: distinct square-free keys (1 for
     the rational part), one key m > 1 with c != 0 at least.  Square roots of
     distinct square-free integers are linearly independent over Q
-    (Besicovitch, 1940), so the sum is not 0 and doubling the bits of its
-    enclosure ends."""
+    (Besicovitch, 1940), so the sum is irrational, and its sign is that of
+    the floor of its cleared numerator (-1 below 0), refined from 32 bits."""
     nums, _ = clear_denominators(list(terms.values()))
-    pairs = list(zip(nums, terms))
-    bits = 32
-    while True:
-        lo, hi = _enclosure(pairs, 1, bits)
-        if lo > 0 or hi < 0:
-            return 1 if lo > 0 else -1
-        bits *= 2
+    return 1 if _floor_irrational(list(zip(nums, terms)), 1) >= 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +428,6 @@ class QuadNum(ExactOrder, ExactRing):
 
     def sign(self) -> int:
         return _sign_single(self.a, self.b, self.m)
-
-    def interval(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Certified enclosure of width at most 2/2**bits."""
-        return RadicalSum.of(self).interval(bits)
 
     # -- arithmetic (same radicand only) ------------------------------------
     # an int or a Fraction operand acts on (a, b) directly
@@ -568,19 +573,20 @@ def unscale(x, den: int):
 
 
 def floor_scalar(x) -> int:
-    """Exact floor of a Fraction or QuadNum.  An irrational x = (A +
-    B*sqrt(m))/d is floored by the lower end of its enclosure at bits = 0,
-    which is exact: B*sqrt(m) is irrational, so it lies strictly between the
-    integers that end its term's enclosure."""
+    """Exact floor of an int, a Fraction, a QuadNum or a RadicalSum.  An
+    irrational x = (A + B*sqrt(m))/d is floored by the lower end of its
+    enclosure at bits = 0, which is exact: B*sqrt(m) is irrational, so it
+    lies strictly between the integers that end its term's enclosure.  A
+    sum of two or more radicals is floored by ``_floor_irrational``."""
+    if isinstance(x, RadicalSum):
+        x = x.to_exact()
+        if isinstance(x, RadicalSum):
+            nums, d = clear_denominators(list(x.terms.values()))
+            return _floor_irrational(list(zip(nums, x.terms)), d)
     if isinstance(x, QuadNum) and x.b:
         (a, b), d = clear_denominators((x.a, x.b))
         return _enclosure(((a, 1), (b, x.m)), d, 0)[0]
     return math.floor(rational_or_quad(x))
-
-
-def scalar_interval(x, bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Certified rational enclosure of an exact value."""
-    return RadicalSum.of(x).interval(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +599,7 @@ class RadicalSum(ExactOrder, ExactRing):
 
     The key-1 entry holds the rational part.  Zero testing is exact by
     Q-linear independence of square roots of distinct square-free integers;
-    nonzero signs are certified by interval refinement.  The constructor
+    nonzero signs are decided by enclosure refinement.  The constructor
     writes each key k > 1 as core*sq^2 (``square_free_core``) and adds c*sq
     to the core's coefficient; a key below 1 raises ValueError.
     """
@@ -657,13 +663,6 @@ class RadicalSum(ExactOrder, ExactRing):
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def interval(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Certified enclosure from ``_enclosure`` over the cleared
-        numerators: width at most (k + 1)/2**bits for k radicals."""
-        nums, den = clear_denominators(list(self.terms.values()))
-        lo, hi = _enclosure(zip(nums, self.terms), den, bits)
-        return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
     def sign(self) -> int:
         t = self.terms
@@ -761,38 +760,35 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def decimal_str(x, digits: int = 12) -> str:
-    """Deterministic decimal rendering with `digits` significant digits.
+    """Deterministic decimal rendering of an exact value (int, Fraction,
+    QuadNum or RadicalSum) with `digits` significant digits, correctly
+    rounded, half away from zero (a longer integer part is printed whole);
+    the only rounding in the system.
 
-    Relative error < 10**(1-digits); the only rounding in the system.
+    Every step is an exact floor (``floor_scalar``) of |x| times a
+    nonnegative power of ten: the exponent e with 10**e <= |x| < 10**(e+1)
+    from the length of the first nonzero floor(|x| * 10**k), k = 0, 1, 2,
+    4, ..., then the digits, floor(|x| * 10**frac_digits + 1/2).  A carry
+    past the last digit keeps its extra digit (0.999995 at 4 digits is
+    "1.0000").
     """
     if not 4 <= digits <= 64:
         raise ValueError("digits must be in [4, 64]")
-    q = RadicalSum.of(x).to_exact()
-    if not isinstance(q, Fraction):
-        # the midpoint of an irrational value's enclosure; a rational value
-        # is rounded from its exact Fraction, which a non-dyadic one has no
-        # exact enclosure for
-        lo, hi = q.interval(4 * digits + 32)
-        q = (lo + hi) / 2
-    if q == 0:
+    sign = scalar_sign(x)
+    if not sign:
         return "0"
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    # exponent e with 10^e <= q < 10^(e+1)
-    e = len(str(q.numerator)) - len(str(q.denominator))
-    while 10**e > q:
-        e -= 1
-    while 10 ** (e + 1) <= q:
-        e += 1
+    q = -x if sign < 0 else x
+    k = 0
+    n = floor_scalar(q)
+    while not n:
+        k = 2 * k or 1
+        n = floor_scalar(q * 10**k)
+    e = len(str(n)) - 1 - k
     frac_digits = max(digits - 1 - e, 0)
-    scaled = q * 10**frac_digits
-    n = scaled.numerator // scaled.denominator
-    if 2 * (scaled - n) >= 1:
-        n += 1
-    s = str(n).rjust(frac_digits + 1, "0")
-    if frac_digits == 0:
-        return sign + s
-    return sign + s[:-frac_digits] + "." + s[-frac_digits:]
+    text = str(floor_scalar(q * 10**frac_digits + Fraction(1, 2))).rjust(frac_digits + 1, "0")
+    if frac_digits:
+        text = text[:-frac_digits] + "." + text[-frac_digits:]
+    return "-" + text if sign < 0 else text
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,7 @@ def test_malformed_values_are_domain_errors(capsys):
         (["wall", "first", "--mu", "1/0"], "ParseError"),
         (["wall", "nested", "--chern", "[1]", "--alpha", "1", "--beta", "0"], "ChernError"),
         (["wall", "nested", "--chern", '{"context": "X24", "c": [1, 0, 0, 0]}', "--alpha", "1", "--beta", "0"], "ChernError"),
+        (["wall", "nested", "--chern", "[" * 100_000, "--alpha", "1", "--beta", "0"], "ChernError"),
         (["emit", "--figure", "bg", "--samples", "2", "--out", "/nonexistent-dir/x.csv"], "FileNotFoundError"),
     ):
         code, _, err = run_cli(args, capsys)

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,6 @@ from tiltbound.exactnum import (
     parse_scalar,
     poly_equal,
     radical_identity_check,
-    scalar_interval,
     scalar_sign,
     sqrt_exact,
     square_free_core,
@@ -140,22 +140,25 @@ def test_compare_mixed_radicands():
     assert compare_scalars(a, a) == 0
 
 
-def test_compare_against_interval_oracle():
+def test_compare_against_mpmath_oracle():
+    # an irrational x (b != 0) is compared with the sign of x - p at 60
+    # digits, far above its distance from p; a rational one exactly
     rng = random.Random(13)
-    digits_bits = 213  # ~64 decimal digits
     for _ in range(10_000):
         a = F(rng.randrange(-50, 51), rng.randrange(1, 12))
         b = F(rng.randrange(-50, 51), rng.randrange(1, 12))
         m = rng.choice([2, 3, 5, 13, 61, 69, 2374])
         x = QuadNum(a, b, m)
         p = F(rng.randrange(-200, 201), rng.randrange(1, 40))
-        lo, hi = x.interval(digits_bits)
-        if hi < p:
-            assert compare_scalars(x, p) < 0
-        elif lo > p:
-            assert compare_scalars(x, p) > 0
-        else:  # exact tie
-            assert compare_scalars(x, p) == 0
+        if b == 0:
+            want = (a > p) - (a < p)
+        else:
+            with mpmath.workdps(60):
+                d = mpmath.mpf(a.numerator) / a.denominator - mpmath.mpf(p.numerator) / p.denominator
+                d += mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(m)
+                assert abs(d) > mpmath.mpf(10) ** -40
+            want = 1 if d > 0 else -1
+        assert compare_scalars(x, p) == want, (x, p)
 
 
 # int and Fraction pairs are decided on integers; Fraction's own order is the oracle
@@ -250,13 +253,47 @@ def test_decimal_str():
     assert abs(float(s) - math.sqrt(2)) < 1e-10
     assert decimal_str(F(0), 8) == "0"
     assert decimal_str(F(-9, 100), 6).startswith("-0.09")
-    # a rational value rounds from its exact Fraction, half-way digit up;
-    # the midpoint of its enclosure lies below 1.0015 and would round down
+    # a half-way value rounds away from zero, as a Fraction, a rational
+    # QuadNum or a rational RadicalSum
     for q, text in ((F(10005, 10000), "1.001"), (F(10015, 10000), "1.002")):
         assert decimal_str(QuadNum(q), 4) == text
         assert decimal_str(RadicalSum.of(q), 4) == text
+    for q, text in ((F(-10005, 10000), "-1.001"), (F(-10015, 10000), "-1.002")):
+        assert decimal_str(q, 4) == text
+    # a carry past the last digit keeps its extra digit
+    assert decimal_str(F(999995, 10**6), 4) == "1.0000"
     with pytest.raises(ValueError):
         decimal_str(F(1), 2)
+
+
+def _power_of_ten_text(k, digits):
+    """10**k written with `digits` significant digits, or its whole integer
+    part where that is longer."""
+    if k >= digits - 1:
+        return "1" + "0" * k
+    if k >= 0:
+        return "1" + "0" * k + "." + "0" * (digits - 1 - k)
+    return "0." + "0" * (-k - 1) + "1" + "0" * (digits - 1)
+
+
+@pytest.mark.parametrize("digits", [4, 12, 20])
+def test_decimal_str_powers_of_ten_keep_their_digits(digits):
+    # the exponent is found by exact floors: 10**-k as a binary float is not
+    # 10**-k, and it once made 1/10 print with 13 significant digits
+    for k in range(1, 31):
+        for q in (F(1, 10**k), F(10**k)):
+            want = _power_of_ten_text(k if q > 1 else -k, digits)
+            for x in (q, QuadNum(q), RadicalSum.of(q)):
+                assert decimal_str(x, digits) == want, (q, digits)
+                assert decimal_str(-x, digits) == "-" + want, (q, digits)
+
+
+def test_decimal_str_far_below_one():
+    # 10**-1001 underflows a binary float to 0.0, and a bracket of fixed
+    # absolute width holds no digit of a value this small
+    for x, digits in ((F(3, 7 * 10**1000), "428571428571"), (QuadNum(0, F(1, 10**1001), 2), "141421356237")):
+        assert decimal_str(x, 12) == "0." + "0" * 1000 + digits
+        assert decimal_str(RadicalSum.of(x) * -1, 12) == "-0." + "0" * 1000 + digits
 
 
 def test_radical_sum_sign_and_compare():
@@ -273,12 +310,6 @@ def test_radical_sum_sign_and_compare():
     assert RadicalSum.of(F(1, 3)).to_exact() == F(1, 3)
     q = RadicalSum.of(QuadNum(2, -1, 7)).to_exact()
     assert isinstance(q, QuadNum) and q == QuadNum(2, -1, 7)
-
-
-def test_scalar_interval_contains_value():
-    x = QuadNum(F(1, 3), F(2, 7), 61)
-    lo, hi = scalar_interval(x, 128)
-    assert lo <= F(float(x)).limit_denominator(10**12) <= hi or (hi - lo) < F(1, 10**20)
 
 
 # -- MPoly ---------------------------------------------------------------------

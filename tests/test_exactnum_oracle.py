@@ -3,11 +3,13 @@ the same radical sum, square-free parts against ``factorint``, quadratic
 roots against ``sympy.roots``, and each spade row against its written
 fields."""
 
+import decimal
 import math
 import random
 from collections import Counter
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from tiltbound.bounds import _FALLBACK_CASE, SPADE_CASES, Interval, NestedRadical, SlopeOutOfTable, _band
 from tiltbound import exactnum
-from tiltbound.exactnum import Poly1, QuadNum, RadicalSum, compare_scalars, square_free_core
+from tiltbound.exactnum import Poly1, QuadNum, RadicalSum, compare_scalars, decimal_str, floor_scalar, square_free_core
 
 SQUARE_FREE = [2, 3, 5, 6, 7, 10, 13, 61, 69, 2374, 22281]
 PROPS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -24,9 +26,10 @@ coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 @st.composite
-def radical_sums(draw):
-    """1-4 distinct square-free radicands, with or without a rational part."""
-    rads = draw(st.lists(st.sampled_from(SQUARE_FREE), min_size=1, max_size=4, unique=True))
+def radical_sums(draw, min_radicals=1):
+    """min_radicals-4 distinct square-free radicands, with or without a
+    rational part."""
+    rads = draw(st.lists(st.sampled_from(SQUARE_FREE), min_size=min_radicals, max_size=4, unique=True))
     terms = {m: draw(coeffs) for m in rads}
     if draw(st.booleans()):
         terms[1] = draw(coeffs)
@@ -135,6 +138,95 @@ def test_near_ties_below_2_100_double_the_bits(monkeypatch):
             bits_seen.clear()
             assert compare_scalars(u, v) == _oracle_sign(_sympy(u) - _sympy(v))
             assert len(set(bits_seen)) >= 3, bits_seen
+
+
+# floors and decimals of irrational values: floor_scalar against sympy's
+# floor, decimal_str against a 120-digit value rounded by the decimal module
+
+
+@PROPS
+@given(radical_sums(min_radicals=2), st.integers(-(10**6), 10**6))
+def test_floor_of_radical_sums_matches_sympy(x, k):
+    for s in (x, x + k, -x):
+        assert floor_scalar(s) == sympy.floor(_sympy(s)), s
+
+
+def test_floor_within_2_100_of_an_integer_matches_sympy():
+    # two radicals within 2**-100 of 0, shifted to an integer k, with a tail
+    # of up to two more radicals far below that: floors on both sides of k
+    rng = random.Random(2101)
+    sides = Counter()
+    for _ in range(40):
+        x, y = _below_2_100(rng)
+        k = rng.randrange(-1000, 1001)
+        tail = {m: F(rng.choice((-1, 1)) * rng.randrange(1, 50), rng.randrange(1, 9) << 200)
+                for m in rng.sample(SQUARE_FREE, rng.randint(0, 2))}
+        near = RadicalSum.of(x) - RadicalSum.of(y) + RadicalSum(tail)
+        for s in (near + k, -near + k):
+            want = sympy.floor(_sympy(s))
+            assert floor_scalar(s) == want, s
+            sides[want - k] += 1
+    assert set(sides) == {-1, 0}
+
+
+_REFERENCE = decimal.Context(prec=200, rounding=decimal.ROUND_HALF_UP)
+
+
+def _reference_decimal(x, digits):
+    """x at 120 significant digits (sympy), rounded by the decimal module to
+    `digits` significant digits, half away from zero; an integer part longer
+    than that is kept whole, as decimal_str keeps it."""
+    v = decimal.Decimal(str(sympy.N(_sympy(x), 120)))
+    if not v:
+        return "0"
+    exp = min(v.adjusted() - digits + 1, 0)
+    return format(v.quantize(decimal.Decimal(1).scaleb(exp), context=_REFERENCE), "f")
+
+
+def _mp(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _near_zero_sums(rng, n):
+    """Sums of 2-4 radicals whose rational part cancels them to within
+    about 10**-k of 0, k in 10..25 (the rational part is the radicals'
+    60-digit value rounded to k decimals)."""
+    for _ in range(n):
+        terms = {m: F(rng.choice((-1, 1)) * rng.randrange(1, 51), rng.randrange(1, 12))
+                 for m in rng.sample(SQUARE_FREE, rng.randint(2, 4))}
+        k = rng.randint(10, 25)
+        with mpmath.workdps(60):
+            v = sum(_mp(c) * mpmath.sqrt(m) for m, c in terms.items())
+            terms[1] = F(-int(mpmath.nint(v * 10**k)), 10**k)
+        yield RadicalSum(terms)
+
+
+def test_decimal_str_near_zero_matches_a_120_digit_reference():
+    # decimal_str keeps its relative precision however close to 0 a sum of
+    # radicals lies: every digit is an exact floor
+    for x in _near_zero_sums(random.Random(25), 1000):
+        assert decimal_str(x, 10) == _reference_decimal(x, 10), x
+
+
+def _battery(rng, n):
+    """Rationals (some ending in a 5, half-way at some digit counts),
+    QuadNums and 2-4-radical sums, scaled by 10**j for j in -30..30."""
+    for _ in range(n):
+        kind = rng.choice(["rational", "half", "quad", "sum"])
+        if kind == "rational":
+            x = F(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
+        elif kind == "half":
+            x = F(2 * rng.randrange(-10**6, 10**6) + 1, 2 * 10 ** rng.randrange(0, 8))
+        else:
+            rads = rng.sample(SQUARE_FREE, 1 if kind == "quad" else rng.randint(2, 4))
+            terms = {m: F(rng.randrange(-50, 51), rng.randrange(1, 12)) for m in rads + [1]}
+            x = RadicalSum(terms).to_exact()
+        yield x * F(10) ** rng.randint(-30, 30), rng.randint(4, 30)
+
+
+def test_decimal_str_matches_a_120_digit_reference():
+    for x, digits in _battery(random.Random(2025), 600):
+        assert decimal_str(x, digits) == _reference_decimal(x, digits), (x, digits)
 
 
 # QuadNum arithmetic with a rational operand: an int, a Fraction or a bool acts
