@@ -15,8 +15,8 @@ this module provides
 * ``radical_identity_check`` -- certifies sqrt(D) = R by checking R^2 = D
   polynomially and R >= 0 on a stated slope domain.
 
-Everything is immutable and pure; floats appear only in ``__float__``
-conveniences, never in decision paths of the exact API.  Only this module
+Everything is immutable and pure; no float is made (``float()`` of an
+exact value raises TypeError; ``math`` serves integers).  Only this module
 decides order: one radical by its norm (``_sign_single``), larger sums by
 the floor that ``_floor_irrational`` finds by doubling the bits of
 ``_enclosure``, the one integer enclosure of a sum of square roots.
@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -122,11 +123,8 @@ _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    """Miller-Rabin on the bases ``_SMALL_PRIMES``, for n >= ``_TRIAL_BOUND**2``
+    with no prime factor below ``_TRIAL_BOUND``: ``square_free_core``'s cofactors."""
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -491,9 +489,6 @@ class QuadNum(ExactOrder, ExactRing):
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.m) if self.m else float(self.a)
-
     def __str__(self):
         if self.b == 0:
             return format_rat(self.a)
@@ -586,7 +581,8 @@ def floor_scalar(x) -> int:
     if isinstance(x, QuadNum) and x.b:
         (a, b), d = clear_denominators((x.a, x.b))
         return _enclosure(((a, 1), (b, x.m)), d, 0)[0]
-    return math.floor(rational_or_quad(x))
+    q = rational_or_quad(x)
+    return q.numerator // q.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +684,6 @@ class RadicalSum(ExactOrder, ExactRing):
             return QuadNum._reduced(self.terms.get(1, Fraction(0)), rad[0][1], rad[0][0])
         return self
 
-    def __float__(self):
-        return sum((float(c) * math.sqrt(m) for m, c in self.terms.items()), 0.0)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -709,9 +702,19 @@ class RadicalSum(ExactOrder, ExactRing):
 # ---------------------------------------------------------------------------
 
 
+def _int_text(n: int) -> str:
+    """str(n); ExactError past the interpreter's digit limit (4,300 by default)."""
+    try:
+        return str(n)
+    except ValueError as exc:
+        limit = f"{sys.get_int_max_str_digits():,}-digit limit on int-to-text conversion"
+        raise ExactError(f"cannot write a {n.bit_length()}-bit integer as text: it exceeds the {limit}") from exc
+
+
 def format_rat(q: Fraction) -> str:
     q = as_fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    text = _int_text(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{_int_text(q.denominator)}"
 
 
 def parse_rat(text: str) -> Fraction:
@@ -783,9 +786,9 @@ def decimal_str(x, digits: int = 12) -> str:
     while not n:
         k = 2 * k or 1
         n = floor_scalar(q * 10**k)
-    e = len(str(n)) - 1 - k
+    e = len(_int_text(n)) - 1 - k
     frac_digits = max(digits - 1 - e, 0)
-    text = str(floor_scalar(q * 10**frac_digits + Fraction(1, 2))).rjust(frac_digits + 1, "0")
+    text = _int_text(floor_scalar(q * 10**frac_digits + Fraction(1, 2))).rjust(frac_digits + 1, "0")
     if frac_digits:
         text = text[:-frac_digits] + "." + text[-frac_digits:]
     return "-" + text if sign < 0 else text

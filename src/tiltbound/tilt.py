@@ -19,7 +19,6 @@ conversions are exposed below and verified by the test-suite anchor values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,9 +125,6 @@ class SlopeValue(ExactOrder):
 
     def __repr__(self):
         return "SlopeValue(+inf)" if self.is_infinite else f"SlopeValue({format_scalar(self.value)})"
-
-    def __float__(self):
-        return math.inf if self.is_infinite else float(self.value)
 
 
 def mu_slope(v: ChernVec, normalized: bool = False) -> SlopeValue:

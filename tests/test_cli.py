@@ -74,6 +74,14 @@ def test_eval_hostile_radicand_exits_2(capsys):
     assert code == 2 and "ExactError" in err and "rho steps" in err
 
 
+def test_eval_value_too_long_to_print_exits_2(capsys):
+    # Gamma(10^5000) is computed exactly, but its numerator has more digits
+    # than the interpreter writes as text, so printing it is refused by name
+    code, out, err = run_cli(["eval", "--bound", "gamma", "--at", "1e5000"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("ExactError: cannot write a ") and "-digit limit" in err
+
+
 def test_eval_square_of_a_large_prime_radicand(capsys):
     # 1800269641579**2 * 6: the square cofactor is rooted, not given to rho
     at = "1+1*sqrt(19445824694345886753679446)"

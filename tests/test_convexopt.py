@@ -35,7 +35,7 @@ from tiltbound.convexopt import (
     spade_sum,
     triangle_from_first_wall,
 )
-from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars, floor_scalar, scalar_sign, sqrt_exact
+from tiltbound.exactnum import Poly1, QuadNum, RadicalSum, compare_scalars, floor_scalar, scalar_sign, sqrt_exact
 
 
 # -- chains -----------------------------------------------------------------------
@@ -140,32 +140,50 @@ def test_maximize_reduced_sharp_exceeds_closed_form_at_mu8():
 # is exact because every row is convex along an affine path with y > 0.
 
 
+# n*s at the ends of the band-n ranges of rows 8 and 9, as polynomials in n
+# (bounds._band): row 8 on [-4n, (1 - 4n^2)/n], row 9 on [(4n^2 - 1)/n, 4n]
+BAND_ENDS_TIMES_N = {8: (Poly1([0, 0, -4]), Poly1([1, 0, -4])), 9: (Poly1([-1, 0, 4]), Poly1([0, 0, 4]))}
+
+
 def test_spade_rows_are_convex_along_paths():
-    # square-root rows: along p0 + t*d the radicand At^2 + Bt + C has
-    # 4AC - B^2 = 4 det(M) (p0 x d)^2, M = [[xx, xy/2], [xy/2, yy]], so
-    # srt * sqrt(...) is convex iff srt * det(M) > 0
-    sqrt_rows = [row for row in SPADE_CASES if row.srt is not None] + [_FALLBACK_CASE]
-    assert [row.case_id for row in sqrt_rows] == [1, 3, 5, 6, 7, 0]
-    for row in sqrt_rows:
-        assert row.num is None
-        xx, xy, yy = row.q
-        assert row.srt * (xx * yy - xy * xy / 4) > 0, row.case_id
-    # ratio rows: num = c*y^2 over a linear den D gives (c*y^2/D)'' =
-    # 2c Y(t_pole)^2 D1^2 / D^3, convex iff c*D > 0; D is linear in the
-    # slope, so its sign at both ends of a range holds across the range
-    ratio_rows = [row for row in SPADE_CASES if row.srt is None]
-    assert [row.case_id for row in ratio_rows] == [2, 4, 8, 9]
-    for row in ratio_rows:
-        assert row.q is None and row.num[:2] == (0, 0)
-    ranges = [(row, r) for row in (SPADE_CASES[1], SPADE_CASES[3]) for r in row.ranges]
-    # bands of rows 8 and 9 (den = x): band n of row 8 ends at
-    # (1 - 4n^2)/n < 0 and band n of row 9 starts at (4n^2 - 1)/n > 0
-    assert SPADE_CASES[7].num[2] < 0 < SPADE_CASES[8].num[2]
-    ranges += [(row, r) for n in range(1, 200) for row, r in zip(SPADE_CASES[7:], _band(n))]
-    for row, r in ranges:
-        c = row.num[2]
-        for s in (r.lo, r.hi):
-            assert c * (row.den[0] * s + row.den[1]) > 0, (row.case_id, s)
+    # a proof from SpadeCase.integral, c*value = L.(x, y) + S*sqrt(Q) + N/D
+    # with c > 0, for every range and every band; L is affine
+    roots, ratios = {}, {}
+    for row in SPADE_CASES + (_FALLBACK_CASE,):
+        c, _, s, q, num, den = row.integral
+        assert c > 0 and (q is None or num is None), row.case_id
+        if q is not None:
+            # along a + t*d, Q = Q(a) + 2t*B(a, d) + t^2*Q(d) and
+            # Q(a)*Q(d) - B(a, d)^2 = det G*(a x d)^2, G the Gram matrix of Q,
+            # so (sqrt Q)'' has the sign of det G: S*sqrt(Q) is convex iff S*det G > 0
+            roots[row.case_id] = s * (4 * q[0] * q[2] - q[1] ** 2)  # 4*S*det G
+        elif num is not None:
+            # N = alpha*D^2 + beta*D*u + gamma*u^2 for u independent of D, so
+            # N/D = alpha*D + beta*u + gamma*u^2/D, convex where N(k)*D > 0
+            # for the kernel direction k of D, N(k) = gamma*u(k)^2
+            k = (den[1], -den[0])
+            n_k = num[0] * k[0] ** 2 + num[1] * k[0] * k[1] + num[2] * k[1] ** 2
+            ratios[row.case_id] = n_k
+            # D(s*y, y) = y*D(s, 1) with y > 0, and D(s, 1) is affine in s,
+            # so its signs at the exact end slopes decide each range
+            for r in row.ranges or ():
+                for end in (r.lo, r.hi):
+                    assert n_k * (den[0] * end + den[1]) > 0, (row.case_id, end)
+    assert all(v > 0 for v in roots.values()), roots
+    assert roots == {1: 240, 3: 80, 5: 240, 6: 640, 7: 1200, 0: 80}
+    assert ratios == {2: 5, 4: 5, 8: -4, 9: 4}
+    # bands: n*D(s, 1) = d0*(n*s) + d1*n at each end is a polynomial in n;
+    # written in m = n - 1 >= 0 with nonnegative coefficients and a positive
+    # constant (times N(k)), it is positive for every band n >= 1
+    for row in SPADE_CASES[7:]:
+        (d0, d1), n_k = row.integral[5], ratios[row.case_id]
+        for end in BAND_ENDS_TIMES_N[row.case_id]:
+            shifted = (end * d0 + Poly1([0, d1])).compose_affine(1, 1) * n_k
+            assert shifted.coeffs[0] > 0 and min(shifted.coeffs) >= 0, (row.case_id, end)
+    # _band's n*s has degree at most 2 in n, so three bands pin its polynomials
+    for n in (1, 2, 3, 7):
+        for row, r in zip(SPADE_CASES[7:], _band(n)):
+            assert [n * e for e in (r.lo, r.hi)] == [p.evaluate(n) for p in BAND_ENDS_TIMES_N[row.case_id]]
 
 
 @st.composite

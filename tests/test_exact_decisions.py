@@ -1,8 +1,10 @@
-"""No float decides anything in the library: floats live only in ``__float__``,
-and ``exactnum.as_fraction`` is the one door through which a value becomes a
+"""No float decides anything in the library, because none is made: an exact
+value has no ``__float__``, ``math`` serves integer functions only, and
+``exactnum.as_fraction`` is the one door through which a value becomes a
 rational, so a float or a string is refused, not converted."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,19 +27,18 @@ from tiltbound.exactnum import (
     scalar_sign,
     sqrt_exact,
 )
-from tiltbound.tilt import TiltParams, stability_region_predicates
+from tiltbound.tilt import SlopeValue, TiltParams, stability_region_predicates
 from tiltbound.walls import WallLine, first_wall_bounds, gamma_curve, line_gamma_intersection
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tiltbound"
-FLOAT_ATTRS = {("math", "sqrt"), ("math", "isfinite")}
+# the math functions the library may use: each takes and returns integers
+INTEGER_MATH = {"isqrt", "gcd", "lcm", "prod", "factorial"}
 
 
-def _exempt(tree):
-    """``__float__`` bodies and type annotations."""
+def _annotations(tree):
+    """Type annotations: they may name ``float`` without making one."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name == "__float__":
-                yield node
             yield node.returns
             yield from (a.annotation for a in ast.walk(node.args) if isinstance(a, ast.arg))
         elif isinstance(node, ast.AnnAssign):
@@ -45,7 +46,9 @@ def _exempt(tree):
 
 
 def _float_sites(tree):
-    skip = {id(n) for n in _exempt(tree) if n is not None}
+    """``float``, ``.approx``, any use of ``math`` beyond INTEGER_MATH, and an
+    aliased ``import math``, whose uses this walk would not see."""
+    skip = {id(n) for n in _annotations(tree) if n is not None}
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -55,8 +58,13 @@ def _float_sites(tree):
             yield node.lineno
         elif isinstance(node, ast.Attribute) and (
             node.attr == "approx"
-            or (isinstance(node.value, ast.Name) and (node.value.id, node.attr) in FLOAT_ATTRS)
+            or (isinstance(node.value, ast.Name) and node.value.id == "math" and node.attr not in INTEGER_MATH)
         ):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            if any(a.name not in INTEGER_MATH for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Import) and any(a.name == "math" and a.asname for a in node.names):
             yield node.lineno
         stack.extend(ast.iter_child_nodes(node))
 
@@ -68,6 +76,31 @@ def test_no_float_in_decision_paths():
         for line in sorted(_float_sites(ast.parse(path.read_text())))
     ]
     assert sites == []
+
+
+def test_float_sites_are_found():
+    # the check above is only as good as what it can see
+    text = (
+        "import math\nfrom math import gcd\nfrom math import lcm, inf\nimport math as m\n"
+        "x: float = float(math.sqrt(2)) + math.isqrt(5) + gcd(4, 6)\ny = z.approx\n"
+    )
+    assert sorted(_float_sites(ast.parse(text))) == [3, 4, 5, 5, 6]
+
+
+EXACT_VALUES = {
+    "QuadNum_rational": QuadNum(Fraction(1, 3)),
+    "QuadNum_irrational": QuadNum(1, 1, 2),
+    "RadicalSum": RadicalSum({1: 1, 2: 1, 3: 1}),
+    "SlopeValue": SlopeValue(Fraction(1, 3)),
+    "SlopeValue_infinite": SlopeValue.infinity(),
+}
+
+
+@pytest.mark.parametrize("value", list(EXACT_VALUES.values()), ids=list(EXACT_VALUES))
+def test_exact_values_have_no_float(value):
+    # an exact value never becomes a float, even on request
+    with pytest.raises(TypeError):
+        float(value)
 
 
 # the text doors parse digits; every other rational comes through as_fraction

@@ -296,6 +296,41 @@ def test_decimal_str_far_below_one():
         assert decimal_str(RadicalSum.of(x) * -1, 12) == "-0." + "0" * 1000 + digits
 
 
+def test_integers_past_the_text_limit_are_refused_by_name():
+    # the interpreter writes at most sys.get_int_max_str_digits() digits of an
+    # int as text; past that the renderers raise ExactError naming the limit
+    big = 10**5000
+    limit = sys.get_int_max_str_digits()
+    message = f"cannot write a {big.bit_length()}-bit integer as text: it exceeds the {limit:,}-digit limit"
+    cases = [
+        (format_rat, F(big)),
+        (format_rat, F(1, big)),
+        (format_scalar, F(1, big)),
+        (decimal_str, F(big)),
+        (str, QuadNum(big, 1, 2)),
+        (str, RadicalSum({1: 1, 2: big})),
+        (str, Poly1([1, big])),
+    ]
+    for render, x in cases:
+        with pytest.raises(exactnum.ExactError, match=message):
+            render(x)
+    # the digits of big*sqrt(2), 16,611 bits, come from one floor
+    with pytest.raises(exactnum.ExactError, match="a 16611-bit integer"):
+        decimal_str(QuadNum(0, big, 2))
+    # 10**-5000 has one significant digit
+    assert decimal_str(F(1, big), 4) == "0." + "0" * 4999 + "1000"
+
+
+def test_renderer_text_is_pinned():
+    assert format_scalar(RadicalSum({1: F(1, 2), 2: 3, 3: -1})) == "1/2 + 3*sqrt(2) + -1*sqrt(3)"
+    assert str(RadicalSum({1: F(1, 2), 2: 3, 3: -1})) == "1/2 + 3*sqrt(2) + -1*sqrt(3)"
+    assert str(Poly1([1, -8, 3])) == "1 + -8*x + 3*x^2"
+    assert str(Poly1([0, 0, F(-1, 2)])) == "-1/2*x^2"
+    for zero in (RadicalSum({}), Poly1([]), Poly1([0, 0])):
+        assert str(zero) == "0"
+    assert format_scalar(RadicalSum({})) == "0"
+
+
 def test_radical_sum_sign_and_compare():
     s = RadicalSum.of(QuadNum(0, 1, 2)) + RadicalSum.of(QuadNum(0, 1, 3)) - F(3)
     # sqrt2 + sqrt3 = 3.146... > 3
