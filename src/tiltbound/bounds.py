@@ -46,6 +46,7 @@ __all__ = [
     "spade_fallback",
     "BN_THRESHOLD_POLY",
     "bn_threshold",
+    "CLIFFORD_PIECES",
     "CLIFFORD_BREAK",
     "clifford_case",
     "clifford_bound",
@@ -426,20 +427,31 @@ def spade_fallback(p: PlanePoint | tuple):
 # t < 0 with t = -(3/1024) mu^2 + mu/2 - 1 is equivalent (on [0, 64]) to
 # 3 mu^2 - 512 mu + 1024 > 0, whose lower root is the threshold below.
 BN_THRESHOLD_POLY = Poly1([1024, -512, 3])
-_BN_THRESHOLD = QuadNum(Fraction(256, 3), Fraction(-32, 3), 61)
+_BN_THRESHOLD = BN_THRESHOLD_POLY.real_roots()[0]
 
-# switch point between the two [48, 64] pieces: root of 5 mu^2 - 1152 mu + 52224
-CLIFFORD_BREAK = QuadNum(Fraction(576, 5), Fraction(-32, 5), 69)
+# the per-rank Clifford pieces in mu = d/r, one (numerator, denominator)
+# pair of Poly1s per ``clifford_case`` name: clifford_bound is r*num/den
+CLIFFORD_PIECES = {
+    "bn": (Poly1([64]), Poly1([64, -1])),  # 64/(64 - mu)
+    "low": (Poly1([1, 0, Fraction(5, 1024)]), Poly1([1])),  # 1 + 5 mu^2/1024
+    "high": (Poly1([5, Fraction(-1, 8), Fraction(5, 1024)]), Poly1([1])),  # 5 - mu/8 + 5 mu^2/1024
+    "linear": (Poly1([-46, 1]), Poly1([1])),  # mu - 46
+}
+
+# switch between the two [48, 64] pieces: the lower root of high - linear,
+# (5 mu^2 - 1152 mu + 52224)/1024
+CLIFFORD_BREAK = (CLIFFORD_PIECES["high"][0] - CLIFFORD_PIECES["linear"][0]).real_roots()[0]
 
 
 def bn_threshold() -> QuadNum:
-    """(256 - 32*sqrt(61))/3, the end of the Brill-Noether-semistable range."""
+    """(256 - 32*sqrt(61))/3, the end of the Brill-Noether-semistable range:
+    the lower root of ``BN_THRESHOLD_POLY``."""
     return _BN_THRESHOLD
 
 
 def clifford_case(e: CurveClass) -> str:
-    """The Clifford case of mu = d/r: "bn" on [0, (256-32*sqrt(61))/3), by
-    the sign of ``BN_THRESHOLD_POLY``; "low" up to 16; "high" from 48 to
+    """The ``CLIFFORD_PIECES`` key of mu = d/r: "bn" on [0, (256-32*sqrt(61))/3),
+    by the sign of ``BN_THRESHOLD_POLY``; "low" up to 16; "high" from 48 to
     ``CLIFFORD_BREAK``; "linear" beyond it, up to 64.  OutOfDomain for
     r < 1, SlopeOutsideTheorem on (16, 48) and off [0, 64]."""
     if e.r < 1:
@@ -453,21 +465,16 @@ def clifford_case(e: CurveClass) -> str:
 
 
 def clifford_bound(e: CurveClass | tuple):
-    """Upper bound for h^0 of a semistable bundle of rank r, degree d on C,
-    one formula per ``clifford_case``: 64r^2/(64r - d) (bn),
-    r + 5d^2/1024r (low), 5d^2/1024r + 5r - d/8 (high), d - 46r (linear).
+    """Upper bound for h^0 of a semistable bundle of rank r, degree d on C:
+    r*num(mu)/den(mu) for the ``CLIFFORD_PIECES`` pair that ``clifford_case``
+    names, that is 64r^2/(64r - d) (bn), r + 5d^2/1024r (low),
+    5d^2/1024r + 5r - d/8 (high) or d - 46r (linear).
     """
     if isinstance(e, tuple):
         e = CurveClass(*e)
-    case = clifford_case(e)
-    r, d = e.r, e.d
-    if case == "bn":
-        return 64 * r * r / (64 * r - d)
-    if case == "low":
-        return r + 5 * d * d / (1024 * r)
-    if case == "high":
-        return 5 * d * d / (1024 * r) + 5 * r - d / 8
-    return d - 46 * r
+    num, den = CLIFFORD_PIECES[clifford_case(e)]
+    mu = e.slope
+    return e.r * num.evaluate(mu) / den.evaluate(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +576,12 @@ bg_linear_family = _pw(
     ],
 )
 
-# the three refined pieces of the linear theorem's closing clause
+# the three refined pieces of the linear theorem's closing clause: a secant,
+# the quadratic family's piece 2 on [1/5, 1/2] and its piece 4
 bg_refined_family = (
     _pw("bg_refined_secant", [(Fraction(1, 5), True, Fraction(1, 4), True, [Fraction(-5, 32), Fraction(9, 32)])]),
-    _pw("bg_refined_parabola", [(Fraction(1, 5), True, Fraction(1, 2), True, [Fraction(-1, 8), 0, Fraction(5, 8)])]),
-    _pw("bg_refined_tail", [(_BP_B, True, Fraction(1), True, [Fraction(-1, 2), 0, 1])]),
+    _pw("bg_refined_parabola", [(Fraction(1, 5), True, Fraction(1, 2), True, bg_quadratic_family.pieces[1].poly.coeffs)]),
+    PiecewiseBound("bg_refined_tail", bg_quadratic_family.pieces[3:]),
 )
 
 
@@ -601,10 +609,7 @@ def bg_bound_threefold(x, family: str = "quadratic"):
     """
     x = rational_or_quad(x)
     if family == "quadratic":
-        t = x - floor_scalar(x)
-        if scalar_sign(t) == 0:
-            return Fraction(0)  # piece-1 value at the reduced slope 0
-        return bg_quadratic_family.evaluate(t)
+        return bg_quadratic_family.evaluate(x - floor_scalar(x))
     if family == "linear":
         if compare_scalars(abs(x), 1) > 0:
             raise OutOfDomain("linear family needs |x| <= 1")

@@ -67,7 +67,6 @@ class VarietyContext:
     degree: int  # H^n
     genus: int | None
     chi_coeffs: tuple[Fraction, ...]
-    gamma_available: bool = False
 
     def __post_init__(self):
         if (self.genus is not None) != (self.dim == 1):
@@ -82,9 +81,7 @@ class VarietyContext:
 #   S':       chi = ch2 - H.ch1 + 20 ch0      -> (5/4, -1, 1)     (H^2 = 16)
 #   X:        chi = 7/12 H^2.ch1 + ch3        -> (0, 7/12, 0, 1)  (H^3 = 8)
 C2224 = VarietyContext("C2224", 1, 32, 65, (Fraction(-2), Fraction(1)))
-S222 = VarietyContext(
-    "S222", 2, 8, None, (Fraction(1, 4), Fraction(0), Fraction(1)), gamma_available=True
-)
+S222 = VarietyContext("S222", 2, 8, None, (Fraction(1, 4), Fraction(0), Fraction(1)))
 S224 = VarietyContext("S224", 2, 16, None, (Fraction(5, 4), Fraction(-1), Fraction(1)))
 X24 = VarietyContext("X24", 3, 8, None, (Fraction(0), Fraction(7, 12), Fraction(0), Fraction(1)))
 

@@ -39,6 +39,7 @@ from fractions import Fraction
 from .bounds import (
     _FALLBACK_CASE,
     _TABLE_BOUNDARIES,
+    _band,
     SPADE_CASES,
     NestedRadical,
     PlanePoint,
@@ -225,20 +226,11 @@ def _cone_rows(s_pq, s_op, fallback: bool, *inside) -> tuple:
     row on the open cell (slopes[k], slopes[k+1]), which no boundary cuts
     (off the table, the fallback row if requested, else None)."""
     table = _TABLE_BOUNDARIES[bisect.bisect_right(_TABLE_BOUNDARIES, s_pq) : bisect.bisect_left(_TABLE_BOUNDARIES, s_op)]
-    # band k != 0 (cases 8, 9 of band |k|, see _band) ends at 4k and 4k - 1/k,
-    # both in [4k - 1, 4k + 1]: with fl <= s_pq < fl + 1 and fh <= s_op, only
-    # bands with fl - 1 < 4k < fh + 2 can end inside the cone, and only those
-    # with 4k < fl + 2 or 4k >= fh - 1 need a comparison
-    fl, fh = floor_scalar(s_pq), floor_scalar(s_op)
-    bands = [
-        end
-        for k in range((fl - 1) // 4 + 1, (fh + 1) // 4 + 1)
-        if k
-        for end in sorted((Fraction(4 * k), Fraction(4 * k * k - 1, k)))
-        if fl + 2 <= 4 * k < fh - 1 or (compare_scalars(s_pq, end) < 0 and compare_scalars(end, s_op) < 0)
-    ]
-    inside = [s for s in inside if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0]
-    slopes = [s_pq, *sorted({*table, *inside, *bands}), s_op]
+    # every end of cases 8 and 9 in the bands n whose ends reach the wider edge
+    bands = range(1, (floor_scalar(max(-s_pq, s_op)) + 1) // 4 + 1)
+    ends = (end for n in bands for r in _band(n) for end in (r.lo, r.hi))
+    inside = [s for s in (*inside, *ends) if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0]
+    slopes = [s_pq, *sorted({*table, *inside}), s_op]
     owners = [_row_or_fallback(s, fallback) for s in slopes]
     cells = [_row_or_fallback((a + b) / 2, fallback) for a, b in zip(slopes, slopes[1:])]
     return slopes, owners, cells

@@ -718,8 +718,17 @@ def format_rat(q: Fraction) -> str:
 
 
 def parse_rat(text: str) -> Fraction:
+    """'p/q', an integer or a decimal such as '1.5e-3'.  ParseError for
+    anything else, and for a decimal exponent whose magnitude exceeds the
+    interpreter's int-to-text digit limit (none when the limit is 0), before
+    ``Fraction`` expands it: ``_int_text`` refuses such values on output."""
+    text = text.strip()
+    _, e, exponent = text.upper().rpartition("E")
+    limit = sys.get_int_max_str_digits()
     try:
-        return Fraction(text.strip())
+        if e and limit and abs(int(exponent)) > limit:
+            raise ParseError(f"the exponent of {text!r} exceeds the {limit:,}-digit limit")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}") from exc
 
@@ -746,7 +755,7 @@ def parse_scalar(text: str) -> Scalar:
     # or an exponent; heads look like "a+b" / "a-b" / "b"
     split = -1
     for i in range(len(head) - 1, 0, -1):
-        if head[i] in "+-" and head[i - 1] not in "+-/*":
+        if head[i] in "+-" and head[i - 1] not in "+-/*eE":
             split = i
             break
     if split < 0:

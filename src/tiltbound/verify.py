@@ -621,19 +621,6 @@ def suite_clifford(perturb: bool = False):
 _ONE = Poly1([1])
 
 
-def _clifford_piece(piece: str):
-    """Per-rank Clifford piece as a (numerator, denominator) pair in mu."""
-    if piece == "bn":
-        return Poly1([64]), Poly1([64, -1])
-    if piece == "low":
-        return Poly1([1, 0, Fraction(5, 1024)]), _ONE
-    if piece == "high":
-        return Poly1([5, Fraction(-1, 8), Fraction(5, 1024)]), _ONE
-    if piece == "lin":
-        return Poly1([-46, 1]), _ONE
-    raise ValueError(piece)
-
-
 def _pair_sum(*pairs):
     """The sum of (numerator, denominator) pairs, as one pair."""
     num, den = Poly1([]), _ONE
@@ -643,22 +630,31 @@ def _pair_sum(*pairs):
 
 
 def _prop52_holds(first: str, second: str, target) -> bool:
-    """(lam_first(32x) + lam_second(64 - 32x))/16 + x - 5/4 == target."""
-    n1, d1 = (p.compose_affine(0, 32) for p in _clifford_piece(first))
-    n2, d2 = (p.compose_affine(64, -32) for p in _clifford_piece(second))
+    """(lam_first(32x) + lam_second(64 - 32x))/16 + x - 5/4 == target, with
+    the per-rank Clifford pieces lam of ``bounds.CLIFFORD_PIECES``."""
+    n1, d1 = (p.compose_affine(0, 32) for p in bounds.CLIFFORD_PIECES[first])
+    n2, d2 = (p.compose_affine(64, -32) for p in bounds.CLIFFORD_PIECES[second])
     num, den = _pair_sum((n1, 16 * d1), (n2, 16 * d2), (Poly1([Fraction(-5, 4), 1]), _ONE))
     target_num, target_den = target
     return num * target_den == target_num * den
 
 
 # the recomposition cases: the two pieces and the target in x, where
-# 1/(16 - 8x) is the Brill-Noether piece's share
+# 1/(16 - 8x) is the Brill-Noether piece's share; case 3's target is the
+# surface family's piece 2
 _BN_SHARE = (Poly1([1]), Poly1([16, -8]))
 _PROP52_CASES = {
-    1: ("bn", "lin", _pair_sum(_BN_SHARE, (Poly1([Fraction(-1, 8), -1]), _ONE))),
+    1: ("bn", "linear", _pair_sum(_BN_SHARE, (Poly1([Fraction(-1, 8), -1]), _ONE))),
     2: ("bn", "high", _pair_sum(_BN_SHARE, (Poly1([Fraction(-3, 16), 0, Fraction(5, 16)]), _ONE))),
-    3: ("low", "high", (Poly1([Fraction(-1, 8), 0, Fraction(5, 8)]), _ONE)),
+    3: ("low", "high", (bg_quadratic_family.pieces[1].poly, _ONE)),
 }
+
+# the cases' dominance intervals in x = mu/32 end at the library's
+# breakpoints: bn_threshold()/32 = (8 - sqrt61)/3, (64 - CLIFFORD_BREAK)/32 =
+# (sqrt69 - 8)/5 and the surface family's first breakpoint (4 - sqrt13)/3
+_X_BN = bn_threshold() / 32
+_X_BREAK = (64 - bounds.CLIFFORD_BREAK) / 32
+_X_BP_A = bg_quadratic_family.pieces[0].interval.hi
 
 
 def suite_prop52(perturb: bool = False):
@@ -670,9 +666,7 @@ def suite_prop52(perturb: bool = False):
         cubic = Poly1([1, -1, 16, -8])
         if perturb:
             cubic = Poly1([1, -1, 16, -24])
-        lo = Fraction(0)
-        hi = (4 - QuadNum(0, 1, 13)) / 3
-        ok2 = scalar_sign(_poly_min_on_interval(cubic, lo, hi)[0]) >= 0
+        ok2 = scalar_sign(_poly_min_on_interval(cubic, Fraction(0), _X_BP_A)[0]) >= 0
         return ok and ok2, 2, None if (ok and ok2) else {"identity": ok, "dominance": ok2}
 
     reports.append(_run("prop52_case1_recomposition", check_case1))
@@ -681,9 +675,7 @@ def suite_prop52(perturb: bool = False):
         ok = _prop52_holds(*_PROP52_CASES[2])
         # dominated by piece 1 (x^2 - x) on ((sqrt69-8)/5, (8-sqrt61)/3]
         cubic = Poly1([4, -35, 38, -11])
-        lo = (QuadNum(0, 1, 69) - 8) / 5
-        hi = (8 - QuadNum(0, 1, 61)) / 3
-        ok = ok and scalar_sign(_poly_min_on_interval(cubic, lo, hi)[0]) >= 0
+        ok = ok and scalar_sign(_poly_min_on_interval(cubic, _X_BREAK, _X_BN)[0]) >= 0
         return ok, 2, None
 
     reports.append(_run("prop52_case2_recomposition", check_case2))
@@ -695,9 +687,7 @@ def suite_prop52(perturb: bool = False):
         ok = _prop52_holds(first, second, (num, den))
         # on ((8-sqrt61)/3, (4-sqrt13)/3] piece 1 dominates: 3x^2-8x+1 >= 0
         quad = Poly1([1, -8, 3])
-        lo = (8 - QuadNum(0, 1, 61)) / 3
-        hi = (4 - QuadNum(0, 1, 13)) / 3
-        ok = ok and scalar_sign(_poly_min_on_interval(quad, lo, hi)[0]) >= 0
+        ok = ok and scalar_sign(_poly_min_on_interval(quad, _X_BN, _X_BP_A)[0]) >= 0
         return ok, 2, None if ok else {"lead": format_scalar(num.coeffs[2])}
 
     reports.append(_run("prop52_case3_recomposition", check_case3))

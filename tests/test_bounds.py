@@ -21,6 +21,7 @@ from tiltbound.bounds import (
     _TABLE_BOUNDARIES,
     _band,
     _nearest_band,
+    bn_threshold,
     clifford_bound,
     clifford_case,
     piecewise_check,
@@ -316,6 +317,14 @@ def test_clifford_break_switch():
     assert clifford_bound((r, d)) == d - 46 * r
 
 
+def test_clifford_breakpoints_are_pinned():
+    # both are derived as real_roots of polynomials; their written fields stay
+    for root, fields in ((CLIFFORD_BREAK, (F(576, 5), F(-32, 5), 69)), (bn_threshold(), (F(256, 3), F(-32, 3), 61))):
+        assert type(root) is QuadNum
+        assert (root.a, root.b, root.m) == fields
+        assert (type(root.a), type(root.b), type(root.m)) == (F, F, int)
+
+
 def test_clifford_uncovered_band():
     with pytest.raises(SlopeOutsideTheorem):
         clifford_bound((1, 32))
@@ -383,7 +392,10 @@ def test_bg_threefold_linear_examples():
 
 
 def test_bg_threefold_quadratic():
-    assert bg_bound_threefold(0, "quadratic") == 0
+    # an integer twists to 0, where the family's first piece is closed and 0
+    for x in (0, 3, -2, QuadNum(4), 5):
+        value = bg_bound_threefold(x, "quadratic")
+        assert type(value) is F and value == 0, x
     assert bg_bound_threefold(F(3, 2), "quadratic") == bg_bound_threefold(F(1, 2), "quadratic")
     assert bg_bound_threefold(F(1, 2), "quadratic") == F(1, 32)
 

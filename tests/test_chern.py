@@ -27,7 +27,7 @@ from tiltbound.chern import (
 
 def test_context_registry():
     assert (C2224.dim, C2224.degree, C2224.genus) == (1, 32, 65)
-    assert (S222.dim, S222.degree) == (2, 8) and S222.gamma_available
+    assert (S222.dim, S222.degree) == (2, 8)
     assert (S224.dim, S224.degree) == (2, 16)
     assert (X24.dim, X24.degree) == (3, 8)
 

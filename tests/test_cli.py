@@ -75,11 +75,26 @@ def test_eval_hostile_radicand_exits_2(capsys):
 
 
 def test_eval_value_too_long_to_print_exits_2(capsys):
-    # Gamma(10^5000) is computed exactly, but its numerator has more digits
-    # than the interpreter writes as text, so printing it is refused by name
-    code, out, err = run_cli(["eval", "--bound", "gamma", "--at", "1e5000"], capsys)
+    # Gamma(10^4000) is computed exactly (its exponent is within the digit
+    # limit), but its numerator has more digits than the interpreter writes
+    # as text, so printing it is refused by name
+    code, out, err = run_cli(["eval", "--bound", "gamma", "--at", "1e4000"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("ExactError: cannot write a ") and "-digit limit" in err
+
+
+def test_eval_exponent_in_a_radical_coefficient(capsys):
+    code, out, _ = run_cli(["eval", "--bound", "gamma", "--at", "2e-1*sqrt(3)"], capsys)
+    assert code == 0
+    assert (code, out) == run_cli(["eval", "--bound", "gamma", "--at", "1/5*sqrt(3)"], capsys)[:2]
+
+
+def test_eval_huge_exponent_exits_2(capsys):
+    # refused when parsed, not after building the value
+    for at in ("1e1000000", "1e-1000000"):
+        code, out, err = run_cli(["eval", "--bound", "gamma", "--at", at], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("ParseError:"), err
 
 
 def test_eval_square_of_a_large_prime_radicand(capsys):

@@ -706,10 +706,9 @@ def _reference_cone_rows(s_pq, s_op, fallback, *inside):
 
 
 def test_cone_rows_match_the_reference_filter():
-    # bisecting the sorted table boundaries and taking the band ends in
-    # closed form keeps the filter's slopes (and their types), owners and
-    # cells: rational and a+b*sqrt(2) edges, edges on a table boundary or a
-    # band end, and wide cones up to |s| = 1024
+    # bisecting the sorted table boundaries keeps the filter's slopes (and
+    # their types), owners and cells: rational and a+b*sqrt(2) edges, edges
+    # on a table boundary or a band end, and wide cones up to |s| = 1024
     rng = random.Random(97)
     ends = _table_slopes_inside(F(-41), F(41))
 

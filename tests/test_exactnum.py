@@ -247,6 +247,24 @@ def test_rat_serialization():
         parse_rat("nope")
 
 
+def test_parse_scalar_reads_exponents():
+    # a sign after e / E belongs to the exponent, not to the a + b split
+    assert parse_scalar("2e-1*sqrt(3)") == QuadNum(0, F(1, 5), 3)
+    assert parse_scalar("1+2e-3*sqrt(2)") == QuadNum(1, F(1, 500), 2)
+    assert parse_scalar("1+2E-3*sqrt(2)") == QuadNum(1, F(1, 500), 2)
+
+
+def test_parse_refuses_exponents_past_the_digit_limit():
+    # refused at the text, before Fraction builds a million-digit integer
+    limit = sys.get_int_max_str_digits()
+    assert parse_rat(f"1e{limit}") == 10**limit
+    for text in ("1e1000000", "1e-1000000"):
+        with pytest.raises(ParseError, match="exceeds the"):
+            parse_rat(text)
+        with pytest.raises(ParseError, match="exceeds the"):
+            parse_scalar(f"1+{text}*sqrt(2)")
+
+
 def test_decimal_str():
     assert decimal_str(F(1, 32), 12) == "0.0312500000000"
     s = decimal_str(QuadNum(0, 1, 2), 12)

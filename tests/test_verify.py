@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tiltbound import chern, tilt, walls
+from tiltbound import bounds, chern, tilt, walls
 from tiltbound.bounds import bg_quadratic_family, piecewise_check
 from tiltbound.exactnum import Poly1, format_scalar
 from tiltbound.verify import (
@@ -46,6 +46,21 @@ def test_prop52_identities_fail_under_each_one_coefficient_change():
                 changed = list(target)
                 changed[side] += Poly1([0] * i + [1])
                 assert not _prop52_holds(first, second, tuple(changed)), (case, side, i)
+
+
+def test_prop52_reads_the_library_clifford_pieces(monkeypatch):
+    # the cases use bn + linear, bn + high and low + high, so a change of any
+    # one coefficient of any piece in bounds.CLIFFORD_PIECES fails some case
+    assert {piece for first, second, _ in _PROP52_CASES.values() for piece in (first, second)} == set(bounds.CLIFFORD_PIECES)
+    for piece, pair in bounds.CLIFFORD_PIECES.items():
+        for side in (0, 1):
+            for i in range(len(pair[side].coeffs)):
+                changed = list(pair)
+                changed[side] += Poly1([0] * i + [1])
+                with monkeypatch.context() as m:
+                    m.setitem(bounds.CLIFFORD_PIECES, piece, tuple(changed))
+                    assert not all(_prop52_holds(*case) for case in _PROP52_CASES.values()), (piece, side, i)
+    assert all(_prop52_holds(*case) for case in _PROP52_CASES.values())
 
 
 def test_q00_suite_passes_and_counts_samples():
