@@ -40,6 +40,7 @@ from .bounds import (
     _FALLBACK_CASE,
     _TABLE_BOUNDARIES,
     _band,
+    _nearest_band,
     SPADE_CASES,
     NestedRadical,
     PlanePoint,
@@ -226,8 +227,13 @@ def _cone_rows(s_pq, s_op, fallback: bool, *inside) -> tuple:
     row on the open cell (slopes[k], slopes[k+1]), which no boundary cuts
     (off the table, the fallback row if requested, else None)."""
     table = _TABLE_BOUNDARIES[bisect.bisect_right(_TABLE_BOUNDARIES, s_pq) : bisect.bisect_left(_TABLE_BOUNDARIES, s_op)]
-    # every end of cases 8 and 9 in the bands n whose ends reach the wider edge
-    bands = range(1, (floor_scalar(max(-s_pq, s_op)) + 1) // 4 + 1)
+    # every end of cases 8 and 9 in the bands n whose ends reach the wider
+    # edge, from the band of the edge nearer 0 when both share a sign: a
+    # band's ends have 4n - 1/n <= |s| <= 4n, and with e = max(s_pq, -s_op),
+    # that edge's |s| (else e <= 0), every band n < _nearest_band(e) has
+    # 4n <= e - 2, so none of its ends is inside
+    first = max(1, _nearest_band(max(s_pq, -s_op)))
+    bands = range(first, (floor_scalar(max(-s_pq, s_op)) + 1) // 4 + 1)
     ends = (end for n in bands for r in _band(n) for end in (r.lo, r.hi))
     inside = [s for s in (*inside, *ends) if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0]
     slopes = [s_pq, *sorted({*table, *inside}), s_op]

@@ -110,27 +110,35 @@ class ParseError(ExactError):
 # square-free decomposition
 # ---------------------------------------------------------------------------
 
-# Miller-Rabin witnesses: the 12 bases 2..37 are deterministic below
-# psi_12 = 318665857834031151167461 (Sorenson-Webster), the least composite
-# that passes them all (399165290221 * 798330580441)
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# square_free_core takes these out first, all found by one gcd with their
-# product, so Miller-Rabin never runs on a large composite with a small factor
-# and a cofactor below _TRIAL_BOUND**2 is 1 or a prime
+# square_free_core first walks these trial primes, all found by one gcd with
+# their product, so a cofactor below _TRIAL_BOUND**2 is 1 or a prime; a larger
+# cofactor is rooted with math.isqrt while it is a perfect square, and only
+# then goes to Miller-Rabin, which never sees a small factor or a square
 _TRIAL_BOUND = 1000
 _TRIAL_PRIMES = tuple(p for p in range(2, _TRIAL_BOUND) if all(p % q for q in range(2, math.isqrt(p) + 1)))
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+# Miller-Rabin witnesses in two tiers: the bases 2, 7, 61 are deterministic
+# below 4759123141 = 48781 * 97561, the least strong pseudoprime to all three
+# (Jaeschke, Math. Comp. 61, 1993); the 12 bases 2..37 below psi_12 =
+# 318665857834031151167461 (Sorenson-Webster), the least composite that
+# passes them all (399165290221 * 798330580441)
+_SMALL_BASES = (2, 7, 61)
+_SMALL_BASES_BOUND = 4_759_123_141
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin on the bases ``_SMALL_PRIMES``, for n >= ``_TRIAL_BOUND**2``
-    with no prime factor below ``_TRIAL_BOUND``: ``square_free_core``'s cofactors."""
+    """Miller-Rabin for n >= ``_TRIAL_BOUND**2`` with no prime factor below
+    ``_TRIAL_BOUND`` and not a perfect square: ``square_free_core``'s
+    cofactors after its ``math.isqrt`` test.  On the bases ``_SMALL_BASES``
+    below ``_SMALL_BASES_BOUND`` (exact there), else on ``_SMALL_PRIMES``
+    (exact below psi_12)."""
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _SMALL_PRIMES:
+    for a in _SMALL_BASES if n < _SMALL_BASES_BOUND else _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -170,16 +178,20 @@ def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
 def square_free_core(n: int) -> tuple[int, int]:
     """Decompose n > 0 as ``core * sq**2`` with core square-free.
 
-    Each prime factor p is found once and divided out to its full power.
-    ``math.gcd(n, _TRIAL_PRODUCT)`` names the primes of ``_TRIAL_PRIMES``
-    that divide n; the cofactor left is 1 or a prime below
-    ``_TRIAL_BOUND**2``.  Above it, a number m that fails Miller-Rabin is
-    split without rho where it can be: a square by its ``math.isqrt`` root
-    (a fourth power is rooted twice), a power q**k of one prime by
-    gcd(2**m - 2, m), which q divides.  Only what is left goes to Pollard
-    rho, with ``_RHO_STEPS`` steps in all before ExactError; the factors rho
-    returns take the same path, so rho never sees a square.  Above psi_12
-    (see ``_SMALL_PRIMES``) a number that passes Miller-Rabin is used as one
+    Each prime factor p is found once and divided out to its full power, in
+    this order.  First the walk: ``math.gcd(n, _TRIAL_PRODUCT)`` names the
+    primes of ``_TRIAL_PRIMES`` that divide n, and the walk over them ends
+    once p**2 exceeds what is left of that gcd, which is then one prime.
+    The cofactor left is 1 or a prime below ``_TRIAL_BOUND**2``.  Above it,
+    a number m is rooted by ``math.isqrt`` while it is a perfect square (a
+    fourth power is rooted twice), and only then tested by Miller-Rabin
+    (``_is_probable_prime``: bases 2, 7, 61 below 4759123141, the 12 bases
+    of ``_SMALL_PRIMES`` above).  One that fails is split without rho where
+    it can be: a power q**k of one prime by gcd(2**m - 2, m), which q
+    divides.  Only what is left goes to Pollard rho, with ``_RHO_STEPS``
+    steps in all before ExactError; the factors rho returns take the same
+    path, so neither rho nor Miller-Rabin sees a square.  Above psi_12 (see
+    ``_SMALL_PRIMES``) a number that passes Miller-Rabin is used as one
     prime factor.
     """
     if n <= 0:
@@ -191,16 +203,20 @@ def square_free_core(n: int) -> tuple[int, int]:
     while n > 1:
         if small > 1:
             p = next(trial)
-            if small % p:
+            if p * p > small:
+                p = small
+            elif small % p:
                 continue
             small //= p
         else:
             p = n
-            while p >= _TRIAL_BOUND * _TRIAL_BOUND and not _is_probable_prime(p):
+            while p >= _TRIAL_BOUND * _TRIAL_BOUND:
                 root = math.isqrt(p)
                 if root * root == p:
                     p = root
                     continue
+                if _is_probable_prime(p):
+                    break
                 # p = q**k has q | 2**p - 2, as p = 1 (mod q - 1)
                 g = math.gcd(pow(2, p, p) - 2, p)
                 p, budget = (g, budget) if 1 < g < p else _pollard_rho(p, budget)
@@ -950,6 +966,24 @@ def poly_equal(p: MPoly, q: MPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _quadratic_roots(c: int, b: int, a: int) -> list:
+    """Real roots of a*x^2 + b*x + c for ints with a != 0, ascending:
+    Fractions, or a pair of conjugate QuadNums; a double root is listed once.
+
+    The discriminant b^2 - 4ac is an int, and its one ``square_free_core``
+    call gives sqrt(disc) = sq*sqrt(core)."""
+    disc = b * b - 4 * a * c
+    if disc <= 0:
+        return [Fraction(-b, 2 * a)] if disc == 0 else []
+    core, sq = square_free_core(disc)
+    if core == 1:
+        lo, hi = Fraction(-b - sq, 2 * a), Fraction(-b + sq, 2 * a)
+    else:
+        center, half = Fraction(-b, 2 * a), Fraction(sq, 2 * a)
+        lo, hi = QuadNum._reduced(center, -half, core), QuadNum._reduced(center, half, core)
+    return [lo, hi] if a > 0 else [hi, lo]
+
+
 class Poly1(ExactRing):
     """Dense univariate polynomial over Q, coefficients low to high."""
 
@@ -1044,11 +1078,9 @@ class Poly1(ExactRing):
         """Exact real roots for degree <= 2, ascending: Fractions, or a pair
         of conjugate QuadNums; a double root is listed once.
 
-        Works on the integer coefficients c, b, a that
-        ``clear_denominators`` writes: the discriminant b^2 - 4ac is an int,
-        and its one ``square_free_core`` call gives sqrt(disc) =
-        sq*sqrt(core).  ValueError for the zero polynomial,
-        NotImplementedError above degree 2.
+        A quadratic goes to ``_quadratic_roots`` with the integer
+        coefficients c, b, a that ``clear_denominators`` writes.  ValueError
+        for the zero polynomial, NotImplementedError above degree 2.
         """
         if not self.coeffs:
             raise ValueError("zero polynomial has all roots")
@@ -1059,17 +1091,7 @@ class Poly1(ExactRing):
         nums, _ = clear_denominators(self.coeffs)
         if len(nums) == 2:
             return [Fraction(-nums[0], nums[1])]
-        c, b, a = nums
-        disc = b * b - 4 * a * c
-        if disc <= 0:
-            return [Fraction(-b, 2 * a)] if disc == 0 else []
-        core, sq = square_free_core(disc)
-        if core == 1:
-            lo, hi = Fraction(-b - sq, 2 * a), Fraction(-b + sq, 2 * a)
-        else:
-            center, half = Fraction(-b, 2 * a), Fraction(sq, 2 * a)
-            lo, hi = QuadNum._reduced(center, -half, core), QuadNum._reduced(center, half, core)
-        return [lo, hi] if a > 0 else [hi, lo]
+        return _quadratic_roots(*nums)
 
     def __str__(self):
         if not self.coeffs:

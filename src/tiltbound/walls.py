@@ -22,6 +22,7 @@ from .chern import ChernVec, WrongContext
 from .exactnum import (
     Poly1,
     Scalar,
+    _quadratic_roots,
     as_fraction,
     floor_scalar,
     format_scalar,
@@ -181,8 +182,13 @@ def line_gamma_intersection(k, side: str) -> Scalar:
 
 
 def intersect_line_with_piece(k, n: int, upper_root: bool) -> Scalar:
-    """Solve k*x = 5x^2 - 2n x + n^2 - 1 exactly; NoIntersection if no real root."""
-    roots = Poly1([n * n - 1, -2 * n - k, 5]).real_roots()
+    """Solve k*x = 5x^2 - 2n x + n^2 - 1 exactly; NoIntersection if no real root.
+
+    With k = p/q, q times the piece minus k*x has the integer coefficients
+    (n^2 - 1)q, -(2nq + p), 5q that ``_quadratic_roots`` takes."""
+    k = as_fraction(k)
+    p, q = k.numerator, k.denominator
+    roots = _quadratic_roots((n * n - 1) * q, -(2 * n * q + p), 5 * q)
     if not roots:
         raise NoIntersection(f"slope {k} misses the piece at n={n}")
     return roots[-1] if upper_root else roots[0]

@@ -735,6 +735,26 @@ def test_cone_rows_match_the_reference_filter():
         assert [type(s) for s in got[0]] == [type(s) for s in want[0]], (s_pq, s_op, inside)
 
 
+def test_cone_rows_start_at_the_band_of_the_nearer_edge(monkeypatch):
+    # a narrow cone far from 0 compares only the ends of the bands it can
+    # reach: 6 and 7 comparisons here, not 1,026 and 2,047 from band 1 up
+    calls = []
+    compare = convexopt.compare_scalars
+
+    def counted(x, y):
+        calls.append((x, y))
+        return compare(x, y)
+
+    monkeypatch.setattr(convexopt, "compare_scalars", counted)
+    for s_pq, s_op in ((F(2045, 2), F(1024)), (F(-1024), F(-2045, 2))):
+        for fallback in (False, True):
+            calls.clear()
+            got = convexopt._cone_rows(s_pq, s_op, fallback)
+            assert len(calls) <= 8, (s_pq, s_op, len(calls))
+            assert got == _reference_cone_rows(s_pq, s_op, fallback)
+            assert len(got[0]) == 3  # one band end inside, +-(4*256**2 - 1)/256
+
+
 def _recorded_points(monkeypatch):
     """Every point passed to SpadeCase.value from now on, in call order."""
     points = []

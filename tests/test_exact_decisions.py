@@ -222,8 +222,8 @@ def test_math_lcm_lives_in_exactnum():
     assert sites == []
 
 
-def _isqrt_sites(tree):
-    """Where math.isqrt is named: its enclosing Class.function, or the
+def _sites(tree, hit):
+    """Where a node with hit(node) is: its enclosing Class.function, or the
     module-level name it is assigned to."""
     stack = [(tree, "")]
     while stack:
@@ -232,11 +232,15 @@ def _isqrt_sites(tree):
             where = f"{where}.{node.name}".lstrip(".")
         elif isinstance(node, ast.Assign) and not where:
             where = ",".join(t.id for t in node.targets if isinstance(t, ast.Name))
-        if (isinstance(node, ast.Attribute) and node.attr == "isqrt") or (
-            isinstance(node, ast.ImportFrom) and any(alias.name == "isqrt" for alias in node.names)
-        ):
+        if hit(node):
             yield where
         stack.extend((child, where) for child in ast.iter_child_nodes(node))
+
+
+def _names_isqrt(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "isqrt") or (
+        isinstance(node, ast.ImportFrom) and any(alias.name == "isqrt" for alias in node.names)
+    )
 
 
 def test_math_isqrt_lives_in_the_enclosure_and_the_square_free_core():
@@ -245,9 +249,34 @@ def test_math_isqrt_lives_in_the_enclosure_and_the_square_free_core():
     sites = {
         f"{path.name}:{where}"
         for path in sorted(SRC.glob("*.py"))
-        for where in _isqrt_sites(ast.parse(path.read_text()))
+        for where in _sites(ast.parse(path.read_text()), _names_isqrt)
     }
     assert sites == {"exactnum.py:_enclosure", "exactnum.py:square_free_core", "exactnum.py:_TRIAL_PRIMES"}
+
+
+def _calls_square_free_core(node) -> bool:
+    return isinstance(node, ast.Call) and "square_free_core" in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
+
+
+def test_square_free_core_has_five_callers():
+    # the factoring layer's callers: a value at a rational point, an exact
+    # square root, the two radical constructors and the quadratic formula;
+    # a new caller must be named here
+    sites = {
+        f"{path.name}:{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in _sites(ast.parse(path.read_text()), _calls_square_free_core)
+    }
+    assert sites == {
+        "bounds.py:SpadeCase.value",
+        "exactnum.py:sqrt_exact",
+        "exactnum.py:QuadNum.__init__",
+        "exactnum.py:RadicalSum.__init__",
+        "exactnum.py:_quadratic_roots",
+    }
 
 
 CACHES = {"lru_cache", "cache"}

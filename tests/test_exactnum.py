@@ -106,6 +106,26 @@ def test_pollard_rho_never_sees_a_square(monkeypatch):
     assert seen and not [n for n in seen if math.isqrt(n) ** 2 == n]
 
 
+def test_miller_rabin_never_sees_a_square(monkeypatch):
+    # a cofactor is rooted by math.isqrt before Miller-Rabin tests it
+    seen = []
+    inner = exactnum._is_probable_prime
+
+    def recording(n):
+        seen.append(n)
+        return inner(n)
+
+    monkeypatch.setattr(exactnum, "_is_probable_prime", recording)
+    reports = run_suite("clifford")
+    assert all(r.status == "pass" for r in reports)
+    assert square_free_core(2**20 * 3**2 * 5591**2) == (1, 2**10 * 3 * 5591)
+    assert square_free_core(1_000_003**2 * 5) == (5, 1_000_003)
+    assert square_free_core(1800269641579**4 * 6) == (6, 1800269641579**2)
+    assert square_free_core(1231**3 * 1583) == (1231 * 1583, 1231)
+    assert square_free_core(1009**2 * 1013**2 * 7) == (7, 1009 * 1013)
+    assert seen and not [n for n in seen if math.isqrt(n) ** 2 == n]
+
+
 def test_quadnum_normalization():
     x = QuadNum(0, 1, 244)  # sqrt(244) = 2 sqrt(61)
     assert (x.a, x.b, x.m) == (F(0), F(2), 61)

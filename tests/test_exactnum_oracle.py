@@ -344,6 +344,58 @@ def test_square_free_core_high_prime_power():
     assert square_free_core(41**900) == (1, 41**450)
 
 
+# below 48781 * 97561 Miller-Rabin needs only the bases 2, 7 and 61, and that
+# number is the least strong pseudoprime to all three (Jaeschke 1993): at it
+# the 12 bases take over
+JAESCHKE = 4_759_123_141
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+def test_square_free_core_at_the_three_base_bound():
+    assert JAESCHKE == 48781 * 97561 == exactnum._SMALL_BASES_BOUND
+    assert all(_strong_probable_prime(JAESCHKE, a) for a in (2, 7, 61))
+    assert not exactnum._is_probable_prime(JAESCHKE)
+    assert square_free_core(JAESCHKE) == (JAESCHKE, 1)
+    assert square_free_core(4 * JAESCHKE) == (JAESCHKE, 2)
+    assert square_free_core(9 * JAESCHKE) == (JAESCHKE, 3)
+    assert square_free_core(JAESCHKE * 97561) == (48781, 97561)
+
+
+def test_miller_rabin_below_the_three_base_bound():
+    # primes just below the bound are primes, and so are their squares'
+    # roots; every number just below it with no prime factor under 1,000 is
+    # classed as sympy classes it; 2251 * 11251 is a strong pseudoprime to
+    # the bases 2, 3 and 5, and 61 finds it
+    p, primes = JAESCHKE, []
+    while len(primes) < 20:
+        p = sympy.prevprime(p)
+        primes.append(p)
+    for p in primes:
+        assert exactnum._is_probable_prime(p)
+        assert square_free_core(p) == (p, 1)
+        assert square_free_core(6 * p**2) == (6, p)
+    rough = [n for n in range(JAESCHKE - 20_000, JAESCHKE) if math.gcd(n, exactnum._TRIAL_PRODUCT) == 1]
+    assert len(rough) > 1000
+    assert [n for n in rough if exactnum._is_probable_prime(n) != sympy.isprime(n)] == []
+    spsp = 2251 * 11251
+    assert all(_strong_probable_prime(spsp, a) for a in (2, 3, 5))
+    assert not exactnum._is_probable_prime(spsp)
+    assert square_free_core(spsp) == (spsp, 1)
+
+
+@PROPS
+@given(st.integers(10**6, 10**10))
+def test_square_free_core_around_the_three_base_bound_matches_factorint(n):
+    _check_square_free_core(n)
+
+
 small_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 nonzero_coeffs = small_coeffs.filter(bool)
 
@@ -381,6 +433,51 @@ def test_real_roots_match_sympy(p):
     for lo, hi in zip(got, got[1:]):
         assert compare_scalars(lo, hi) < 0
         assert _oracle_sign(_sympy(hi) - _sympy(lo)) == 1
+
+
+def _quadratic_triples():
+    """Seeded integer (c, b, a), a != 0 of either sign: generic triples and
+    ones built with a negative, zero, perfect square or square-free (times a
+    square) discriminant.  Entries are below 10, below 10**6, or multiples
+    of 10**14 up to 10**20 (large, but with discriminants that Pollard rho
+    splits within its budget)."""
+    rng = random.Random(28)
+    triples = []
+    for size, scale in ((10, 1), (10**6, 1), (10**6, 10**14)):
+        for _ in range(25):
+            a = rng.choice((-1, 1)) * rng.randint(1, size) * scale
+            b, c, t, u = (rng.randint(-size, size) * scale for _ in range(4))
+            m = rng.choice(SQUARE_FREE)
+            triples += [
+                (c, b, a),
+                (a * (t * t + 1), 2 * a * t, a),  # a((x + t)^2 + 1): negative
+                (a * t * t, 2 * a * t * u, a * u * u),  # a(ux + t)^2: zero
+                (a * t * u, a * (t + u), a),  # a(x + t)(x + u): a square
+                (t * t - m * u * u, 2 * t, 1),  # roots -t +- u*sqrt(m)
+            ]
+    return triples
+
+
+def test_quadratic_roots_match_sympy():
+    x = sympy.Symbol("x")
+    kinds = Counter()
+    for c, b, a in _quadratic_triples():
+        if a == 0:
+            continue
+        got = exactnum._quadratic_roots(c, b, a)
+        poly = a * x**2 + b * x + c
+        want = sorted((r for r in sympy.roots(sympy.Poly(poly, x)) if r.is_real), key=lambda r: r.evalf(60))
+        assert len(got) == len(want), (c, b, a)  # a double root is reported once
+        for r, w in zip(got, want):
+            assert sympy.expand(poly.subs(x, _sympy(r))) == 0
+            assert type(r) is (F if w.is_rational else QuadNum), (c, b, a)
+            assert abs(sympy.N(_sympy(r) - w, 60)) <= abs(sympy.N(w, 60)) * sympy.Float(10) ** -50
+            if type(r) is QuadNum:
+                assert r.m > 1 and type(r.a) is F and type(r.b) is F
+        for lo, hi in zip(got, got[1:]):
+            assert compare_scalars(lo, hi) < 0
+        kinds[len(got), type(got[0]) if got else None] += 1
+    assert set(kinds) == {(0, None), (1, F), (2, F), (2, QuadNum)}
 
 
 # Poly1 kernels: integer Horner evaluation and integer-discriminant roots,

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from tiltbound import tilt, walls
+from tiltbound import tilt, verify, walls
 from tiltbound.chern import S222, X24, ChernVec, grr_push_to_k3, CurveClass
-from tiltbound.exactnum import MPoly, QuadNum, compare_scalars, rational_or_quad, scalar_sign
+from tiltbound.exactnum import MPoly, Poly1, QuadNum, compare_scalars, rational_or_quad, scalar_sign
 from tiltbound.tilt import TiltParams, wall_det_core
 from tiltbound.verify import run_suite
 from tiltbound.walls import (
@@ -194,6 +194,68 @@ def test_intersection_out_of_table():
 def test_intersection_no_intersection():
     with pytest.raises(NoIntersection):
         intersect_line_with_piece(F(1), 2, True)  # y = x misses 5x^2-4x+3
+
+
+def _reference_intersection(k, side):
+    """line_gamma_intersection as first written: the range scan, then the
+    roots of Poly1([n*n - 1, -2*n - k, 5])."""
+    k = F(k)
+    table = walls._RIGHT_RANGES if side == "right" else walls._LEFT_RANGES
+    for lo, hi, n in table:
+        if lo <= k <= hi:
+            return _reference_piece(k, n, side == "right")
+    raise OutOfRange(k)
+
+
+def _reference_piece(k, n, upper_root):
+    roots = Poly1([n * n - 1, -2 * n - k, 5]).real_roots()
+    if not roots:
+        raise NoIntersection(k, n)
+    return roots[-1] if upper_root else roots[0]
+
+
+def _same_outcome(got, want):
+    """Both calls return the same value of the same type, or raise the same
+    exception class."""
+    try:
+        value = want()
+    except (OutOfRange, NoIntersection) as exc:
+        with pytest.raises(type(exc)):
+            got()
+        return type(exc)
+    x = got()
+    assert type(x) is type(value) and x == value and repr(x) == repr(value)
+    return type(x)
+
+
+def test_intersection_matches_the_poly1_roots():
+    # the integer quadratic formula gives the old Poly1 roots: the check's
+    # 1,600 slopes, every range end, random slopes inside each range and
+    # across [-25, 25] (the table's gaps and its far ends refuse)
+    rng = random.Random(28)
+    slopes = []
+    for side, table in verify._INTERSECT_RANGES.items():
+        for lo, hi, _ in table:
+            step = (hi - lo) / verify._K_PER_RANGE
+            slopes += [(lo + step * i, side) for i in range(verify._K_PER_RANGE)]
+            slopes += [(lo, side), (hi, side)]
+            slopes += [(lo + (hi - lo) * F(rng.randrange(1, 10**6), 10**6), side) for _ in range(25)]
+    slopes += [(F(rng.randrange(-2500, 2501), rng.randrange(1, 101)), side) for side in ("right", "left") for _ in range(300)]
+    outcomes = [
+        _same_outcome(lambda: line_gamma_intersection(k, side), lambda: _reference_intersection(k, side))
+        for k, side in slopes
+    ]
+    assert {F, QuadNum, OutOfRange} <= set(outcomes)
+    # every piece and slope, both roots: a negative discriminant refuses
+    pieces = [
+        (F(rng.randrange(-600, 601), rng.randrange(1, 31)), rng.randrange(-6, 7), rng.random() < 0.5)
+        for _ in range(600)
+    ]
+    outcomes = [
+        _same_outcome(lambda: intersect_line_with_piece(k, n, up), lambda: _reference_piece(k, n, up))
+        for k, n, up in pieces
+    ]
+    assert {F, QuadNum, NoIntersection} <= set(outcomes)
 
 
 def test_rational_piece_intersections():
