@@ -237,16 +237,19 @@ def q_form(v: ChernVec, p: TiltParams):
 def wall_q_invariance_check(v: ChernVec, p0: TiltParams, p1: TiltParams) -> bool:
     """ch1^b1H * Q_{p0} == ch1^b0H * Q_{p1} for p0, p1 on one nested wall.
 
-    The cores run once per point in the ``weighted_frame``, on ints (on
-    QuadNums with integral parts for irrational parameters).  The frame
-    scales the determinant, linear in the character, by M*L^3, and each side
-    of the identity, cubic in it, by the same 216*M^3*L^5.
+    TiltError off X24, whatever the parameters.  The cores run once per
+    point on the ``weighted_frame`` of v.c times the degree deg = H^n: ints
+    (QuadNums with integral parts for irrational parameters) that are
+    deg*M*L**i times v.c[i], with M taken from v.c.  So the determinant,
+    linear in the character, is scaled by deg*M*L^3, and each side of the
+    identity, cubic in it, by the same 216*deg^3*M^3*L^5.
     """
-    _, _, nums, (a0, a1), (b0, b1) = weighted_frame(v.inums(), (p0.alpha, p1.alpha), (p0.beta, p1.beta))
-    if scalar_sign(wall_det_core(nums, a1, b1, a0, b0)) != 0:
-        raise PreconditionError("parameters are not collinear with p_H(v)")
     if v.context is not X24:
         raise TiltError("Q is defined on X24")
+    _, _, frame, (a0, a1), (b0, b1) = weighted_frame(v.c, (p0.alpha, p1.alpha), (p0.beta, p1.beta))
+    nums = tuple(v.context.degree * x for x in frame)
+    if scalar_sign(wall_det_core(nums, a1, b1, a0, b0)) != 0:
+        raise PreconditionError("parameters are not collinear with p_H(v)")
     tw0, tw1 = twist_core(nums, b0), twist_core(nums, b1)
     lhs = tw1[1] * q_core(nums, a0, b0, tw0)
     rhs = tw0[1] * q_core(nums, a1, b1, tw1)

@@ -42,6 +42,7 @@ from .exactnum import (
     Poly1,
     QuadNum,
     RadicalSum,
+    clear_denominators,
     compare_scalars,
     format_scalar,
     poly_equal,
@@ -158,19 +159,32 @@ def suite_radicals(perturb: bool = False):
     reports.append(_run("radicals_f1_square_collapse", check_f1))
 
     def check_residuals():
-        # k*x - Gamma_n(x) is the Poly1 -c0 + (k - c1)x - c2 x^2 at x, one
-        # integer Horner loop per sample
+        # k = lo + (hi - lo)*k_idx/200 is one Fraction of the integer range
+        # ends.  With k = p/q, Gamma_n = (c0 + c1 x + c2 x^2)/den and x =
+        # (u + v*sqrt(m))/w in integers, q*den*w^2 (k*x - Gamma_n(x)) is
+        # rat + irr*sqrt(m); the sample passes iff both integers are 0.  The
+        # Poly1 residual -c0 + (k - c1)x - c2 x^2 is built for the witness only
         samples = 0
         for side, table in _INTERSECT_RANGES.items():
             for lo, hi, n in table:
-                c0, c1, c2 = walls.gamma_piece(n).coeffs
-                step = (hi - lo) / _K_PER_RANGE
+                coeffs = walls.gamma_piece(n).coeffs
+                (c0, c1, c2), den = clear_denominators(coeffs)
+                a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
                 for k_idx in range(_K_PER_RANGE):
-                    k = lo + step * k_idx
+                    k = Fraction(a * d * (_K_PER_RANGE - k_idx) + c * b * k_idx, _K_PER_RANGE * b * d)
                     x = walls.line_gamma_intersection(k, side)
-                    residual = Poly1((-c0, k - c1, -c2)).evaluate(x)
                     samples += 1
-                    if scalar_sign(residual) != 0:
+                    if isinstance(x, QuadNum):
+                        (u, v), w = clear_denominators((x.a, x.b))
+                        m = x.m
+                    else:
+                        u, v, m, w = x.numerator, 0, 0, x.denominator
+                    p, q = k.numerator, k.denominator
+                    pdw = p * den * w
+                    rat = pdw * u - q * (c0 * w * w + c1 * w * u + c2 * (u * u + v * v * m))
+                    irr = v * (pdw - q * (c1 * w + 2 * c2 * u))
+                    if rat or irr:
+                        residual = Poly1((-coeffs[0], k - coeffs[1], -coeffs[2])).evaluate(x)
                         return False, samples, {
                             "side": side,
                             "k": format_scalar(k),

@@ -147,7 +147,9 @@ def gamma_curve(x) -> Scalar:
 # one entry per static spade row: the hull of the row's ranges, and the n
 # whose band 4n sits between its two ranges (0 for the one-range row 3).  At
 # a boundary k the intersection lands on a piece edge and still satisfies
-# k*x = piece_n(x); a k shared by two rows goes to the smaller |n|.
+# k*x = piece_n(x); a k shared by two rows goes to the smaller |n|.  The
+# scan reads each end's numerator and denominator and compares k = p/q with
+# it by one cross-multiplied integer.
 _PIECE_RANGES = [
     (row.ranges[0].lo, row.ranges[-1].hi, _nearest_band((row.ranges[0].hi + row.ranges[-1].lo) / 2))
     for row in SPADE_CASES[:7]
@@ -171,26 +173,26 @@ def line_gamma_intersection(k, side: str) -> Scalar:
         pick_hi = False
     else:
         raise ValueError("side must be 'right' or 'left'")
-    piece_n = None
+    p, q = k.numerator, k.denominator
     for lo, hi, n in table:
-        if lo <= k <= hi:
-            piece_n = n
-            break
-    if piece_n is None:
-        raise OutOfRange(f"slope {k} outside the intersection table ({side})")
-    return intersect_line_with_piece(k, piece_n, pick_hi)
+        if lo.numerator * q <= p * lo.denominator and p * hi.denominator <= hi.numerator * q:
+            return _intersect(p, q, n, pick_hi)
+    raise OutOfRange(f"slope {k} outside the intersection table ({side})")
 
 
 def intersect_line_with_piece(k, n: int, upper_root: bool) -> Scalar:
-    """Solve k*x = 5x^2 - 2n x + n^2 - 1 exactly; NoIntersection if no real root.
-
-    With k = p/q, q times the piece minus k*x has the integer coefficients
-    (n^2 - 1)q, -(2nq + p), 5q that ``_quadratic_roots`` takes."""
+    """Solve k*x = 5x^2 - 2n x + n^2 - 1 exactly; NoIntersection if no real root."""
     k = as_fraction(k)
-    p, q = k.numerator, k.denominator
+    return _intersect(k.numerator, k.denominator, n, upper_root)
+
+
+def _intersect(p: int, q: int, n: int, upper_root: bool) -> Scalar:
+    """``intersect_line_with_piece`` at k = p/q (q > 0): q times the piece
+    minus k*x has the integer coefficients (n^2 - 1)q, -(2nq + p), 5q that
+    ``_quadratic_roots`` takes."""
     roots = _quadratic_roots((n * n - 1) * q, -(2 * n * q + p), 5 * q)
     if not roots:
-        raise NoIntersection(f"slope {k} misses the piece at n={n}")
+        raise NoIntersection(f"slope {Fraction(p, q)} misses the piece at n={n}")
     return roots[-1] if upper_root else roots[0]
 
 

@@ -4,13 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from tiltbound.chern import S222, X24, ChernVec, CurveClass, exp_twist, grr_push_to_k3, twist_beta
+from tiltbound.chern import CONTEXTS, S222, X24, ChernVec, CurveClass, exp_twist, grr_push_to_k3, twist_beta
 from tiltbound import tilt
 from tiltbound.exactnum import MPoly, QuadNum, poly_equal
 from tiltbound.tilt import (
     InvalidRegion,
     PreconditionError,
     SlopeValue,
+    TiltError,
     TiltParams,
     bn_slope,
     delta_H,
@@ -181,6 +182,30 @@ def test_wall_q_invariance_identical_params():
 def test_wall_q_invariance_non_collinear():
     with pytest.raises(PreconditionError):
         wall_q_invariance_check(OH, TiltParams(1, 0), TiltParams(2, 5))
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_wall_q_invariance_checks_the_context_first(name):
+    # off X24 the check refuses with the one TiltError, on the wall or off
+    # it: not an IndexError for a curve character, nor PreconditionError
+    ctx = CONTEXTS[name]
+    v = ChernVec(ctx, (F(2), F(3, 2), F(-1, 4), F(5, 8))[: ctx.dim + 1])
+    p0 = TiltParams(F(3, 4), F(1, 2))
+    on_wall = [(p0, p0)]
+    if ctx.dim >= 2:
+        t, r = F(2, 7), v.inum(0)
+        on_wall.append((p0, TiltParams(p0.alpha + t * (v.inum(2) / r - p0.alpha), p0.beta + t * (v.inum(1) / r - p0.beta))))
+        assert wall_det_core(v.inums(), 2, 5, 1, 0) != 0
+    off_wall = (TiltParams(1, 0), TiltParams(2, 5))
+    if ctx is X24:
+        assert all(wall_q_invariance_check(v, a, b) for a, b in on_wall)
+        with pytest.raises(PreconditionError):
+            wall_q_invariance_check(v, *off_wall)
+        return
+    for a, b in (*on_wall, off_wall):
+        with pytest.raises(TiltError) as exc:
+            wall_q_invariance_check(v, a, b)
+        assert type(exc.value) is TiltError and str(exc.value) == "Q is defined on X24"
 
 
 def test_region_predicates_examples():

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from tiltbound import bounds, chern, tilt, walls
+from tiltbound import bounds, chern, tilt, verify, walls
 from tiltbound.bounds import bg_quadratic_family, piecewise_check
-from tiltbound.exactnum import Poly1, format_scalar
+from tiltbound.exactnum import Poly1, QuadNum, compare_scalars, format_scalar, scalar_sign
 from tiltbound.verify import (
     _INTERSECT_RANGES,
     _K_PER_RANGE,
@@ -137,15 +137,38 @@ def test_run_suites_matches_recorded_check_list():
     assert got == expected
 
 
-@pytest.mark.parametrize("at", [0, _K_PER_RANGE])
-def test_residual_check_fails_on_a_shifted_root(monkeypatch, at):
-    # one intersection moved by 1/10^6 must fail the check at that sample
-    # (an irrational root at sample 0, a rational one at the first sample
-    # of the next range), with the residual k*x - Gamma_n(x) as witness
+@pytest.mark.parametrize(
+    "at, shift",
+    [
+        pytest.param(0, "rational", id="0"),
+        pytest.param(_K_PER_RANGE, "rational", id="200"),
+        pytest.param(0, "radical", id="0-radical"),
+        pytest.param(3 * _K_PER_RANGE + 17, "radical", id="617-radical"),
+        pytest.param(0, "slope 0", id="0-slope0"),
+        pytest.param(3 * _K_PER_RANGE, "slope 0", id="600-slope0"),
+    ],
+)
+def test_residual_check_fails_on_a_shifted_root(monkeypatch, at, shift):
+    # one wrong intersection must fail the check at that sample, with the
+    # residual k*x - Gamma_n(x) as witness.  The root is moved by 1/10^6 (an
+    # irrational root at sample 0, a rational one at the first sample of the
+    # next range), or by sqrt(m)/10^6 at an irrational root over sqrt(m),
+    # or replaced by the root at slope 0 on the same piece n = 0: there
+    # k*x - Gamma_0(x) = k*x is a multiple of sqrt(5), so only the sqrt(m)
+    # part of the residual is nonzero
     exact, calls = walls.line_gamma_intersection, []
 
     def shifted(k, side):
-        x = exact(k, side) + (F(1, 10**6) if len(calls) == at else 0)
+        x = exact(k, side)
+        if len(calls) == at:
+            if shift == "rational":
+                x = x + F(1, 10**6)
+            elif shift == "radical":
+                assert isinstance(x, QuadNum) and x.b
+                x = x + QuadNum(0, F(1, 10**6), x.m)
+            else:
+                assert k != 0
+                x = exact(0, side)
         calls.append((k, side, x))
         return x
 
@@ -153,14 +176,45 @@ def test_residual_check_fails_on_a_shifted_root(monkeypatch, at):
     rep = next(r for r in run_suite("radicals") if r.check_name == "radicals_x0_x1_residuals")
     assert (rep.status, rep.samples_tested) == ("fail", at + 1)
     k, side, x = calls[at]
-    n = _INTERSECT_RANGES[side][at // _K_PER_RANGE][2]
+    ranges = [r for table in _INTERSECT_RANGES.values() for r in table]
+    n = ranges[at // _K_PER_RANGE][2]
     residual = k * x - walls.gamma_piece(n).evaluate(x)
+    if shift == "slope 0":
+        assert n == 0 and residual == k * x and residual.a == 0 and residual.m == 5
     assert rep.witness == {
         "side": side,
         "k": format_scalar(k),
         "x": format_scalar(x),
         "residual": format_scalar(residual),
     }
+
+
+def test_passing_residual_check_evaluates_no_poly1(monkeypatch):
+    # the residuals are decided on integers: a pass makes one intersection
+    # per sample and builds no Poly1 residual to evaluate
+    intersections, evaluations, counts = [], [], {}
+    exact, evaluate, real_run = walls.line_gamma_intersection, Poly1.evaluate, verify._run
+
+    def counting_intersection(k, side):
+        intersections.append(k)
+        return exact(k, side)
+
+    def counting_evaluate(self, x):
+        evaluations.append(x)
+        return evaluate(self, x)
+
+    def run(name, fn):
+        before = len(intersections), len(evaluations)
+        rep = real_run(name, fn)
+        counts[name] = (len(intersections) - before[0], len(evaluations) - before[1])
+        return rep
+
+    monkeypatch.setattr(walls, "line_gamma_intersection", counting_intersection)
+    monkeypatch.setattr(Poly1, "evaluate", counting_evaluate)
+    monkeypatch.setattr(verify, "_run", run)
+    rep = next(r for r in run_suite("radicals") if r.check_name == "radicals_x0_x1_residuals")
+    assert (rep.status, rep.samples_tested) == ("pass", 1600)
+    assert counts["radicals_x0_x1_residuals"] == (1600, 0)
 
 
 def _reference_wall_q_samples():
@@ -196,3 +250,57 @@ def test_wall_q_check_draws_the_reference_samples(monkeypatch):
     rep = next(r for r in run_suite("walls") if r.check_name == "walls_q_invariance_randomized")
     assert (rep.status, rep.samples_tested) == ("pass", 1000)
     assert drawn == _reference_wall_q_samples()
+
+
+def _reference_wall_q(v, p0, p1):
+    """wall_q_invariance_check on X24 as first written, on the weighted frame
+    of v.inums(): True, False, or PreconditionError off the wall."""
+    _, _, nums, (a0, a1), (b0, b1) = chern.weighted_frame(v.inums(), (p0.alpha, p1.alpha), (p0.beta, p1.beta))
+    if scalar_sign(tilt.wall_det_core(nums, a1, b1, a0, b0)) != 0:
+        return tilt.PreconditionError
+    tw0, tw1 = tilt.twist_core(nums, b0), tilt.twist_core(nums, b1)
+    return compare_scalars(tw1[1] * tilt.q_core(nums, a0, b0, tw0), tw0[1] * tilt.q_core(nums, a1, b1, tw1)) == 0
+
+
+def _wall_q_verdict(v, p0, p1):
+    try:
+        return tilt.wall_q_invariance_check(v, p0, p1)
+    except tilt.PreconditionError:
+        return tilt.PreconditionError
+
+
+def _wall_q_battery():
+    """The check's 1,000 samples, 200 rank-0 characters and 200 samples with
+    QuadNum parameters, each on its wall and then moved off it by alpha + 1."""
+    rng = random.Random(29)
+    samples = _reference_wall_q_samples()
+    for _ in range(200):
+        c = (F(0), *(F(rng.randrange(-8, 9), rng.choice((1, 2, 4, 8))) for _ in range(3)))
+        v = chern.ChernVec(chern.X24, c)
+        p0 = tilt.TiltParams(F(rng.randrange(1, 9), 4), F(rng.randrange(-8, 9), 4))
+        t = F(rng.randrange(1, 5), 7)
+        # rank 0: the wall through p0 runs along (H.ch2, H^2.ch1)
+        samples.append((v, p0, tilt.TiltParams(p0.alpha + t * v.inum(2), p0.beta + t * v.inum(1))))
+    r2 = QuadNum(0, 1, 2)
+    for _ in range(200):
+        c = (F(rng.randrange(1, 6)), *(F(rng.randrange(-8, 9), rng.choice((1, 2, 4, 8))) for _ in range(3)))
+        v = chern.ChernVec(chern.X24, c)
+        p0 = tilt.TiltParams(F(rng.randrange(1, 9), 4) + r2 / rng.randrange(1, 5), F(rng.randrange(-8, 9), 3) - r2 / 7)
+        t = F(rng.randrange(1, 7), 9)
+        r = v.inum(0)
+        samples.append((v, p0, tilt.TiltParams(p0.alpha + t * (v.inum(2) / r - p0.alpha), p0.beta + t * (v.inum(1) / r - p0.beta))))
+    return samples + [(v, p0, tilt.TiltParams(p1.alpha + 1, p1.beta)) for v, p0, p1 in samples]
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+def test_wall_q_frame_matches_the_inums_frame(monkeypatch, mutant):
+    # framing v.c and scaling by the degree scales the determinant and both
+    # sides of the identity by positive constants, so every verdict is the
+    # inums frame's, with q_core and with its 5-for-6 mutant
+    if mutant:
+        real = tilt.q_core
+        monkeypatch.setattr(tilt, "q_core", lambda nums, a, b, tw: real(nums, a, b, tw) + tw[1] * tw[3])
+    battery = _wall_q_battery()
+    verdicts = [_wall_q_verdict(*sample) for sample in battery]
+    assert verdicts == [_reference_wall_q(*sample) for sample in battery]
+    assert set(verdicts) == ({False, True, tilt.PreconditionError} if mutant else {True, tilt.PreconditionError})

@@ -258,6 +258,45 @@ def test_intersection_matches_the_poly1_roots():
     assert {F, QuadNum, NoIntersection} <= set(outcomes)
 
 
+def _reference_scan(k, side):
+    """The piece index of line_gamma_intersection's range scan as first
+    written, in Fraction comparisons lo <= k <= hi; None off the table."""
+    table = walls._RIGHT_RANGES if side == "right" else walls._LEFT_RANGES
+    for lo, hi, n in table:
+        if lo <= k <= hi:
+            return n
+    return None
+
+
+def test_integer_range_scan_matches_the_fraction_scan(monkeypatch):
+    # the cross-multiplied scan picks the Fraction scan's piece and root side
+    # on every range end, each end -+ 1/10^9 and 2,000 seeded slopes in
+    # [-18, 10], on both sides, and refuses with the same OutOfRange message
+    ends = {end for table in (walls._RIGHT_RANGES, walls._LEFT_RANGES) for lo, hi, _ in table for end in (lo, hi)}
+    eps = F(1, 10**9)
+    rng = random.Random(29)
+    slopes = sorted(ends) + [e + d for e in sorted(ends) for d in (-eps, eps)]
+    for _ in range(2000):
+        den = rng.randrange(1, 1000)
+        slopes.append(F(rng.randrange(-18 * den, 10 * den + 1), den))
+    monkeypatch.setattr(walls, "_intersect", lambda p, q, n, upper: (F(p, q), n, upper))
+    picked = set()
+    for k in slopes:
+        for side in ("right", "left"):
+            n = _reference_scan(k, side)
+            if n is None:
+                with pytest.raises(OutOfRange) as exc:
+                    line_gamma_intersection(k, side)
+                assert str(exc.value) == f"slope {k} outside the intersection table ({side})"
+            else:
+                assert line_gamma_intersection(k, side) == (k, n, side == "right")
+            picked.add((side, n))
+    assert picked == {("right", n) for n in (None, 0, 1, 2)} | {("left", n) for n in (None, 0, -1, -2, -3, -4)}
+    # an end shared by two ranges goes to the smaller |n|
+    for k, side, n in ((F(11, 2), "right", 1), (F(-11, 2), "left", -1), (F(-97, 10), "left", -2), (F(-193, 14), "left", -3)):
+        assert line_gamma_intersection(k, side) == (k, n, side == "right")
+
+
 def test_rational_piece_intersections():
     # piece 1 intersections are rational: x0 = (2+k)/5
     for k in (F(1, 2), F(3, 2), F(5), F(11, 2)):
