@@ -18,6 +18,7 @@ from typing import Sequence
 from .chern import CurveClass
 from .exactnum import (
     _enclosure,
+    _horner,
     _poly_min_on_interval,
     Poly1,
     QuadNum,
@@ -440,7 +441,13 @@ CLIFFORD_PIECES = {
 
 # switch between the two [48, 64] pieces: the lower root of high - linear,
 # (5 mu^2 - 1152 mu + 52224)/1024
-CLIFFORD_BREAK = (CLIFFORD_PIECES["high"][0] - CLIFFORD_PIECES["linear"][0]).real_roots()[0]
+_BREAK_POLY = CLIFFORD_PIECES["high"][0] - CLIFFORD_PIECES["linear"][0]
+CLIFFORD_BREAK = _BREAK_POLY.real_roots()[0]
+
+# the two switch polynomials times their positive common denominators: int
+# coefficients with the sign of the polynomial at every mu
+_BN_NUMS = clear_denominators(BN_THRESHOLD_POLY.coeffs)[0]
+_BREAK_NUMS = clear_denominators(_BREAK_POLY.coeffs)[0]
 
 
 def bn_threshold() -> QuadNum:
@@ -449,19 +456,40 @@ def bn_threshold() -> QuadNum:
     return _BN_THRESHOLD
 
 
+def _positive_at(nums, p: int, q: int) -> bool:
+    """Whether the polynomial with int coefficients nums is positive at
+    p/q (q > 0): the sign of its integer numerator q**d * poly(p/q), from
+    ``exactnum._horner``."""
+    return _horner(nums, p, 0, 0, q)[0] > 0
+
+
+def _below_bn_threshold(p: int, q: int) -> bool:
+    """mu = p/q (q > 0, mu in [0, 64]) lies below ``bn_threshold()``: there
+    ``BN_THRESHOLD_POLY`` is positive exactly below its lower root, and a
+    rational mu is never that irrational root."""
+    return _positive_at(_BN_NUMS, p, q)
+
+
 def clifford_case(e: CurveClass) -> str:
     """The ``CLIFFORD_PIECES`` key of mu = d/r: "bn" on [0, (256-32*sqrt(61))/3),
-    by the sign of ``BN_THRESHOLD_POLY``; "low" up to 16; "high" from 48 to
-    ``CLIFFORD_BREAK``; "linear" beyond it, up to 64.  OutOfDomain for
-    r < 1, SlopeOutsideTheorem on (16, 48) and off [0, 64]."""
+    "low" up to 16; "high" from 48 to ``CLIFFORD_BREAK``, "linear" beyond
+    it, up to 64.  OutOfDomain for r < 1, SlopeOutsideTheorem on (16, 48)
+    and off [0, 64].
+
+    Decided on mu = p/q: the domain by cross-multiplied integers, and each
+    switch by the sign of an integer polynomial at p/q (``_positive_at``):
+    "bn" while ``BN_THRESHOLD_POLY`` is positive, "high" while high - linear
+    of ``CLIFFORD_PIECES`` is positive.  Both switches are irrational roots,
+    so no rational mu makes either sign zero."""
     if e.r < 1:
         raise OutOfDomain("the Clifford cases need r >= 1")
     mu = e.slope
-    if not (0 <= mu <= 16 or 48 <= mu <= 64):
-        raise SlopeOutsideTheorem(f"mu = {mu} outside [0,16] u [48,64]")
-    if mu <= 16:
-        return "bn" if BN_THRESHOLD_POLY.evaluate(mu) > 0 else "low"
-    return "high" if compare_scalars(mu, CLIFFORD_BREAK) <= 0 else "linear"
+    p, q = mu.numerator, mu.denominator
+    if 0 <= p <= 16 * q:
+        return "bn" if _below_bn_threshold(p, q) else "low"
+    if 48 * q <= p <= 64 * q:
+        return "high" if _positive_at(_BREAK_NUMS, p, q) else "linear"
+    raise SlopeOutsideTheorem(f"mu = {mu} outside [0,16] u [48,64]")
 
 
 def clifford_bound(e: CurveClass | tuple):

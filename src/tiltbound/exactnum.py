@@ -984,6 +984,20 @@ def _quadratic_roots(c: int, b: int, a: int) -> list:
     return [lo, hi] if a > 0 else [hi, lo]
 
 
+def _horner(nums, u: int, v: int, m: int, w: int) -> tuple[int, int, int]:
+    """(A, B, W**d) with W**d * sum_i nums[i] x**i = A + B*sqrt(m) at
+    x = (U + V*sqrt(m))/W, for int coefficients nums (d = len(nums) - 1,
+    nums nonempty) and ints U, V, m, W; V = m = 0 for a rational x.  The
+    library's one Horner loop: ``Poly1.evaluate`` divides A and B by its
+    denominator times W**d, and a sign test at a rational x = p/q with q > 0
+    reads the sign of A alone."""
+    a, b, wk = nums[-1], 0, 1
+    for n in reversed(nums[:-1]):
+        wk *= w
+        a, b = a * u + b * v * m + n * wk, a * v + b * u
+    return a, b, wk
+
+
 class Poly1(ExactRing):
     """Dense univariate polynomial over Q, coefficients low to high."""
 
@@ -1041,10 +1055,11 @@ class Poly1(ExactRing):
 
         With the coefficients as n_i / D and x = (U + V*sqrt(m)) / W in
         integers (both written by ``clear_denominators``), W**d * D * p(x) =
-        sum_i n_i (U + V*sqrt(m))**i W**(d-i); the loop keeps that numerator
-        as A + B*sqrt(m) (V = m = 0 for a rational x) and divides once at
-        the end.  A Fraction for an int or Fraction x, a QuadNum for a
-        QuadNum x (a rational one too), Fraction(0) for the zero polynomial.
+        sum_i n_i (U + V*sqrt(m))**i W**(d-i); ``_horner`` keeps that
+        numerator as A + B*sqrt(m) (V = m = 0 for a rational x) and this
+        divides once at the end.  A Fraction for an int or Fraction x, a
+        QuadNum for a QuadNum x (a rational one too), Fraction(0) for the
+        zero polynomial.
         """
         if not self.coeffs:
             return Fraction(0)
@@ -1056,10 +1071,7 @@ class Poly1(ExactRing):
             x = as_fraction(x)
             u, v, m, w = x.numerator, 0, 0, x.denominator
         nums, den = clear_denominators(self.coeffs)
-        a, b, wk = nums[-1], 0, 1
-        for n in reversed(nums[:-1]):
-            wk *= w
-            a, b = a * u + b * v * m + n * wk, a * v + b * u
+        a, b, wk = _horner(nums, u, v, m, w)
         den *= wk
         return QuadNum._reduced(Fraction(a, den), Fraction(b, den), m) if quad else Fraction(a, den)
 

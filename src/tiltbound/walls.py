@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BN_THRESHOLD_POLY, SPADE_CASES, _nearest_band, bn_threshold
+from .bounds import BN_THRESHOLD_POLY, SPADE_CASES, _below_bn_threshold, _nearest_band, bn_threshold
 from .chern import ChernVec, WrongContext
 from .exactnum import (
     Poly1,
+    QuadNum,
     Scalar,
     _quadratic_roots,
     as_fraction,
@@ -136,11 +137,21 @@ def gamma_piece(n: int) -> Poly1:
 
 
 def gamma_curve(x) -> Scalar:
-    """Exact Gamma(x) with the integer-point convention Gamma(n) = 4n^2."""
+    """Exact Gamma(x) with the integer-point convention Gamma(n) = 4n^2.
+
+    A rational x = p/q (q > 0) is valued on integers: Fraction(4p^2) at an
+    integer, else the piece of n = (2p + q) // (2q), which is
+    ``gamma_piece_index(x)``, written over q^2 as
+    Fraction(5p^2 - 2npq + (n^2 - 1)q^2, q^2).  An irrational QuadNum x is
+    valued by ``gamma_piece(gamma_piece_index(x)).evaluate(x)``."""
     x = rational_or_quad(x)
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return 4 * x * x
-    return gamma_piece(gamma_piece_index(x)).evaluate(x)
+    if isinstance(x, QuadNum):
+        return gamma_piece(gamma_piece_index(x)).evaluate(x)
+    p, q = x.numerator, x.denominator
+    if q == 1:
+        return Fraction(4 * p * p)
+    n = (2 * p + q) // (2 * q)
+    return Fraction(5 * p * p - 2 * n * p * q + (n * n - 1) * q * q, q * q)
 
 
 # line_gamma_intersection dispatch: (k-range closure, piece index) per side,
@@ -214,23 +225,24 @@ class FirstWallBounds:
 def first_wall_bounds(mu) -> FirstWallBounds:
     """Endpoint bounds beta1 >= mu/32 - 4, beta2 <= mu/32, widened on the
     three vertical-segment windows; bn_semistable is the exact sign test of
-    the y-intercept t."""
+    the y-intercept t.  Decided on mu = p/q by cross-multiplied integers."""
     mu = as_fraction(mu)
-    if not 0 <= mu <= 64:
+    p, q = mu.numerator, mu.denominator
+    if not 0 <= p <= 64 * q:
         raise OutOfRange("mu must lie in [0, 64]")
-    beta1 = mu / 32 - 4
-    beta2 = mu / 32
-    # within [0, 64], positivity of the quadratic happens exactly below the
-    # lower root (256 - 32*sqrt(61))/3, as in bounds.clifford_case
-    bn = BN_THRESHOLD_POLY.evaluate(mu) > 0
+    beta1 = Fraction(p - 128 * q, 32 * q)
+    beta2 = Fraction(p, 32 * q)
+    # t < 0 exactly below bn_threshold() on [0, 64]: the Brill-Noether test
+    # of bounds.clifford_case, the sign of BN_THRESHOLD_POLY at p/q
+    bn = _below_bn_threshold(p, q)
     tag = None
-    if 31 <= mu <= 32:
+    if 31 * q <= p <= 32 * q:
         beta2 = Fraction(1)
         tag = "mu_31_32"
-    elif 63 <= mu <= 64:
+    elif 63 * q <= p <= 64 * q:
         beta2 = Fraction(2)
         tag = "mu_63_64"
-    if 32 <= mu <= 33:
+    if 32 * q <= p <= 33 * q:
         beta1 = Fraction(-3)
         tag = "mu_32_33" if tag is None else tag
     return FirstWallBounds(beta1, beta2, bn, tag)

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from tiltbound import bounds, exactnum
 from tiltbound.bounds import (
     _FALLBACK_CASE,
+    BN_THRESHOLD_POLY,
     CLIFFORD_BREAK,
+    CLIFFORD_PIECES,
+    BoundsError,
     OutOfDomain,
     SlopeOutOfTable,
     SlopeOutsideTheorem,
@@ -31,7 +34,8 @@ from tiltbound.bounds import (
 )
 from tiltbound.chern import CurveClass
 from tiltbound.convexopt import triangle_from_first_wall
-from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars, scalar_sign
+from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars, floor_scalar, scalar_sign
+from tiltbound.walls import OutOfRange, first_wall_bounds
 
 
 # -- spade -------------------------------------------------------------------------
@@ -361,6 +365,85 @@ def test_clifford_case_domain():
     for r in (0, -1):
         with pytest.raises(OutOfDomain):
             clifford_case(CurveClass(r, 1))
+
+
+def _reference_case(e: CurveClass) -> str:
+    """The Clifford case decided on Fractions: the domain by comparisons,
+    the Brill-Noether band by ``BN_THRESHOLD_POLY.evaluate`` and the sqrt(69)
+    switch by ``compare_scalars`` with ``CLIFFORD_BREAK``."""
+    if e.r < 1:
+        raise OutOfDomain("the Clifford cases need r >= 1")
+    mu = e.slope
+    if not (0 <= mu <= 16 or 48 <= mu <= 64):
+        raise SlopeOutsideTheorem(f"mu = {mu} outside [0,16] u [48,64]")
+    if mu <= 16:
+        return "bn" if BN_THRESHOLD_POLY.evaluate(mu) > 0 else "low"
+    return "high" if compare_scalars(mu, CLIFFORD_BREAK) <= 0 else "linear"
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (BoundsError, OutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+def _convergents(x, max_den: int) -> list:
+    """Continued-fraction convergents of an irrational x up to denominator
+    max_den, by exact floors; they lie alternately below and above x."""
+    out, (h0, h1), (k0, k1) = [], (0, 1), (1, 0)
+    while True:
+        a = floor_scalar(x)
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        if k1 > max_den:
+            return out
+        out.append(F(h1, k1))
+        x = 1 / (x - a)
+
+
+def test_clifford_switches_match_the_fraction_decisions():
+    rng = random.Random(30)
+    # both switch roots, written out here so that a changed library
+    # coefficient flips a case at a convergent: (256 - 32*sqrt(61))/3 and
+    # (576 - 32*sqrt(69))/5
+    roots = {"bn": QuadNum(F(256, 3), F(-32, 3), 61), "high": QuadNum(F(576, 5), F(-32, 5), 69)}
+    near = {}
+    for below, root in roots.items():
+        for i, mu in enumerate(_convergents(root, 10**6)):
+            assert compare_scalars(mu, root) == (-1 if i % 2 == 0 else 1)
+            near[mu] = below if i % 2 == 0 else {"bn": "low", "high": "linear"}[below]
+    assert min(mu.denominator for mu in near) == 1 and 10**5 < max(mu.denominator for mu in near) <= 10**6
+    mus = [F(k, 64) for k in range(0, 64 * 64 + 1)] + list(near)
+    mus += [F(rng.randrange(-2 * q, 66 * q + 1), q) for q in (rng.randrange(1, 10**4) for _ in range(4000))]
+    seen = set()
+    for mu in mus:
+        in_range = 0 <= mu <= 64
+        fw = _outcome(first_wall_bounds, mu)
+        if in_range:
+            assert fw.bn_semistable == (BN_THRESHOLD_POLY.evaluate(mu) > 0)
+            if near.get(mu) in ("bn", "low"):
+                assert fw.bn_semistable == (near[mu] == "bn"), mu
+        else:
+            assert fw == (OutOfRange, "mu must lie in [0, 64]")
+        for r in (1, 3, F(5, 2)):
+            e = CurveClass(r, r * mu)
+            case = _outcome(clifford_case, e)
+            assert case == _outcome(_reference_case, e), (r, mu)
+            seen.add(case if isinstance(case, str) else case[0])
+            if mu in near:
+                assert case == near[mu], (r, mu)
+            if not isinstance(case, str):
+                assert _outcome(clifford_bound, e) == case
+                continue
+            num, den = CLIFFORD_PIECES[case]
+            bound = clifford_bound(e)
+            assert type(bound) is F and bound == r * num.evaluate(mu) / den.evaluate(mu)
+            assert triangle_from_first_wall(e).mu_case == ("high" if case == "linear" else case)
+    assert seen == {"bn", "low", "high", "linear", SlopeOutsideTheorem}
+    for r in (0, F(1, 2), -1):
+        e = CurveClass(r, 8)
+        assert _outcome(clifford_case, e) == _outcome(_reference_case, e) == (OutOfDomain, "the Clifford cases need r >= 1")
 
 
 # -- bg families ----------------------------------------------------------------------

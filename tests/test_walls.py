@@ -155,6 +155,51 @@ def test_gamma_below_parabola():
             assert g < 4 * x * x
 
 
+def _gamma_reference(x: F) -> F:
+    """Gamma through its piece polynomial: 4x^2 at an integer, else
+    gamma_piece(gamma_piece_index(x)).evaluate(x)."""
+    if x.denominator == 1:
+        return 4 * x * x
+    return gamma_piece(gamma_piece_index(x)).evaluate(x)
+
+
+def test_gamma_matches_the_piece_polynomials():
+    rng = random.Random(30)
+    # every half-integer and integer in [-20, 20] (the piece index moves up
+    # at the half-integers), k/64 on [-8, 8], and wide seeded rationals
+    points = [F(k, 2) for k in range(-40, 41)] + [F(k, 64) for k in range(-512, 513)]
+    points += [F(rng.randrange(-10**6, 10**6 + 1), rng.randrange(1, 10**4)) for _ in range(1000)]
+    points += [F(rng.randrange(-10**6, 10**6 + 1), rng.randrange(1, 20)) for _ in range(1000)]
+    assert sum(x < 0 for x in points) > 1000
+    for x in points:
+        value = gamma_curve(x)
+        assert type(value) is F and value == _gamma_reference(x), x
+    for n in range(-20, 21):
+        value = gamma_curve(n)
+        assert type(value) is F and value == 4 * n * n
+
+
+def test_rational_gamma_builds_no_piece(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def counting(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counting
+
+    monkeypatch.setattr(Poly1, "__init__", spy("Poly1", Poly1.__init__))
+    monkeypatch.setattr(walls, "floor_scalar", spy("floor_scalar", walls.floor_scalar))
+    monkeypatch.setattr(walls, "gamma_piece", spy("gamma_piece", walls.gamma_piece))
+    values = [gamma_curve(x) for x in (F(1, 2), F(-7, 2), F(3, 64), F(-999999, 1000))]
+    assert calls == []
+    assert values == [F(1, 4), F(193, 4), F(-4051, 4096), F(799998200001, 200000)]
+    # an irrational argument still takes its piece, and the spies see it
+    gamma_curve(QuadNum(0, F(1, 5), 5))
+    assert calls == ["floor_scalar", "gamma_piece", "Poly1"]
+
+
 def test_gamma_quadnum_argument():
     x = QuadNum(0, F(1, 5), 5)  # sqrt(5)/5 ~ 0.447
     val = gamma_curve(x)
