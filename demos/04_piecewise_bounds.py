@@ -11,6 +11,7 @@ from tiltbound import (
     bg_linear_family,
     bg_quadratic_family,
     clifford_bound,
+    clifford_family,
     format_scalar,
     piecewise_check,
     spade,
@@ -49,4 +50,7 @@ print("equality exactly at:", ", ".join(format_scalar(p) for p in points))
 print()
 print("== piece tables (exact JSON-ready audit dump) ==")
 for row in bg_linear_family.to_table():
+    print(row)
+print("-- the Clifford bound per rank; its bn piece is a ratio, with a den row --")
+for row in clifford_family.to_table():
     print(row)

@@ -72,6 +72,7 @@ from .bounds import (
     bg_quadratic_family,
     bg_refined_family,
     clifford_bound,
+    clifford_family,
     piecewise_check,
     spade,
     spade_fallback,

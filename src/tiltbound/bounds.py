@@ -10,7 +10,6 @@ homogeneous of degree 1.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -18,7 +17,6 @@ from typing import Sequence
 from .chern import CurveClass
 from .exactnum import (
     _enclosure,
-    _horner,
     _poly_min_on_interval,
     Poly1,
     QuadNum,
@@ -47,8 +45,8 @@ __all__ = [
     "spade_fallback",
     "BN_THRESHOLD_POLY",
     "bn_threshold",
-    "CLIFFORD_PIECES",
     "CLIFFORD_BREAK",
+    "clifford_family",
     "clifford_case",
     "clifford_bound",
     "bg_bound_surface",
@@ -323,36 +321,49 @@ _FALLBACK_CASE = SpadeCase(
 )
 
 
-# every static-row endpoint, sorted: the slopes where rows 1-7 begin or end
-_TABLE_BOUNDARIES = tuple(
-    sorted({end for row in SPADE_CASES[:7] for r in row.ranges for end in (r.lo, r.hi)})
-)
+def _owner_tables(ranges) -> tuple[tuple, tuple, tuple]:
+    """(boundaries, point owners, gap owners) of (owner, Interval) pairs.
 
-
-def _owner_tables() -> tuple[tuple, tuple]:
-    """Row of rows 1-7 owning each boundary point and each open gap.
-
-    Gap k is the open interval between boundaries k-1 and k (gap 0 lies
-    below the first boundary, the last gap above the last one).  Each range
-    marks its endpoint indices; rows are marked in reverse, so where two
-    rows share a closed endpoint the lower-numbered row owns it.
+    The boundaries are every range end, sorted.  Gap k is the open interval
+    between boundaries k-1 and k (gap 0 lies below the first boundary, the
+    last gap above the last one); an unowned point or gap holds None.  Each
+    range marks its endpoint indices; pairs are marked in reverse, so where
+    two ranges share a closed endpoint the earlier pair's owner owns it.
     """
-    index = {b: k for k, b in enumerate(_TABLE_BOUNDARIES)}
-    points: list = [None] * len(_TABLE_BOUNDARIES)
-    gaps: list = [None] * (len(_TABLE_BOUNDARIES) + 1)
-    for row in reversed(SPADE_CASES[:7]):
-        for r in row.ranges:
-            i, j = index[r.lo], index[r.hi]
-            gaps[i + 1 : j + 1] = [row] * (j - i)
-            points[i + 1 : j] = [row] * (j - i - 1)
-            if r.lo_closed:
-                points[i] = row
-            if r.hi_closed:
-                points[j] = row
-    return tuple(points), tuple(gaps)
+    boundaries = tuple(sorted({end for _, r in ranges for end in (r.lo, r.hi)}))
+    index = {b: k for k, b in enumerate(boundaries)}
+    points: list = [None] * len(boundaries)
+    gaps: list = [None] * (len(boundaries) + 1)
+    for owner, r in reversed(ranges):
+        i, j = index[r.lo], index[r.hi]
+        gaps[i + 1 : j + 1] = [owner] * (j - i)
+        points[i + 1 : j] = [owner] * (j - i - 1)
+        if r.lo_closed:
+            points[i] = owner
+        if r.hi_closed:
+            points[j] = owner
+    return boundaries, tuple(points), tuple(gaps)
 
 
-_POINT_OWNER, _GAP_OWNER = _owner_tables()
+def _owner(tables: tuple, s):
+    """The owner of the exact scalar s in ``_owner_tables`` output, or None:
+    a three-way bisection of the boundaries, one ``compare_scalars`` a step,
+    ending on the boundary s equals or on the gap that holds s."""
+    boundaries, points, gaps = tables
+    lo, hi = 0, len(boundaries)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        c = compare_scalars(s, boundaries[mid])
+        if not c:
+            return points[mid]
+        lo, hi = (lo, mid) if c < 0 else (mid + 1, hi)
+    return gaps[lo]
+
+
+# rows 1-7 by their ranges: the slopes where they begin or end, and the row
+# owning each such slope and each gap between them (the lower row on a tie)
+_SPADE_OWNERS = _owner_tables([(row, r) for row in SPADE_CASES[:7] for r in row.ranges])
+_TABLE_BOUNDARIES = _SPADE_OWNERS[0]
 
 
 def _band(n: int) -> tuple[Interval, Interval]:
@@ -379,10 +390,7 @@ def spade_case_for_slope(s) -> SpadeCase:
         return SPADE_CASES[7]
     if n > 0 and compare_scalars(s * n, 4 * n * n - 1) >= 0 and compare_scalars(s, 4 * n) <= 0:
         return SPADE_CASES[8]
-    # bisect the static-row boundaries (bisect_right, so that each test is
-    # the slope's own <); the owner tables give the row
-    k = bisect.bisect_right(_TABLE_BOUNDARIES, s)
-    row = _POINT_OWNER[k - 1] if k and compare_scalars(s, _TABLE_BOUNDARIES[k - 1]) == 0 else _GAP_OWNER[k]
+    row = _owner(_SPADE_OWNERS, s)
     if row is None:
         raise SlopeOutOfTable(f"slope {format_scalar(s)} not covered by the table")
     return row
@@ -422,114 +430,38 @@ def spade_fallback(p: PlanePoint | tuple):
 
 
 # ---------------------------------------------------------------------------
-# Clifford bound on the curve
-# ---------------------------------------------------------------------------
-
-# t < 0 with t = -(3/1024) mu^2 + mu/2 - 1 is equivalent (on [0, 64]) to
-# 3 mu^2 - 512 mu + 1024 > 0, whose lower root is the threshold below.
-BN_THRESHOLD_POLY = Poly1([1024, -512, 3])
-_BN_THRESHOLD = BN_THRESHOLD_POLY.real_roots()[0]
-
-# the per-rank Clifford pieces in mu = d/r, one (numerator, denominator)
-# pair of Poly1s per ``clifford_case`` name: clifford_bound is r*num/den
-CLIFFORD_PIECES = {
-    "bn": (Poly1([64]), Poly1([64, -1])),  # 64/(64 - mu)
-    "low": (Poly1([1, 0, Fraction(5, 1024)]), Poly1([1])),  # 1 + 5 mu^2/1024
-    "high": (Poly1([5, Fraction(-1, 8), Fraction(5, 1024)]), Poly1([1])),  # 5 - mu/8 + 5 mu^2/1024
-    "linear": (Poly1([-46, 1]), Poly1([1])),  # mu - 46
-}
-
-# switch between the two [48, 64] pieces: the lower root of high - linear,
-# (5 mu^2 - 1152 mu + 52224)/1024
-_BREAK_POLY = CLIFFORD_PIECES["high"][0] - CLIFFORD_PIECES["linear"][0]
-CLIFFORD_BREAK = _BREAK_POLY.real_roots()[0]
-
-# the two switch polynomials times their positive common denominators: int
-# coefficients with the sign of the polynomial at every mu
-_BN_NUMS = clear_denominators(BN_THRESHOLD_POLY.coeffs)[0]
-_BREAK_NUMS = clear_denominators(_BREAK_POLY.coeffs)[0]
-
-
-def bn_threshold() -> QuadNum:
-    """(256 - 32*sqrt(61))/3, the end of the Brill-Noether-semistable range:
-    the lower root of ``BN_THRESHOLD_POLY``."""
-    return _BN_THRESHOLD
-
-
-def _positive_at(nums, p: int, q: int) -> bool:
-    """Whether the polynomial with int coefficients nums is positive at
-    p/q (q > 0): the sign of its integer numerator q**d * poly(p/q), from
-    ``exactnum._horner``."""
-    return _horner(nums, p, 0, 0, q)[0] > 0
-
-
-def _below_bn_threshold(p: int, q: int) -> bool:
-    """mu = p/q (q > 0, mu in [0, 64]) lies below ``bn_threshold()``: there
-    ``BN_THRESHOLD_POLY`` is positive exactly below its lower root, and a
-    rational mu is never that irrational root."""
-    return _positive_at(_BN_NUMS, p, q)
-
-
-def clifford_case(e: CurveClass) -> str:
-    """The ``CLIFFORD_PIECES`` key of mu = d/r: "bn" on [0, (256-32*sqrt(61))/3),
-    "low" up to 16; "high" from 48 to ``CLIFFORD_BREAK``, "linear" beyond
-    it, up to 64.  OutOfDomain for r < 1, SlopeOutsideTheorem on (16, 48)
-    and off [0, 64].
-
-    Decided on mu = p/q: the domain by cross-multiplied integers, and each
-    switch by the sign of an integer polynomial at p/q (``_positive_at``):
-    "bn" while ``BN_THRESHOLD_POLY`` is positive, "high" while high - linear
-    of ``CLIFFORD_PIECES`` is positive.  Both switches are irrational roots,
-    so no rational mu makes either sign zero."""
-    if e.r < 1:
-        raise OutOfDomain("the Clifford cases need r >= 1")
-    mu = e.slope
-    p, q = mu.numerator, mu.denominator
-    if 0 <= p <= 16 * q:
-        return "bn" if _below_bn_threshold(p, q) else "low"
-    if 48 * q <= p <= 64 * q:
-        return "high" if _positive_at(_BREAK_NUMS, p, q) else "linear"
-    raise SlopeOutsideTheorem(f"mu = {mu} outside [0,16] u [48,64]")
-
-
-def clifford_bound(e: CurveClass | tuple):
-    """Upper bound for h^0 of a semistable bundle of rank r, degree d on C:
-    r*num(mu)/den(mu) for the ``CLIFFORD_PIECES`` pair that ``clifford_case``
-    names, that is 64r^2/(64r - d) (bn), r + 5d^2/1024r (low),
-    5d^2/1024r + 5r - d/8 (high) or d - 46r (linear).
-    """
-    if isinstance(e, tuple):
-        e = CurveClass(*e)
-    num, den = CLIFFORD_PIECES[clifford_case(e)]
-    mu = e.slope
-    return e.r * num.evaluate(mu) / den.evaluate(mu)
-
-
-# ---------------------------------------------------------------------------
 # piecewise engine
 # ---------------------------------------------------------------------------
+
+_ONE = Poly1([1])
 
 
 @dataclass(frozen=True)
 class Piece:
-    """One sub-interval with a polynomial of degree at most 2."""
+    """One sub-interval with the ratio poly/den of two polynomials of degree
+    at most 2; den is 1 on a polynomial piece.  name labels the piece when
+    it is a case of its bound (the Clifford pieces)."""
 
     interval: Interval
     poly: Poly1
+    den: Poly1 = _ONE
+    name: str = ""
 
     def value(self, x):
-        return self.poly.evaluate(x)
+        v = self.poly.evaluate(x)
+        return v if self.den.coeffs == (1,) else v / self.den.evaluate(x)
 
 
 class PiecewiseBound:
     """Ordered pieces with strictly increasing, non-overlapping intervals.
 
-    Gaps between consecutive intervals are allowed (the Clifford bound has
+    Gaps between consecutive intervals are allowed (``clifford_family`` has
     the uncovered band (16, 48)); continuity is only meaningful at shared
-    breakpoints.
+    breakpoints.  ``piece_at`` is the one lookup: a bisection of the piece
+    ends (``_owner_tables``); a closed end two pieces share is the left's.
     """
 
-    __slots__ = ("name", "pieces")
+    __slots__ = ("name", "pieces", "_owners")
 
     def __init__(self, name: str, pieces: Sequence[Piece]):
         object.__setattr__(self, "name", name)
@@ -537,15 +469,20 @@ class PiecewiseBound:
         for a, b in zip(self.pieces, self.pieces[1:]):
             if compare_scalars(a.interval.hi, b.interval.lo) > 0:
                 raise ValueError(f"{name}: overlapping pieces")
+        object.__setattr__(self, "_owners", _owner_tables([(p, p.interval) for p in self.pieces]))
 
     def __setattr__(self, *a):
         raise AttributeError("PiecewiseBound is immutable")
 
+    def piece_at(self, x) -> Piece | None:
+        """The piece whose interval holds x, or None where no piece does."""
+        return _owner(self._owners, x)
+
     def evaluate(self, x):
-        for piece in self.pieces:
-            if piece.interval.contains(x):
-                return piece.value(x)
-        raise OutOfDomain(f"{self.name}: {format_scalar(x)} outside the domain")
+        piece = self.piece_at(x)
+        if piece is None:
+            raise OutOfDomain(f"{self.name}: {format_scalar(x)} outside the domain")
+        return piece.value(x)
 
     def shared_breakpoints(self):
         """(x, left piece, right piece) where consecutive intervals touch."""
@@ -556,7 +493,8 @@ class PiecewiseBound:
         return out
 
     def to_table(self) -> list:
-        """Exact JSON-ready piece table for audit."""
+        """Exact JSON-ready piece table for audit; a ratio piece's row also
+        holds its denominator's coefficients under "den"."""
         rows = []
         for p in self.pieces:
             row = {
@@ -566,16 +504,83 @@ class PiecewiseBound:
                 "hi_closed": p.interval.hi_closed,
             }
             row["poly"] = [format_scalar(c) for c in p.poly.coeffs]
+            if p.den.coeffs != (1,):
+                row["den"] = [format_scalar(c) for c in p.den.coeffs]
             rows.append(row)
         return rows
 
 
 def _pw(name, rows) -> PiecewiseBound:
-    pieces = []
-    for lo, lo_c, hi, hi_c, coeffs in rows:
-        pieces.append(Piece(Interval(lo, hi, lo_c, hi_c), poly=Poly1(coeffs)))
-    return PiecewiseBound(name, pieces)
+    return PiecewiseBound(name, [Piece(Interval(lo, hi, lo_c, hi_c), Poly1(cs)) for lo, lo_c, hi, hi_c, cs in rows])
 
+
+# ---------------------------------------------------------------------------
+# Clifford bound on the curve
+# ---------------------------------------------------------------------------
+
+# t < 0 with t = -(3/1024) mu^2 + mu/2 - 1 is equivalent (on [0, 64]) to
+# 3 mu^2 - 512 mu + 1024 > 0, whose lower root is the threshold below.
+BN_THRESHOLD_POLY = Poly1([1024, -512, 3])
+_BN_THRESHOLD = BN_THRESHOLD_POLY.real_roots()[0]
+
+# the two [48, 64] pieces; they switch at the lower root of high - linear,
+# (5 mu^2 - 1152 mu + 52224)/1024
+_HIGH = Poly1([5, Fraction(-1, 8), Fraction(5, 1024)])  # 5 - mu/8 + 5 mu^2/1024
+_LINEAR = Poly1([-46, 1])  # mu - 46
+CLIFFORD_BREAK = (_HIGH - _LINEAR).real_roots()[0]
+
+# the per-rank Clifford bound in mu = d/r, one piece per ``clifford_case``
+# name: clifford_bound is r times the value of the named piece
+clifford_family = PiecewiseBound(
+    "clifford",
+    [
+        Piece(Interval(Fraction(0), _BN_THRESHOLD, True, False), Poly1([64]), Poly1([64, -1]), "bn"),  # 64/(64 - mu)
+        Piece(Interval(_BN_THRESHOLD, Fraction(16)), Poly1([1, 0, Fraction(5, 1024)]), name="low"),  # 1 + 5 mu^2/1024
+        Piece(Interval(Fraction(48), CLIFFORD_BREAK, True, False), _HIGH, name="high"),
+        Piece(Interval(CLIFFORD_BREAK, Fraction(64)), _LINEAR, name="linear"),
+    ],
+)
+
+
+def bn_threshold() -> QuadNum:
+    """(256 - 32*sqrt(61))/3, the end of the Brill-Noether-semistable range:
+    the lower root of ``BN_THRESHOLD_POLY``."""
+    return _BN_THRESHOLD
+
+
+def _clifford_piece(e: CurveClass) -> tuple[Piece, Fraction]:
+    """The ``clifford_family`` piece holding mu = d/r, and mu; or the refusal."""
+    if e.r < 1:
+        raise OutOfDomain("the Clifford cases need r >= 1")
+    mu = e.slope
+    piece = clifford_family.piece_at(mu)
+    if piece is None:
+        raise SlopeOutsideTheorem(f"mu = {mu} outside [0,16] u [48,64]")
+    return piece, mu
+
+
+def clifford_case(e: CurveClass) -> str:
+    """The name of the ``clifford_family`` piece holding mu = d/r: "bn" on
+    [0, (256-32*sqrt(61))/3), "low" up to 16; "high" from 48 to
+    ``CLIFFORD_BREAK``, "linear" beyond it, up to 64.  OutOfDomain for
+    r < 1, SlopeOutsideTheorem on (16, 48) and off [0, 64]."""
+    return _clifford_piece(e)[0].name
+
+
+def clifford_bound(e: CurveClass | tuple):
+    """Upper bound for h^0 of a semistable bundle of rank r, degree d on C:
+    r times the value at mu of the ``clifford_family`` piece that
+    ``clifford_case`` names, that is 64r^2/(64r - d) (bn), r + 5d^2/1024r
+    (low), 5d^2/1024r + 5r - d/8 (high) or d - 46r (linear)."""
+    if isinstance(e, tuple):
+        e = CurveClass(*e)
+    piece, mu = _clifford_piece(e)
+    return e.r * piece.value(mu)
+
+
+# ---------------------------------------------------------------------------
+# Bogomolov-Gieseker families
+# ---------------------------------------------------------------------------
 
 _SQRT13 = QuadNum(0, 1, 13)
 _BP_A = (4 - _SQRT13) / 3  # (4 - sqrt(13))/3
@@ -643,15 +648,10 @@ def bg_bound_threefold(x, family: str = "quadratic"):
             raise OutOfDomain("linear family needs |x| <= 1")
         return bg_linear_family.evaluate(abs(x))
     if family == "refined":
-        vals = []
-        for fam in bg_refined_family:
-            try:
-                vals.append(fam.evaluate(abs(x)))
-            except OutOfDomain:
-                continue
-        if not vals:
+        pieces = [p for p in (fam.piece_at(abs(x)) for fam in bg_refined_family) if p is not None]
+        if not pieces:
             raise OutOfDomain(f"no refined piece covers |x| = {abs(x)}")
-        return min(vals)
+        return min(p.value(abs(x)) for p in pieces)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -667,8 +667,18 @@ class CheckReport:
     details: tuple
 
 
+def _polynomial_pieces(*fs: PiecewiseBound) -> None:
+    """ValueError on a piece of fs whose denominator is not 1: the convexity
+    and dominance checks read a piece's numerator alone."""
+    for f in fs:
+        if any(p.den.coeffs != (1,) for p in f.pieces):
+            raise ValueError(f"{f.name}: a ratio piece; the check needs polynomial pieces")
+
+
 def piecewise_check(f: PiecewiseBound, check: str, other: PiecewiseBound | None = None) -> CheckReport:
-    """continuity | convexity_on | dominance (f >= other) with exact data."""
+    """continuity | convexity_on | dominance (f >= other) with exact data.
+    Continuity values each piece in full; convexity_on and dominance raise
+    ValueError on a ratio piece."""
     if check == "continuity":
         bad = []
         for x, left, right in f.shared_breakpoints():
@@ -678,23 +688,17 @@ def piecewise_check(f: PiecewiseBound, check: str, other: PiecewiseBound | None 
                 bad.append((x, lv, rv))
         return CheckReport("continuity", not bad, tuple(bad))
     if check == "convexity_on":
-        details = []
-        ok = True
-        for p in f.pieces:
-            lead = p.poly.coeffs[2] if p.poly.degree() >= 2 else Fraction(0)
-            convex = lead >= 0
-            details.append(convex)
-            ok = ok and convex
-        kinks = []
-        for x, left, right in f.shared_breakpoints():
-            dl = left.poly.derivative().evaluate(x)
-            dr = right.poly.derivative().evaluate(x)
-            kinks.append((x, compare_scalars(dr, dl)))
-        ok = ok and all(k >= 0 for _, k in kinks)
-        return CheckReport("convexity_on", ok, (tuple(details), tuple(kinks)))
+        _polynomial_pieces(f)
+        convex = tuple(p.poly.degree() < 2 or p.poly.coeffs[2] >= 0 for p in f.pieces)
+        kinks = tuple(
+            (x, compare_scalars(right.poly.derivative().evaluate(x), left.poly.derivative().evaluate(x)))
+            for x, left, right in f.shared_breakpoints()
+        )
+        return CheckReport("convexity_on", all(convex) and all(k >= 0 for _, k in kinks), (convex, kinks))
     if check == "dominance":
         if other is None:
             raise ValueError("dominance needs a second bound")
+        _polynomial_pieces(f, other)
         return _dominance(f, other)
     raise ValueError(f"unknown check {check!r}")
 
@@ -712,10 +716,10 @@ def _overlap(i1: Interval, i2: Interval) -> Interval | None:
 
 
 def _dominance(f: PiecewiseBound, g: PiecewiseBound) -> CheckReport:
-    """f >= g on the common domain; details = sorted exact equality set."""
+    """f >= g on the common domain; details = (sorted exact equality set,
+    whether some overlap is an interval of equality, witness)."""
     equal_points = []
-    ok = True
-    witness = None
+    ok, has_interval, witness = True, False, None
     for pf in f.pieces:
         for pg in g.pieces:
             ov = _overlap(pf.interval, pg.interval)
@@ -724,10 +728,8 @@ def _dominance(f: PiecewiseBound, g: PiecewiseBound) -> CheckReport:
             diff = pf.poly - pg.poly
             if diff.is_zero():
                 # identical formulas: equality on the whole overlap; record endpoints
-                for x in (ov.lo, ov.hi):
-                    if ov.contains(x):
-                        equal_points.append(x)
-                equal_points.append("interval")
+                equal_points.extend(x for x in (ov.lo, ov.hi) if ov.contains(x))
+                has_interval = True
                 continue
             # dominance fails where diff's minimum over the overlap hull is
             # negative, even at an open end (continuity carries the sign
@@ -737,14 +739,6 @@ def _dominance(f: PiecewiseBound, g: PiecewiseBound) -> CheckReport:
                 ok = False
                 witness = (x, v)
             equal_points.extend(r for r in diff.real_roots() if ov.contains(r))
-    # dedupe exact equality points
-    uniq = []
-    has_interval = any(isinstance(e, str) for e in equal_points)
-    for e in equal_points:
-        if isinstance(e, str):
-            continue
-        if not any(compare_scalars(e, u) == 0 for u in uniq):
-            uniq.append(e)
-    uniq.sort()
-    details = (tuple(uniq), has_interval, witness)
+    # each equality point once: an exact value hashes by its value
+    details = (tuple(sorted(dict.fromkeys(equal_points))), has_interval, witness)
     return CheckReport("dominance", ok, details)

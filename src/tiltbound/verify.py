@@ -37,6 +37,7 @@ from .convexopt import (
     triangle_from_first_wall,
 )
 from .exactnum import (
+    _horner,
     _poly_min_on_interval,
     MPoly,
     Poly1,
@@ -160,36 +161,30 @@ def suite_radicals(perturb: bool = False):
 
     def check_residuals():
         # k = lo + (hi - lo)*k_idx/200 is one Fraction of the integer range
-        # ends.  With k = p/q, Gamma_n = (c0 + c1 x + c2 x^2)/den and x =
-        # (u + v*sqrt(m))/w in integers, q*den*w^2 (k*x - Gamma_n(x)) is
-        # rat + irr*sqrt(m); the sample passes iff both integers are 0.  The
-        # Poly1 residual -c0 + (k - c1)x - c2 x^2 is built for the witness only
+        # ends.  With k = p/q and Gamma_n's integer coefficients (c0, c1,
+        # c2), q(k*x - Gamma_n(x)) is the integer polynomial (-q c0, p - q c1,
+        # -q c2); at x = (u + v*sqrt(m))/w, ``_horner`` writes w^2 times it as
+        # rat + irr*sqrt(m), and the sample passes iff both integers are 0
         samples = 0
         for side, table in _INTERSECT_RANGES.items():
             for lo, hi, n in table:
-                coeffs = walls.gamma_piece(n).coeffs
-                (c0, c1, c2), den = clear_denominators(coeffs)
+                c0, c1, c2 = walls._gamma_coeffs(n)
                 a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
                 for k_idx in range(_K_PER_RANGE):
                     k = Fraction(a * d * (_K_PER_RANGE - k_idx) + c * b * k_idx, _K_PER_RANGE * b * d)
                     x = walls.line_gamma_intersection(k, side)
                     samples += 1
-                    if isinstance(x, QuadNum):
-                        (u, v), w = clear_denominators((x.a, x.b))
-                        m = x.m
-                    else:
-                        u, v, m, w = x.numerator, 0, 0, x.denominator
+                    a_x, b_x, m = (x.a, x.b, x.m) if isinstance(x, QuadNum) else (x, 0, 0)
+                    (u, v), w = clear_denominators((a_x, b_x))
                     p, q = k.numerator, k.denominator
-                    pdw = p * den * w
-                    rat = pdw * u - q * (c0 * w * w + c1 * w * u + c2 * (u * u + v * v * m))
-                    irr = v * (pdw - q * (c1 * w + 2 * c2 * u))
+                    residual = (-q * c0, p - q * c1, -q * c2)
+                    rat, irr, _ = _horner(residual, u, v, m, w)
                     if rat or irr:
-                        residual = Poly1((-coeffs[0], k - coeffs[1], -coeffs[2])).evaluate(x)
                         return False, samples, {
                             "side": side,
                             "k": format_scalar(k),
                             "x": format_scalar(x),
-                            "residual": format_scalar(residual),
+                            "residual": format_scalar(Poly1(residual).evaluate(x) / q),
                         }
         return True, samples, None
 
@@ -645,9 +640,10 @@ def _pair_sum(*pairs):
 
 def _prop52_holds(first: str, second: str, target) -> bool:
     """(lam_first(32x) + lam_second(64 - 32x))/16 + x - 5/4 == target, with
-    the per-rank Clifford pieces lam of ``bounds.CLIFFORD_PIECES``."""
-    n1, d1 = (p.compose_affine(0, 32) for p in bounds.CLIFFORD_PIECES[first])
-    n2, d2 = (p.compose_affine(64, -32) for p in bounds.CLIFFORD_PIECES[second])
+    the per-rank Clifford pieces lam of ``bounds.clifford_family``, by name."""
+    pieces = {piece.name: piece for piece in bounds.clifford_family.pieces}
+    n1, d1 = (p.compose_affine(0, 32) for p in (pieces[first].poly, pieces[first].den))
+    n2, d2 = (p.compose_affine(64, -32) for p in (pieces[second].poly, pieces[second].den))
     num, den = _pair_sum((n1, 16 * d1), (n2, 16 * d2), (Poly1([Fraction(-5, 4), 1]), _ONE))
     target_num, target_den = target
     return num * target_den == target_num * den

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BN_THRESHOLD_POLY, SPADE_CASES, _below_bn_threshold, _nearest_band, bn_threshold
+from .bounds import BN_THRESHOLD_POLY, SPADE_CASES, _nearest_band, bn_threshold
 from .chern import ChernVec, WrongContext
 from .exactnum import (
     Poly1,
@@ -131,18 +131,24 @@ def gamma_piece_index(x) -> int:
     return floor_scalar(x + Fraction(1, 2))
 
 
+def _gamma_coeffs(n: int) -> tuple[int, int, int]:
+    """(n^2 - 1, -2n, 5): the integer coefficients, low to high, of Gamma's
+    piece near the integer n, the one home of the rule."""
+    return n * n - 1, -2 * n, 5
+
+
 def gamma_piece(n: int) -> Poly1:
     """Piece polynomial 5x^2 - 2n x + (n^2 - 1) of Gamma near the integer n."""
-    return Poly1([Fraction(n * n - 1), Fraction(-2 * n), Fraction(5)])
+    return Poly1(_gamma_coeffs(n))
 
 
 def gamma_curve(x) -> Scalar:
     """Exact Gamma(x) with the integer-point convention Gamma(n) = 4n^2.
 
     A rational x = p/q (q > 0) is valued on integers: Fraction(4p^2) at an
-    integer, else the piece of n = (2p + q) // (2q), which is
-    ``gamma_piece_index(x)``, written over q^2 as
-    Fraction(5p^2 - 2npq + (n^2 - 1)q^2, q^2).  An irrational QuadNum x is
+    integer, else the ``_gamma_coeffs`` (c0, c1, c2) of the piece of n =
+    (2p + q) // (2q), which is ``gamma_piece_index(x)``, over q^2:
+    Fraction(c2 p^2 + c1 pq + c0 q^2, q^2).  An irrational QuadNum x is
     valued by ``gamma_piece(gamma_piece_index(x)).evaluate(x)``."""
     x = rational_or_quad(x)
     if isinstance(x, QuadNum):
@@ -150,8 +156,8 @@ def gamma_curve(x) -> Scalar:
     p, q = x.numerator, x.denominator
     if q == 1:
         return Fraction(4 * p * p)
-    n = (2 * p + q) // (2 * q)
-    return Fraction(5 * p * p - 2 * n * p * q + (n * n - 1) * q * q, q * q)
+    c0, c1, c2 = _gamma_coeffs((2 * p + q) // (2 * q))
+    return Fraction((c2 * p + c1 * q) * p + c0 * q * q, q * q)
 
 
 # line_gamma_intersection dispatch: (k-range closure, piece index) per side,
@@ -198,10 +204,11 @@ def intersect_line_with_piece(k, n: int, upper_root: bool) -> Scalar:
 
 
 def _intersect(p: int, q: int, n: int, upper_root: bool) -> Scalar:
-    """``intersect_line_with_piece`` at k = p/q (q > 0): q times the piece
-    minus k*x has the integer coefficients (n^2 - 1)q, -(2nq + p), 5q that
-    ``_quadratic_roots`` takes."""
-    roots = _quadratic_roots((n * n - 1) * q, -(2 * n * q + p), 5 * q)
+    """``intersect_line_with_piece`` at k = p/q (q > 0): for the piece's
+    ``_gamma_coeffs`` (c0, c1, c2), q times the piece minus k*x has the
+    integer coefficients c0 q, c1 q - p, c2 q that ``_quadratic_roots`` takes."""
+    c0, c1, c2 = _gamma_coeffs(n)
+    roots = _quadratic_roots(c0 * q, c1 * q - p, c2 * q)
     if not roots:
         raise NoIntersection(f"slope {Fraction(p, q)} misses the piece at n={n}")
     return roots[-1] if upper_root else roots[0]
@@ -225,16 +232,16 @@ class FirstWallBounds:
 def first_wall_bounds(mu) -> FirstWallBounds:
     """Endpoint bounds beta1 >= mu/32 - 4, beta2 <= mu/32, widened on the
     three vertical-segment windows; bn_semistable is the exact sign test of
-    the y-intercept t.  Decided on mu = p/q by cross-multiplied integers."""
+    the y-intercept t.  Windows are decided on cross-multiplied integers."""
     mu = as_fraction(mu)
     p, q = mu.numerator, mu.denominator
     if not 0 <= p <= 64 * q:
         raise OutOfRange("mu must lie in [0, 64]")
     beta1 = Fraction(p - 128 * q, 32 * q)
     beta2 = Fraction(p, 32 * q)
-    # t < 0 exactly below bn_threshold() on [0, 64]: the Brill-Noether test
-    # of bounds.clifford_case, the sign of BN_THRESHOLD_POLY at p/q
-    bn = _below_bn_threshold(p, q)
+    # t < 0 exactly below bn_threshold() on [0, 64], where the Clifford
+    # bound's "bn" piece ends
+    bn = mu < bn_threshold()
     tag = None
     if 31 * q <= p <= 32 * q:
         beta2 = Fraction(1)

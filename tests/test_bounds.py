@@ -10,9 +10,11 @@ from tiltbound.bounds import (
     _FALLBACK_CASE,
     BN_THRESHOLD_POLY,
     CLIFFORD_BREAK,
-    CLIFFORD_PIECES,
     BoundsError,
+    Interval,
     OutOfDomain,
+    Piece,
+    PiecewiseBound,
     SlopeOutOfTable,
     SlopeOutsideTheorem,
     SPADE_CASES,
@@ -27,6 +29,7 @@ from tiltbound.bounds import (
     bn_threshold,
     clifford_bound,
     clifford_case,
+    clifford_family,
     piecewise_check,
     spade,
     spade_case_for_slope,
@@ -34,7 +37,7 @@ from tiltbound.bounds import (
 )
 from tiltbound.chern import CurveClass
 from tiltbound.convexopt import triangle_from_first_wall
-from tiltbound.exactnum import QuadNum, RadicalSum, compare_scalars, floor_scalar, scalar_sign
+from tiltbound.exactnum import Poly1, QuadNum, RadicalSum, compare_scalars, floor_scalar, scalar_sign
 from tiltbound.walls import OutOfRange, first_wall_bounds
 
 
@@ -329,6 +332,21 @@ def test_clifford_breakpoints_are_pinned():
         assert (type(root.a), type(root.b), type(root.m)) == (F, F, int)
 
 
+def test_clifford_pieces_meet_with_one_jump():
+    # the bound jumps at the Brill-Noether threshold, from 64/(64 - mu) to
+    # 1 + 5 mu^2/1024 per rank, and is continuous at the sqrt(69) switch
+    rep = piecewise_check(clifford_family, "continuity")
+    assert not rep.ok
+    ((x, left, right),) = rep.details
+    assert x == bn_threshold()
+    assert left == QuadNum(F(4, 19), F(2, 19), 61)  # (4 + 2*sqrt(61))/19 ~ 1.0327
+    assert right == QuadNum(F(634, 9), F(-80, 9), 61)  # (634 - 80*sqrt(61))/9 ~ 1.0200
+    assert compare_scalars(left, right) > 0
+    high, linear = clifford_family.pieces[2:]
+    assert high.interval.hi == linear.interval.lo == CLIFFORD_BREAK
+    assert high.value(CLIFFORD_BREAK) == linear.value(CLIFFORD_BREAK) == QuadNum(F(346, 5), F(-32, 5), 69)
+
+
 def test_clifford_uncovered_band():
     with pytest.raises(SlopeOutsideTheorem):
         clifford_bound((1, 32))
@@ -436,9 +454,10 @@ def test_clifford_switches_match_the_fraction_decisions():
             if not isinstance(case, str):
                 assert _outcome(clifford_bound, e) == case
                 continue
-            num, den = CLIFFORD_PIECES[case]
+            piece = clifford_family.piece_at(mu)
+            assert piece.name == case
             bound = clifford_bound(e)
-            assert type(bound) is F and bound == r * num.evaluate(mu) / den.evaluate(mu)
+            assert type(bound) is F and bound == r * piece.poly.evaluate(mu) / piece.den.evaluate(mu)
             assert triangle_from_first_wall(e).mu_case == ("high" if case == "linear" else case)
     assert seen == {"bn", "low", "high", "linear", SlopeOutsideTheorem}
     for r in (0, F(1, 2), -1):
@@ -551,6 +570,38 @@ def test_piece_table_export():
     table = bg_linear_family.to_table()
     assert len(table) == 5
     assert table[0]["poly"] == ["0", "-1/2"]
+
+
+# a ratio piece, 1/(1 + x) on [0, 1], beside a polynomial one
+_RATIO = PiecewiseBound(
+    "ratio",
+    [
+        Piece(Interval(F(0), F(1)), Poly1([1]), Poly1([1, 1])),
+        Piece(Interval(F(1), F(2)), Poly1([F(1, 2)])),
+    ],
+)
+
+
+def test_ratio_piece_refuses_convexity():
+    # the check reads a piece's numerator alone, so a ratio piece is refused
+    with pytest.raises(ValueError, match="ratio"):
+        piecewise_check(_RATIO, "convexity_on")
+    with pytest.raises(ValueError, match="ratio"):
+        piecewise_check(clifford_family, "convexity_on")
+
+
+def test_ratio_piece_refuses_dominance():
+    for f, g in ((_RATIO, bg_linear_family), (bg_linear_family, _RATIO)):
+        with pytest.raises(ValueError, match="ratio"):
+            piecewise_check(f, "dominance", g)
+
+
+def test_ratio_piece_values_and_continuity():
+    assert _RATIO.evaluate(F(1, 3)) == F(3, 4)
+    assert _RATIO.evaluate(F(1)) == F(1, 2)
+    assert piecewise_check(_RATIO, "continuity").ok
+    assert _RATIO.to_table()[0]["den"] == ["1", "1"]
+    assert "den" not in _RATIO.to_table()[1]
 
 
 def test_out_of_domain_evaluate():

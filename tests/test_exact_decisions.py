@@ -279,6 +279,21 @@ def test_square_free_core_has_five_callers():
     }
 
 
+def _spells_gamma_constant(node) -> bool:
+    return isinstance(node, ast.BinOp) and ast.unparse(node) == "n * n - 1"
+
+
+def test_gamma_coefficients_are_written_once():
+    # Gamma's piece near n is (n^2 - 1, -2n, 5), written in walls._gamma_coeffs
+    # alone; gamma_piece, gamma_curve and the intersections read it there
+    sites = [
+        f"{path.name}:{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in _sites(ast.parse(path.read_text()), _spells_gamma_constant)
+    ]
+    assert sites == ["walls.py:_gamma_coeffs"]
+
+
 CACHES = {"lru_cache", "cache"}
 
 

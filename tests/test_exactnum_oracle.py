@@ -1,7 +1,7 @@
 """Exact arithmetic checked against sympy: comparisons against the sign of
 the same radical sum, square-free parts against ``factorint``, quadratic
-roots against ``sympy.roots``, and each spade row against its written
-fields."""
+roots against ``sympy.roots``, each spade row against its written fields,
+and the Clifford bound against its exported piece table."""
 
 import decimal
 import math
@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltbound.bounds import _FALLBACK_CASE, SPADE_CASES, Interval, NestedRadical, SlopeOutOfTable, _band
-from tiltbound import exactnum
+from tiltbound.bounds import clifford_bound, clifford_family
+from tiltbound import exactnum, verify
 from tiltbound.exactnum import Poly1, QuadNum, RadicalSum, compare_scalars, decimal_str, floor_scalar, square_free_core
 
 SQUARE_FREE = [2, 3, 5, 6, 7, 10, 13, 61, 69, 2374, 22281]
@@ -595,3 +596,33 @@ def test_spade_row_matches_its_written_fields(row):
     if row.srt is not None and row.q[2] < 0:
         reachable.add("negative radicand")
     assert set(outcomes) == reachable
+
+
+def _replay_clifford(table: list, r: int, d: int):
+    """r times the value at mu = d/r of the table row holding mu, or None:
+    the JSON-ready rows alone, read by sympy, with nothing from the library."""
+    mu = sympy.Rational(d, r)
+    for row in table:
+        lo, hi = sympy.sympify(row["lo"]), sympy.sympify(row["hi"])
+        above = mu >= lo if row["lo_closed"] else mu > lo
+        below = mu <= hi if row["hi_closed"] else mu < hi
+        if bool(above) and bool(below):
+            num, den = (sum(sympy.Rational(c) * mu**i for i, c in enumerate(row.get(key, ["1"]))) for key in ("poly", "den"))
+            return r * num / den
+    return None
+
+
+# the fixed slopes the clifford suite samples first
+_FIXED_MU = [F(0), F(1), F(2), F(16), F(48), F(64), F(63), F(62), F(6202, 100), F(6205, 100), F(2024, 1000), F(2025, 1000)]
+
+
+def test_clifford_table_replays_in_sympy():
+    table = clifford_family.to_table()
+    assert [row.get("den") for row in table] == [["64", "-1"], None, None, None]
+    assert verify._mu_samples()[: len(_FIXED_MU)] == _FIXED_MU
+    for mu in _FIXED_MU:
+        for scale in (1, 3):
+            r, d = scale * mu.denominator, scale * mu.numerator
+            got = clifford_bound((r, d))
+            assert sympy.Rational(got.numerator, got.denominator) == _replay_clifford(table, r, d), (r, d)
+    assert _replay_clifford(table, 1, 32) is None and _replay_clifford(table, 1, 65) is None

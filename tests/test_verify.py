@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -50,16 +51,18 @@ def test_prop52_identities_fail_under_each_one_coefficient_change():
 
 def test_prop52_reads_the_library_clifford_pieces(monkeypatch):
     # the cases use bn + linear, bn + high and low + high, so a change of any
-    # one coefficient of any piece in bounds.CLIFFORD_PIECES fails some case
-    assert {piece for first, second, _ in _PROP52_CASES.values() for piece in (first, second)} == set(bounds.CLIFFORD_PIECES)
-    for piece, pair in bounds.CLIFFORD_PIECES.items():
-        for side in (0, 1):
-            for i in range(len(pair[side].coeffs)):
-                changed = list(pair)
-                changed[side] += Poly1([0] * i + [1])
+    # one coefficient of any piece of bounds.clifford_family fails some case
+    pieces = bounds.clifford_family.pieces
+    assert {piece for first, second, _ in _PROP52_CASES.values() for piece in (first, second)} == {p.name for p in pieces}
+    for k, piece in enumerate(pieces):
+        for side in ("poly", "den"):
+            poly = getattr(piece, side)
+            for i in range(len(poly.coeffs)):
+                changed = list(pieces)
+                changed[k] = replace(piece, **{side: poly + Poly1([0] * i + [1])})
                 with monkeypatch.context() as m:
-                    m.setitem(bounds.CLIFFORD_PIECES, piece, tuple(changed))
-                    assert not all(_prop52_holds(*case) for case in _PROP52_CASES.values()), (piece, side, i)
+                    m.setattr(bounds, "clifford_family", bounds.PiecewiseBound("clifford", changed))
+                    assert not all(_prop52_holds(*case) for case in _PROP52_CASES.values()), (piece.name, side, i)
     assert all(_prop52_holds(*case) for case in _PROP52_CASES.values())
 
 
