@@ -20,7 +20,10 @@ global sections of Harder-Narasimhan configurations.  Three tools:
   down the same boundary list gives each direction its row,
   ``SpadeCase.enclosure`` values it by integer enclosures (no factoring),
   and ``SpadeCase.value`` builds exact values, at the same integral point,
-  only where two enclosures overlap and for the winning chain.
+  only where two enclosures overlap and for the winning chain.  Before the
+  DP, a direction is dropped when its enclosures certify that its two
+  Farey parents, which sum to it, are worth strictly more: no maximal
+  chain uses it, so the value is always the full DP's.
 * ``clifford_chain_bound`` -- the wall-triangle derivation of the Clifford
   bound (universal bound on the O->P leg, fixed case rows for the others,
   Bogomolov value in the Brill-Noether band, and the d - 46r branch on
@@ -432,11 +435,20 @@ def _cone_order(n: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)  # n <= 60 (GridTooLarge), immutable results
 def _walk_plan(n: int) -> tuple:
-    """(a, b, delta, rows) for each direction (a, b) of ``_cone_order(n)``
-    with a step in the grid (max(a, 0) + b <= n), in that order: the cell
-    (i, j) sits at i*(n + 1) + j, delta = a*(n + 1) + b is the flat step,
-    and rows are the ranges of target cells the direction walks.  Built once
-    per grid on the first brute-force call; equal rows are one object.
+    """(a, b, delta, rows, parents) for each direction (a, b) of
+    ``_cone_order(n)`` with a step in the grid (max(a, 0) + b <= n), in that
+    order: the cell (i, j) sits at i*(n + 1) + j, delta = a*(n + 1) + b is
+    the flat step, rows are the ranges of target cells the direction walks,
+    and parents are the plan indices of its Farey parents (None for (1, 0)
+    and (-1, 1)).  Built once per grid on the first brute-force call; equal
+    rows are one object.
+
+    Farey parents: in the cone coordinates u = a + b >= 0, v = b >= 0 every
+    direction but (u, v) = (1, 0) and (0, 1) is the sum of the unique pair
+    d1 = (u1, v1), d2 = (u - u1, v - v1) of nonnegative vectors with
+    v*u1 - u*v1 = 1 (its Stern-Brocot parents): u1 is the inverse of v
+    modulo u in 1..u.  Both have coordinates at most max(u, v) =
+    max(a, 0) + b, so both fit the grid whenever (a, b) does.
 
     Every target w comes after its source w - (a, b), so a direction's steps
     chain within its pass: rows of constant j by increasing j.  Only the
@@ -454,9 +466,9 @@ def _walk_plan(n: int) -> tuple:
     width = n + 1
     interned: dict = {}
     plan = []
-    for a, b in _cone_order(n):
-        if max(a, 0) + b > n:  # no step along (a, b) fits in the grid
-            continue
+    fits = [(a, b) for a, b in _cone_order(n) if max(a, 0) + b <= n]
+    index = {ab: k for k, ab in enumerate(fits)}
+    for a, b in fits:
         if b:
             c_min = max(0, -a * n)
             j_max = b * n // (a + b) if a > 0 else n  # last row with b*(n - j) >= a*j + c_min
@@ -467,8 +479,32 @@ def _walk_plan(n: int) -> tuple:
         else:
             spans = [(width, n * width + 1)]
         rows = tuple(interned.setdefault(span, range(*span, width)) for span in spans)
-        plan.append((a, b, a * width + b, rows))
+        parents = None
+        if (a, b) not in ((1, 0), (-1, 1)):
+            u1 = pow(b, -1, a + b) or a + b
+            v1 = (b * u1 - 1) // (a + b)
+            parents = (index[(u1 - v1, v1)], index[(a - u1 + v1, b - v1)])
+        plan.append((a, b, a * width + b, rows, parents))
     return tuple(plan)
+
+
+def _undominated(plan: tuple, valued: list) -> list:
+    """Indices k, increasing, of the valued plan directions that their Farey
+    parents do not certainly beat: valued[k] ends with integers lo <= value
+    * 2**64 <= hi of the step along plan[k] (None: refused), and k is
+    dropped only when both parents i, j are valued and hi_k < lo_i + lo_j.
+    An exact tie, overlapping enclosures or a refused parent keeps it."""
+    kept = []
+    for k, (entry, val) in enumerate(zip(plan, valued)):
+        if val is None:
+            continue
+        parents = entry[4]
+        if parents is not None:
+            first, second = valued[parents[0]], valued[parents[1]]
+            if first is not None and second is not None and val[-1] < first[-2] + second[-2]:
+                continue
+        kept.append(k)
+    return kept
 
 
 def maximize_bruteforce(
@@ -494,6 +530,22 @@ def maximize_bruteforce(
     (unless the fallback values them) or needing a nested radical are
     excluded.
 
+    Dominated directions are dropped before the DP (``_undominated``).  The
+    maximum over chains O -> Q is a maximum over multisets of valued
+    directions summing to (0, grid_n): sorted by slope, each is one convex
+    chain in the triangle, and the DP reaches every one.  A direction
+    d = d1 + d2 with Farey parents d1, d2 (``_walk_plan``) that are both
+    valued, and whose enclosures certify hi(d) < lo(d1) + lo(d2), is worth
+    strictly less than d1 and d2 together; both fit the grid whenever d
+    does, so replacing d by them in a multiset gives a strictly better
+    chain with the same end point, and no maximal multiset contains d.  So
+    dropping every such d leaves the maximum, which is attained, unchanged.
+    Nothing here assumes a row is convex, and each drop is decided on the
+    triangle's own integer enclosures: an exact tie, overlapping enclosures
+    or a refused parent keeps the direction.  The value is therefore always
+    the full DP's, and so is the chain whenever the maximal multiset is
+    unique; among several maximal multisets it may settle on another one.
+
     Exactness is lazy.  A merge walk down the cone's boundary list (the one
     ``maximize_reduced`` walks, without slope(OQ): all rational) gives each
     direction its row, and ``SpadeCase.enclosure`` values it as integers
@@ -504,7 +556,8 @@ def maximize_bruteforce(
     compares these enclosures; exact ``RadicalSum`` values are built only
     where two overlap and for the winning chain, once per step:
     ``SpadeCase.value`` at the integral point its enclosure read, over n*D.
-    Every decision is exact, so the value and the chain are the exact DP's.
+    Every decision is exact, so the value and the chain are the exact DP's
+    over the directions kept.
     """
     if grid_n > 60:
         raise GridTooLarge("grid_n must be <= 60")
@@ -530,8 +583,9 @@ def maximize_bruteforce(
         return scalar_sign(x * inner[k][1] - inner[k][0] * y)
 
     k = len(inner) - 1
-    dirs = []  # (a, b, delta, rows, row, x, y, lo, hi): lo <= step value * 2**64 <= hi
-    for a, b, delta, rows in _walk_plan(n):
+    plan = _walk_plan(n)
+    valued = []  # per plan direction (row, x, y, lo, hi): lo <= step value * 2**64 <= hi; None if refused
+    for a, b, *_ in plan:
         x, y = a * px + b * qx, a * py + b * qy
         if b == 0:
             row = owners[-1]
@@ -542,12 +596,16 @@ def maximize_bruteforce(
                 k -= 1
             row = owners[k] if k and side(k, x, y) == 0 else cells[k]
         if row is None:
+            valued.append(None)
             continue
         try:
             lo, hi = row.enclosure(x, y, 64)
         except (SlopeOutOfTable, NestedRadical):
+            valued.append(None)
             continue
-        dirs.append((a, b, delta, rows, row, x, y, lo // scale, -(-hi // scale)))
+        valued.append((row, x, y, lo // scale, -(-hi // scale)))
+    # (a, b, delta, rows, row, x, y, lo, hi) for the directions a maximal chain may use
+    dirs = [(*plan[k][:4], *valued[k]) for k in _undominated(plan, valued)]
 
     step_values: dict = {}
 

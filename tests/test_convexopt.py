@@ -299,7 +299,7 @@ def test_bruteforce_values_only_the_steps_that_fit_the_grid(monkeypatch):
     # those, and only those are valued
     fits = [(a, b) for a, b in _cone_order(40) if max(a, 0) + b <= 40]
     assert (len(fits), len(_cone_order(40))) == (981, 1471)
-    assert [(a, b) for a, b, _, _ in _walk_plan(40)] == fits
+    assert [(a, b) for a, b, *_ in _walk_plan(40)] == fits
     calls = []
     enclosure = bounds.SpadeCase.enclosure
 
@@ -340,8 +340,8 @@ def test_walk_plan_walks_exactly_the_usable_cells():
     for n in range(1, 61):
         width = n + 1
         plan = _walk_plan(n)
-        assert [(a, b) for a, b, _, _ in plan] == [(a, b) for a, b in _cone_order(n) if max(a, 0) + b <= n], n
-        for a, b, delta, rows in plan:
+        assert [(a, b) for a, b, *_ in plan] == [(a, b) for a, b in _cone_order(n) if max(a, 0) + b <= n], n
+        for a, b, delta, rows, _ in plan:
             assert delta == a * width + b, (n, a, b)
             c_min = max(0, -a * n)
             usable = [
@@ -351,9 +351,9 @@ def test_walk_plan_walks_exactly_the_usable_cells():
                 if b * i - a * j >= c_min
             ]
             assert [w for row in rows for w in row] == usable, (n, a, b)
-        rows = [row for *_, dir_rows in plan for row in dir_rows]
+        rows = [row for *_, dir_rows, _ in plan for row in dir_rows]
         assert len({id(row) for row in rows}) == len({(row.start, row.stop) for row in rows}), n
-    rows = [row for *_, dir_rows in _walk_plan(40) for row in dir_rows]
+    rows = [row for *_, dir_rows, _ in _walk_plan(40) for row in dir_rows]
     counts = (len(_walk_plan(40)), len(rows), len({id(row) for row in rows}), sum(map(len, rows)))
     assert counts == (981, 10509, 821, 76072)
 
@@ -383,6 +383,91 @@ def test_bruteforce_is_the_same_from_a_cold_and_a_warm_plan():
         assert type(cold.value) is type(warm.value), (p, q, n)
         assert compare_scalars(cold.value, warm.value) == 0, (p, q, n)
         assert cold.chain.vertices == warm.chain.vertices, (p, q, n)
+
+
+def test_walk_plan_parents_are_the_farey_parents():
+    # every direction but (1, 0) and (-1, 1) is the sum of two plan
+    # directions forming a unimodular pair, the lower-slope one earlier in
+    # the plan and the higher-slope one later
+    for n in range(1, 61):
+        plan = _walk_plan(n)
+        for k, (a, b, _, _, parents) in enumerate(plan):
+            if (a, b) in ((1, 0), (-1, 1)):
+                assert parents is None, (n, a, b)
+                continue
+            i, j = parents
+            assert 0 <= i < k < j < len(plan), (n, a, b)
+            (a1, b1), (a2, b2) = plan[i][:2], plan[j][:2]
+            assert (a1 + a2, b1 + b2) == (a, b), (n, a, b)
+            assert a1 * b2 - a2 * b1 == 1, (n, a, b)
+
+
+def _acceptance_05_triangles():
+    """The 20 wall triangles of test_acceptance_05, drawn the same way."""
+    rng = random.Random(0xACCE55)
+    hulls = [
+        (F(-29, 10), F(-6, 10)),
+        (F(-24, 100), F(24, 100)),
+        (F(6, 10), F(29, 10)),
+        (F(-96, 10), F(-82, 10)),
+        (F(-134, 10), F(-125, 10)),
+        (F(-177, 10), F(-162, 10)),
+        (F(-39, 10), F(-31, 10)),
+        (F(31, 10), F(39, 10)),
+    ]
+    triangles = []
+    for idx in range(20):
+        lo, hi = hulls[idx % len(hulls)]
+        s_pq, s_oq, s_op = (lo + (hi - lo) * F(c, 48) for c in sorted(rng.sample(range(1, 48), 3)))
+        y_p = F(rng.randrange(1, 5), rng.randrange(1, 3))
+        y_q = y_p * (s_op - s_pq) / (s_oq - s_pq)
+        triangles.append((PlanePoint(s_op * y_p, y_p), PlanePoint(s_oq * y_q, y_q)))
+    return triangles
+
+
+def _kept_directions(monkeypatch):
+    """Record, per brute-force call, the (a, b) that ``_undominated`` keeps."""
+    kept = []
+    undominated = convexopt._undominated
+
+    def recording(plan, valued):
+        indices = undominated(plan, valued)
+        kept.append([plan[k][:2] for k in indices])
+        return indices
+
+    monkeypatch.setattr(convexopt, "_undominated", recording)
+    return kept
+
+
+def test_undominated_drops_only_on_a_certified_gap(monkeypatch):
+    # grid 1: (1, 0), (0, 1) and (-1, 1), where (0, 1) = (1, 0) + (-1, 1);
+    # each entry ends with (lo, hi) of its step's value * 2**64
+    plan = _walk_plan(1)
+    assert [entry[:2] for entry in plan] == [(1, 0), (0, 1), (-1, 1)] and plan[1][4] == (0, 2)
+    cases = [
+        ([(10, 10), (20, 20), (10, 10)], [0, 1, 2]),  # exact tie
+        ([(10, 12), (19, 21), (10, 12)], [0, 1, 2]),  # overlapping enclosures
+        ([(10, 12), (19, 20), (10, 12)], [0, 1, 2]),  # hi equals the parents' lo sum
+        ([(10, 12), (18, 19), (10, 12)], [0, 2]),  # strict certified gap
+        ([None, (-50, -49), (10, 12)], [1, 2]),  # a parent refused
+        ([(10, 12), (0, 0), None], [0, 1]),  # the other parent refused
+        ([(10, 12), None, (10, 12)], [0, 2]),  # the direction refused
+    ]
+    for valued, kept in cases:
+        assert convexopt._undominated(plan, valued) == kept, valued
+    kept = _kept_directions(monkeypatch)
+    # on a collapsed triangle every step lies on one ray, where spade is
+    # additive: each direction ties its parents exactly and is kept
+    for p, q, fallback in ((PlanePoint(-24, 2), PlanePoint(-48, 4), False), (PlanePoint(10, 1), PlanePoint(30, 3), True)):
+        for n in (1, 5, 12):
+            maximize_bruteforce(ORIGIN, p, q, n, fallback=fallback)
+            assert kept[-1] == [entry[:2] for entry in _walk_plan(n)], (p, n)
+    # in each single-row hull of acceptance 05 the two cone edges beat every
+    # direction between them, certified by the enclosures at grid 40
+    for p, q in _acceptance_05_triangles():
+        res = maximize_bruteforce(ORIGIN, p, q, 40)
+        assert kept[-1] == [(1, 0), (-1, 1)], (p, q)
+        assert res.chain.vertices == (ORIGIN, p, q), (p, q)
 
 
 def test_bruteforce_grid_guard():
@@ -629,7 +714,8 @@ def _reference_reduced(p, q, fallback=False):
     return convexopt.ReducedResult(best[0].to_exact(), best[1])
 
 
-def test_bruteforce_matches_sorted_reference_dp():
+def test_bruteforce_matches_sorted_reference_dp(monkeypatch):
+    kept = _kept_directions(monkeypatch)
     rng = random.Random(83)
     triangles = [(tri.p, tri.q) for tri in (triangle_from_first_wall((1, 16)),)]
     # single-case hulls of rows 4, 3, 6 and the band of row 9
@@ -652,6 +738,17 @@ def test_bruteforce_matches_sorted_reference_dp():
             res = maximize_bruteforce(ORIGIN, p, q, n, fallback=fallback)
             assert (RadicalSum.of(res.value) - value).is_zero(), (p, q, n, fallback)
             assert res.chain.vertices == chain.vertices, (p, q, n, fallback)
+    # a case-6 hull at grid 22, where the enclosures drop all but 2 of the
+    # 301 directions before the DP: the reference values and walks them all
+    lo, hi = F(-134, 10), F(-125, 10)
+    s_pq, s_oq, s_op = (lo + (hi - lo) * F(c, 48) for c in (5, 20, 44))
+    y_q = 2 * (s_op - s_pq) / (s_oq - s_pq)
+    p, q = PlanePoint(2 * s_op, 2), PlanePoint(s_oq * y_q, y_q)
+    value, chain = _reference_bruteforce(p, q, 22)
+    res = maximize_bruteforce(ORIGIN, p, q, 22)
+    assert (len(_walk_plan(22)), kept[-1]) == (301, [(1, 0), (-1, 1)])
+    assert (RadicalSum.of(res.value) - value).is_zero()
+    assert res.chain.vertices == chain.vertices
 
 
 def test_bruteforce_decides_overlapping_enclosures_exactly(monkeypatch):
@@ -678,6 +775,84 @@ def test_bruteforce_decides_overlapping_enclosures_exactly(monkeypatch):
         res = maximize_bruteforce(ORIGIN, p, q, 7)
         assert (RadicalSum.of(res.value) - value).is_zero(), (p, q)
         assert res.chain.vertices == chain.vertices, (p, q)
+
+
+# -- an oracle for small grids that shares no code with the DP ----------------------------
+
+
+def _multisets(dirs, u, v):
+    """Every multiset of ``dirs`` (pairs of nonnegative ints, not both 0)
+    summing to (u, v), as a tuple with equal entries adjacent."""
+    if (u, v) == (0, 0):
+        yield ()
+        return
+    if not dirs:
+        return
+    (du, dv), rest = dirs[0], dirs[1:]
+    most = min(t // d for t, d in ((u, du), (v, dv)) if d)
+    for k in range(most + 1):
+        for tail in _multisets(rest, u - k * du, v - k * dv):
+            yield ((du, dv),) * k + tail
+
+
+def _enumerated_maxima(p, q, n, fallback=False):
+    """(value, merged vertex lists of the maximizers) over every chain on the
+    grid-n lattice of O-P-Q, by enumeration: a chain is a multiset of cone
+    directions (u, v) = (a + b, b) >= 0, primitive, summing to (n, n), sorted
+    by decreasing slope (increasing v/u), and worth the sum of ``spade`` over
+    its increments (a*P + b*Q)/n; a chain with a refused increment is out.
+    No DP, walk plan or enclosure.  (None, []) when no chain is valued."""
+    cone = [(u, v) for u in range(n + 1) for v in range(n + 1) if math.gcd(u, v) == 1]
+    best, maximizers = None, []
+    for multiset in _multisets(cone, n, n):
+        chain = sorted(multiset, key=lambda uv: F(uv[1], uv[0]) if uv[0] else math.inf)
+        total, verts = RadicalSum.of(0), [ORIGIN]
+        try:
+            for (u, v), run in itertools.groupby(chain):
+                count = len(list(run))
+                a, b = u - v, v
+                inc = PlanePoint((a * p.x + b * q.x) / n, (a * p.y + b * q.y) / n)
+                total = total + RadicalSum.of(spade(inc, fallback=fallback)).scale(count)
+                verts.append(verts[-1] + inc.scale(count))
+        except (SlopeOutOfTable, NestedRadical):
+            continue
+        if best is None or total > best:
+            best, maximizers = total, [tuple(verts)]
+        elif total == best:
+            maximizers.append(tuple(verts))
+    return best, maximizers
+
+
+def test_bruteforce_matches_the_enumerated_maximum_on_small_grids():
+    # the value equals the enumeration's on grids 1-5, and so does the chain
+    # when one multiset attains it; seeded rational triangles, wide cones
+    # across table rows (with and without the fallback), single-row hulls,
+    # and linear-row triangles: the wall triangles at mu = 63 and 64 (the
+    # linear Clifford piece) and collapsed ones, where spade is linear along
+    # the one ray and every chain ties
+    rng = random.Random(97)
+    cases = [(*_random_triangle(rng, _rational), False) for _ in range(6)]
+    cases += [(*_random_triangle(rng, _rational), True) for _ in range(4)]
+    cases += [(PlanePoint(16, 1), PlanePoint(F(1, 3), 2), fallback) for fallback in (False, True)]
+    cases += [(p, q, False) for p, q in _acceptance_05_triangles()[:8]]
+    for mu in (63, 64):
+        tri = triangle_from_first_wall((1, mu))
+        cases.append((tri.p, tri.q, False))
+    cases += [(PlanePoint(-24, 2), PlanePoint(-48, 4), False), (PlanePoint(10, 1), PlanePoint(30, 3), True)]
+    unique = 0
+    for p, q, fallback in cases:
+        for n in range(1, 6):
+            best, maximizers = _enumerated_maxima(p, q, n, fallback)
+            if best is None:
+                with pytest.raises(ConvexOptError):
+                    maximize_bruteforce(ORIGIN, p, q, n, fallback=fallback)
+                continue
+            res = maximize_bruteforce(ORIGIN, p, q, n, fallback=fallback)
+            assert (RadicalSum.of(res.value) - best).is_zero(), (p, q, n, fallback)
+            merged = {ConvexChain(verts).merged().vertices for verts in maximizers}
+            assert res.chain.vertices in merged, (p, q, n, fallback)
+            unique += len(maximizers) == 1
+    assert unique > 50, unique
 
 
 # -- directions from the slope table ----------------------------------------------------
