@@ -1,7 +1,10 @@
 """Run the replayable certificate suites and print the report.
 
 Every check is exact; each suite also runs a negative control (a one
-coefficient perturbation that must fail, so a pass cannot be vacuous).
+coefficient perturbation that must fail, so a pass cannot be vacuous).  A
+control re-runs only the checks its suite marks as reading the perturbation
+and keeps the suite's report for the others, so its ``samples=`` is the
+suite's check count and its time covers the marked checks alone.
 """
 
 import sys

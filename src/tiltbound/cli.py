@@ -33,7 +33,7 @@ from .tilt import TiltError, TiltParams
 from .walls import WallError, first_wall_bounds, gamma_curve, nested_wall_line
 
 _DEFAULT_PRECISION = 12
-MAX_GRID = 512  # verify --grid: the q00 sweep visits (2*grid + 1)^2 points twice
+MAX_GRID = 512  # verify --grid: the q00 sweep visits (2*grid + 1)^2 points
 MAX_SAMPLES = 50_000  # emit --samples
 
 

@@ -279,6 +279,19 @@ def test_square_free_core_has_five_callers():
     }
 
 
+def _times_or_builds_a_report(node) -> bool:
+    if isinstance(node, ast.Call):
+        return ast.unparse(node.func).endswith("VerificationReport")
+    return isinstance(node, (ast.Attribute, ast.Name)) and ast.unparse(node).endswith("perf_counter")
+
+
+def test_verify_times_and_builds_reports_in_run_alone():
+    # verify._run is the one report path: it reads the clock twice and builds
+    # every VerificationReport, the negative controls' included
+    tree = ast.parse((SRC / "verify.py").read_text())
+    assert sorted(_sites(tree, _times_or_builds_a_report)) == ["_run", "_run", "_run"]
+
+
 def _spells_gamma_constant(node) -> bool:
     return isinstance(node, ast.BinOp) and ast.unparse(node) == "n * n - 1"
 

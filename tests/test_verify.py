@@ -15,6 +15,8 @@ from tiltbound.verify import (
     _PROP52_CASES,
     _perturbed_linear_family,
     _prop52_holds,
+    SUITE_NAMES,
+    negative_control,
     reports_to_json,
     run_suite,
     run_suites,
@@ -138,6 +140,46 @@ def test_run_suites_matches_recorded_check_list():
             row["failing_checks"] = r.witness["failing_checks"]
         got.append(row)
     assert got == expected
+
+
+# the checks that read ``perturb``, as each suite's table marks them: the
+# only checks a control re-runs, each of which must fail perturbed
+PERTURBED = {
+    "radicals": ["radicals_sqrt_delta", "radicals_sqrt_delta_prime"],
+    "q00": ["q00_c1c2c3_decomposition", "q00_dual_route_bookkeeping"],
+    "breakpoints": ["breakpoints_linear_continuity", "breakpoints_envelope_equality_set"],
+    "clifford": ["clifford_triangle_equals_closed_form"],
+    "prop52": ["prop52_case3_recomposition"],
+    "walls": ["walls_gamma_secant_relation"],
+}
+
+
+def test_each_control_reruns_only_its_perturbed_checks_and_each_fails():
+    assert list(PERTURBED) == list(SUITE_NAMES)
+    reports, ok = run_suites(grid=64)
+    assert ok
+    for name, marked in PERTURBED.items():
+        params = {"grid_denominator": 64} if name == "q00" else {}
+        perturbed = run_suite(name, perturb=True, **params)
+        assert [r.check_name for r in perturbed] == marked
+        assert all(r.status == "fail" for r in perturbed), name  # no dead perturbation
+        *suite, control = [r for r in reports if r.check_name.startswith(f"{name}_")]
+        assert [r.check_name for r in suite if r.check_name in marked] == marked  # in suite order
+        assert control.check_name == f"{name}_negative_control"
+        assert control.witness == {"failing_checks": marked}
+        assert control.samples_tested == len(suite)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_a_suite_that_ignores_perturb_fails_its_control(monkeypatch, name):
+    suite = verify._SUITES[name]
+    monkeypatch.setitem(verify._SUITES, name, lambda perturb=False, **params: suite(**params))
+    reports, ok = run_suites([name], grid=32)
+    assert not ok and all(r.status == "pass" for r in reports[:-1])
+    params = {"grid_denominator": 32} if name == "q00" else {}
+    for control in (reports[-1], negative_control(name, **params)):
+        assert (control.check_name, control.status) == (f"{name}_negative_control", "fail")
+        assert (control.samples_tested, control.witness) == (len(reports) - 1, {"failing_checks": []})
 
 
 @pytest.mark.parametrize(
