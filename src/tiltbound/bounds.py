@@ -10,7 +10,8 @@ homogeneous of degree 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -312,13 +313,8 @@ SPADE_CASES: tuple[SpadeCase, ...] = (
     ),
 )
 
-_FALLBACK_CASE = SpadeCase(
-    0,
-    (),
-    (Fraction(1, 2), Fraction(0)),
-    srt=Fraction(1, 2),
-    q=(Fraction(1), Fraction(0), Fraction(20)),
-)
+# the universal bound x/2 + sqrt(x^2 + 20y^2)/2 is row 3's formula on every slope
+_FALLBACK_CASE = replace(SPADE_CASES[2], case_id=0, ranges=())
 
 
 def _owner_tables(ranges) -> tuple[tuple, tuple, tuple]:
@@ -366,13 +362,11 @@ _SPADE_OWNERS = _owner_tables([(row, r) for row in SPADE_CASES[:7] for r in row.
 _TABLE_BOUNDARIES = _SPADE_OWNERS[0]
 
 
-def _band(n: int) -> tuple[Interval, Interval]:
-    """Closed ranges of case 8 and case 9 in band n >= 1:
-    [-4n, (1 - 4n^2)/n] and [(4n^2 - 1)/n, 4n]."""
-    return (
-        Interval(Fraction(-4 * n), Fraction(1 - 4 * n * n, n)),
-        Interval(Fraction(4 * n * n - 1, n), Fraction(4 * n)),
-    )
+def _band(n: int) -> tuple[Fraction, Fraction]:
+    """Ends (lo, hi) of band n != 0, the closed range 4n^2 - 1 <= n*s <= 4n^2
+    between 4n and (4n^2 - 1)/n: row 9's for n > 0, row 8's for n < 0."""
+    inner, outer = Fraction(4 * n * n - 1, n), Fraction(4 * n)
+    return (inner, outer) if n > 0 else (outer, inner)
 
 
 def _nearest_band(s) -> int:
@@ -381,19 +375,38 @@ def _nearest_band(s) -> int:
 
 
 def spade_case_for_slope(s) -> SpadeCase:
-    """Slope-table dispatch; band rows (cases 8, 9) own their endpoints."""
+    """Slope-table dispatch: the row of rows 1-7 owning s, else the band row
+    of the band nearest s (the bands lie in gaps of rows 1-7)."""
     s = rational_or_quad(s)
-    n = _nearest_band(s)
-    # band |n| (see _band), decided against integers: case 8 on
-    # -4m <= s, s*m <= 1 - 4m^2 and case 9 on 4m^2 - 1 <= s*m, s <= 4m
-    if n < 0 and compare_scalars(s, 4 * n) >= 0 and compare_scalars(s * -n, 1 - 4 * n * n) <= 0:
-        return SPADE_CASES[7]
-    if n > 0 and compare_scalars(s * n, 4 * n * n - 1) >= 0 and compare_scalars(s, 4 * n) <= 0:
-        return SPADE_CASES[8]
     row = _owner(_SPADE_OWNERS, s)
-    if row is None:
-        raise SlopeOutOfTable(f"slope {format_scalar(s)} not covered by the table")
-    return row
+    if row is not None:
+        return row
+    n = _nearest_band(s)
+    if n:
+        lo, hi = _band(n)
+        if compare_scalars(s, lo) >= 0 and compare_scalars(s, hi) <= 0:
+            return SPADE_CASES[8 if n > 0 else 7]
+    raise SlopeOutOfTable(f"slope {format_scalar(s)} not covered by the table")
+
+
+def _row_or_fallback(s, fallback: bool):
+    """The row owning slope s; off the table the fallback row if requested."""
+    try:
+        return spade_case_for_slope(s)
+    except SlopeOutOfTable:
+        return _FALLBACK_CASE if fallback else None
+
+
+def _table_ends_inside(lo, hi, *extra) -> list:
+    """The slope-table ends and the slopes ``extra`` strictly inside
+    (lo, hi), increasing, each once (the first of equal slopes in the order
+    rows 1-7, extra, bands).  The ends of rows 1-7 are bisected; each band
+    end has its own band as its nearest, so every band end inside is in a
+    band from ``_nearest_band(lo)`` to ``_nearest_band(hi)``."""
+    table = _TABLE_BOUNDARIES[bisect.bisect_right(_TABLE_BOUNDARIES, lo) : bisect.bisect_left(_TABLE_BOUNDARIES, hi)]
+    bands = (end for n in range(_nearest_band(lo), _nearest_band(hi) + 1) if n for end in _band(n))
+    inside = [s for s in (*extra, *bands) if compare_scalars(lo, s) < 0 and compare_scalars(s, hi) < 0]
+    return sorted({*table, *inside})
 
 
 def _spade_point(p: PlanePoint | tuple) -> tuple:

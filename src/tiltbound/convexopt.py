@@ -40,17 +40,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import (
-    _FALLBACK_CASE,
-    _TABLE_BOUNDARIES,
-    _band,
-    _nearest_band,
+    _row_or_fallback,
+    _table_ends_inside,
     SPADE_CASES,
     NestedRadical,
     PlanePoint,
     SlopeOutOfTable,
     clifford_case,
     spade,
-    spade_case_for_slope,
     spade_fallback,
 )
 from .chern import CurveClass
@@ -58,7 +55,6 @@ from .exactnum import (
     RadicalSum,
     clear_denominators,
     compare_scalars,
-    floor_scalar,
     format_scalar,
     scalar_sign,
 )
@@ -215,31 +211,13 @@ def _triangle_slopes(o: PlanePoint, p: PlanePoint, q: PlanePoint) -> tuple:
     return s_op, s_oq, s_pq, collapsed
 
 
-def _row_or_fallback(s, fallback: bool):
-    """The row owning slope s; off the table the fallback row if requested."""
-    try:
-        return spade_case_for_slope(s)
-    except SlopeOutOfTable:
-        return _FALLBACK_CASE if fallback else None
-
-
 def _cone_rows(s_pq, s_op, fallback: bool, *inside) -> tuple:
     """(slopes, owners, cells) of the cone [s_pq, s_op]: slopes is s_pq, the
     slope-table boundaries and the slopes ``inside`` strictly inside, then
     s_op, increasing; owners[k] is the row owning slopes[k] and cells[k] the
     row on the open cell (slopes[k], slopes[k+1]), which no boundary cuts
     (off the table, the fallback row if requested, else None)."""
-    table = _TABLE_BOUNDARIES[bisect.bisect_right(_TABLE_BOUNDARIES, s_pq) : bisect.bisect_left(_TABLE_BOUNDARIES, s_op)]
-    # every end of cases 8 and 9 in the bands n whose ends reach the wider
-    # edge, from the band of the edge nearer 0 when both share a sign: a
-    # band's ends have 4n - 1/n <= |s| <= 4n, and with e = max(s_pq, -s_op),
-    # that edge's |s| (else e <= 0), every band n < _nearest_band(e) has
-    # 4n <= e - 2, so none of its ends is inside
-    first = max(1, _nearest_band(max(s_pq, -s_op)))
-    bands = range(first, (floor_scalar(max(-s_pq, s_op)) + 1) // 4 + 1)
-    ends = (end for n in bands for r in _band(n) for end in (r.lo, r.hi))
-    inside = [s for s in (*inside, *ends) if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0]
-    slopes = [s_pq, *sorted({*table, *inside}), s_op]
+    slopes = [s_pq, *_table_ends_inside(s_pq, s_op, *inside), s_op]
     owners = [_row_or_fallback(s, fallback) for s in slopes]
     cells = [_row_or_fallback((a + b) / 2, fallback) for a, b in zip(slopes, slopes[1:])]
     return slopes, owners, cells

@@ -264,7 +264,12 @@ class RegionFlags:
 
 
 def stability_region_predicates(p: TiltParams, a, b) -> RegionFlags:
-    """Exact evaluation of the three stability-parameter inequalities."""
+    """Exact evaluation of the three stability-parameter inequalities.
+    thm13_circle, alpha^2 + ({beta} - 1/2)^2 > 1/4, reads p in the canonical
+    chart, and so does thm13_ab, a > alpha^2/6 + |b|*alpha/2 (the code's
+    assumption: the paper's abstract names no chart); thm35_region, alpha >
+    beta^2/2 + {beta}(1 - {beta})/2, reads the linear chart, and at
+    ``linear_params_from_canonical(p)`` it is thm13_circle at p."""
     al, be = p.alpha, p.beta
     fl = floor_scalar(be)
     shifted = be - fl - Fraction(1, 2)

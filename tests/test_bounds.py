@@ -25,7 +25,6 @@ from tiltbound.bounds import (
     bg_refined_family,
     _TABLE_BOUNDARIES,
     _band,
-    _nearest_band,
     bn_threshold,
     clifford_bound,
     clifford_case,
@@ -169,6 +168,7 @@ def test_slope_table_derived_views():
             assert spade_case_for_slope(s).case_id == 8
         for s in (F(4 * n * n - 1, n), F(4 * n)):
             assert spade_case_for_slope(s).case_id == 9
+        assert _band(-n) == (F(-4 * n), F(1 - 4 * n * n, n)) and _band(n) == (F(4 * n * n - 1, n), F(4 * n))
     # shared closed endpoints belong to the lower-numbered row
     for s, case_id in ((F(11, 2), 1), (F(-11, 2), 4), (F(-97, 10), 5), (F(-193, 14), 6)):
         assert spade_case_for_slope(s).case_id == case_id
@@ -183,12 +183,13 @@ def _reference_dispatch(s):
     """The band rows first, then a scan of rows 1-7 in order."""
     if isinstance(s, QuadNum) and s.is_rational:
         s = s.as_fraction()
-    n = _nearest_band(s)
-    if n != 0:
-        case8, case9 = _band(abs(n))
-        if n < 0 and _contains(case8, s):
+    # band n >= 1 lies in 4n - 1 <= |s| <= 4n, so n = ceil(floor(|s|)/4):
+    # row 8 on [-4n, (1 - 4n^2)/n] and row 9 on [(4n^2 - 1)/n, 4n]
+    n = -(-floor_scalar(abs(s)) // 4)
+    if n > 0:
+        if _contains(Interval(F(-4 * n), F(1 - 4 * n * n, n)), s):
             return SPADE_CASES[7]
-        if n > 0 and _contains(case9, s):
+        if _contains(Interval(F(4 * n * n - 1, n), F(4 * n)), s):
             return SPADE_CASES[8]
     for row in SPADE_CASES[:7]:
         if any(_contains(r, s) for r in row.ranges):
@@ -207,9 +208,8 @@ def test_bisect_dispatch_matches_row_scan():
     eps = F(1, 10**9)
     slopes = [b + d for b in _TABLE_BOUNDARIES for d in (0, eps, -eps)]
     for n in range(1, 31):
-        for r in _band(n):
-            for end in (r.lo, r.hi):
-                slopes += [end, -end, end + eps, end - eps]
+        for end in (*_band(-n), *_band(n)):
+            slopes += [end, -end, end + eps, end - eps]
     rng = random.Random(97)
     slopes += [F(rng.randrange(-25000, 15000), rng.randrange(1, 1000)) for _ in range(20000)]
     for _ in range(3000):

@@ -141,7 +141,8 @@ def test_maximize_reduced_sharp_exceeds_closed_form_at_mu8():
 
 
 # n*s at the ends of the band-n ranges of rows 8 and 9, as polynomials in n
-# (bounds._band): row 8 on [-4n, (1 - 4n^2)/n], row 9 on [(4n^2 - 1)/n, 4n]
+# (bounds._band(-n) and _band(n)): row 8 on [-4n, (1 - 4n^2)/n], row 9 on
+# [(4n^2 - 1)/n, 4n]
 BAND_ENDS_TIMES_N = {8: (Poly1([0, 0, -4]), Poly1([1, 0, -4])), 9: (Poly1([-1, 0, 4]), Poly1([0, 0, 4]))}
 
 
@@ -182,8 +183,8 @@ def test_spade_rows_are_convex_along_paths():
             assert shifted.coeffs[0] > 0 and min(shifted.coeffs) >= 0, (row.case_id, end)
     # _band's n*s has degree at most 2 in n, so three bands pin its polynomials
     for n in (1, 2, 3, 7):
-        for row, r in zip(SPADE_CASES[7:], _band(n)):
-            assert [n * e for e in (r.lo, r.hi)] == [p.evaluate(n) for p in BAND_ENDS_TIMES_N[row.case_id]]
+        for row, band in zip(SPADE_CASES[7:], (_band(-n), _band(n))):
+            assert [n * e for e in band] == [p.evaluate(n) for p in BAND_ENDS_TIMES_N[row.case_id]]
 
 
 @st.composite
@@ -193,7 +194,8 @@ def row_segments(draw):
     if row is _FALLBACK_CASE:
         rng = Interval(F(-40), F(40))
     elif row.ranges is None:
-        rng = _band(draw(st.integers(1, 12)))[row.case_id - 8]
+        n = draw(st.integers(1, 12))
+        rng = Interval(*_band(n if row.case_id == 9 else -n))
     else:
         rng = draw(st.sampled_from(row.ranges))
     points = []
@@ -858,12 +860,18 @@ def test_bruteforce_matches_the_enumerated_maximum_on_small_grids():
 # -- directions from the slope table ----------------------------------------------------
 
 
+def _band_ends(n):
+    """The ends of row 8's and row 9's band-n ranges, n >= 1: row 8 on
+    [-4n, (1 - 4n^2)/n], row 9 on [(4n^2 - 1)/n, 4n]."""
+    return F(-4 * n), F(1 - 4 * n * n, n), F(4 * n * n - 1, n), F(4 * n)
+
+
 def _table_slopes_inside(lo, hi):
     """Every range end of rows 1-9 strictly inside (lo, hi), from SPADE_CASES."""
     ends = {end for row in SPADE_CASES[:7] for r in row.ranges for end in (r.lo, r.hi)}
     n = 1
     while 4 * n - 1 < max(abs(lo), abs(hi)):
-        ends.update(end for r in _band(n) for end in (r.lo, r.hi))
+        ends.update(_band_ends(n))
         n += 1
     return sorted(s for s in ends if lo < s < hi)
 
@@ -872,11 +880,11 @@ def _reference_cone_rows(s_pq, s_op, fallback, *inside):
     """_cone_rows as first written: every table boundary, every band end up
     to the wider edge and ``inside`` filtered against both edges, then sorted."""
     bands = range(1, (floor_scalar(max(-s_pq, s_op)) + 1) // 4 + 1)
-    ends = [*bounds._TABLE_BOUNDARIES, *inside, *(end for n in bands for r in _band(n) for end in (r.lo, r.hi))]
+    ends = [*bounds._TABLE_BOUNDARIES, *inside, *(end for n in bands for end in _band_ends(n))]
     inner = {s for s in ends if compare_scalars(s_pq, s) < 0 and compare_scalars(s, s_op) < 0}
     slopes = [s_pq, *sorted(inner), s_op]
-    owners = [convexopt._row_or_fallback(s, fallback) for s in slopes]
-    cells = [convexopt._row_or_fallback((a + b) / 2, fallback) for a, b in zip(slopes, slopes[1:])]
+    owners = [bounds._row_or_fallback(s, fallback) for s in slopes]
+    cells = [bounds._row_or_fallback((a + b) / 2, fallback) for a, b in zip(slopes, slopes[1:])]
     return slopes, owners, cells
 
 
@@ -912,22 +920,25 @@ def test_cone_rows_match_the_reference_filter():
 
 def test_cone_rows_start_at_the_band_of_the_nearer_edge(monkeypatch):
     # a narrow cone far from 0 compares only the ends of the bands it can
-    # reach: 6 and 7 comparisons here, not 1,026 and 2,047 from band 1 up
+    # reach: 4 and 3 comparisons here, not 1,026 and 2,047 from band 1 up
     calls = []
-    compare = convexopt.compare_scalars
+    compare = bounds.compare_scalars
 
     def counted(x, y):
         calls.append((x, y))
         return compare(x, y)
 
-    monkeypatch.setattr(convexopt, "compare_scalars", counted)
     for s_pq, s_op in ((F(2045, 2), F(1024)), (F(-1024), F(-2045, 2))):
-        for fallback in (False, True):
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "compare_scalars", counted)
             calls.clear()
+            ends = bounds._table_ends_inside(s_pq, s_op)
+        assert len(calls) <= 8, (s_pq, s_op, len(calls))
+        assert len(ends) == 1  # one band end inside, +-(4*256**2 - 1)/256
+        for fallback in (False, True):
             got = convexopt._cone_rows(s_pq, s_op, fallback)
-            assert len(calls) <= 8, (s_pq, s_op, len(calls))
             assert got == _reference_cone_rows(s_pq, s_op, fallback)
-            assert len(got[0]) == 3  # one band end inside, +-(4*256**2 - 1)/256
+            assert got[0] == [s_pq, *ends, s_op]
 
 
 def _recorded_points(monkeypatch):

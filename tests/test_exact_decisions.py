@@ -307,6 +307,29 @@ def test_gamma_coefficients_are_written_once():
     assert sites == ["walls.py:_gamma_coeffs"]
 
 
+def _spells_band_end(node) -> bool:
+    return isinstance(node, ast.BinOp) and ast.unparse(node) in ("4 * n * n - 1", "1 - 4 * n * n")
+
+
+TABLE_INTERNALS = {"_band", "_nearest_band", "_TABLE_BOUNDARIES", "_FALLBACK_CASE"}
+
+
+def test_band_rule_is_written_once():
+    # rows 8 and 9 own the bands 4n^2 - 1 <= n*s <= 4n^2, written in
+    # bounds._band alone; convexopt takes the table ends from bounds and
+    # reads none of the table's internals
+    sites = [
+        f"{path.name}:{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in _sites(ast.parse(path.read_text()), _spells_band_end)
+    ]
+    assert sites == ["bounds.py:_band"]
+    tree = ast.parse((SRC / "convexopt.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & TABLE_INTERNALS, names & TABLE_INTERNALS
+
+
 CACHES = {"lru_cache", "cache"}
 
 

@@ -555,7 +555,8 @@ def _spade_row_points(row, rng, n):
     row's ranges (or a band's) and anywhere in [-30, 30], plus a zero of a
     ratio row's denominator."""
     r2 = QuadNum(0, 1, 2)
-    ranges = (row.ranges or (_band(rng.randint(1, 4))[row.case_id - 8],)) if row.case_id else (Interval(-30, 30),)
+    sign = 1 if row.case_id == 9 else -1  # band rows: row 9 on band n, row 8 on band -n
+    ranges = (row.ranges or (Interval(*_band(sign * rng.randint(1, 4))),)) if row.case_id else (Interval(-30, 30),)
     for _ in range(n):
         r = rng.choice(ranges)
         s = r.lo + (r.hi - r.lo) * F(rng.randint(0, 20), 20) if rng.random() < 0.5 else F(rng.randint(-600, 600), 20)

@@ -224,6 +224,34 @@ def test_region_predicates_quadnum_beta():
     assert flags.thm35_region  # 2 > 1 + (sqrt2-1)(2-sqrt2)/2 = 1 + (3sqrt2-4)/2 ~ 1.12
 
 
+def test_thm35_region_is_the_thm13_circle_in_the_linear_chart():
+    # for a = (alpha^2 + beta^2)/2 and f = {beta}, a - beta^2/2 - f(1 - f)/2
+    # = (alpha^2 + (f - 1/2)^2 - 1/4)/2: one region, each flag in its chart;
+    # seeded rational, a + b*sqrt(2) and on-circle (Pythagorean) parameters
+    rng = random.Random(151)
+    params = [
+        TiltParams(F(rng.randrange(1, 130), 200), F(rng.randrange(-2000, 2001), rng.randrange(1, 200)))
+        for _ in range(6000)
+    ]
+    params += [
+        TiltParams(F(rng.randrange(1, 130), 200), QuadNum(F(rng.randrange(-40, 41), 7), F(rng.randrange(-9, 10), 5), 2))
+        for _ in range(500)
+    ]
+    params += [
+        TiltParams(F(x, 2 * c), n + F(1, 2) + F(sign * y, 2 * c))
+        for x, y, c in ((3, 4, 5), (4, 3, 5), (5, 12, 13), (8, 15, 17))
+        for sign in (1, -1)
+        for n in (-3, 0, 2)
+    ]
+    seen = set()
+    for p in params:
+        circle = stability_region_predicates(p, 0, 0).thm13_circle
+        assert stability_region_predicates(linear_params_from_canonical(p), 0, 0).thm35_region is circle, p
+        seen.add(circle)
+    assert seen == {False, True}
+    assert not any(stability_region_predicates(p, 0, 0).thm13_circle for p in params[-24:])
+
+
 def test_nu_equality_on_determinant_locus():
     # if the reduced character of w lies on the line through (alpha0, beta0)
     # and the reduced character of v, the linear-chart tilt slopes agree
