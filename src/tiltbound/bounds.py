@@ -18,6 +18,7 @@ from typing import Sequence
 from .chern import CurveClass
 from .exactnum import (
     _enclosure,
+    _int_parts,
     _poly_min_on_interval,
     Poly1,
     QuadNum,
@@ -198,9 +199,10 @@ class SpadeCase:
         if s:
             rad = q[0] * x * x + q[1] * x * y + q[2] * y * y
             if isinstance(rad, QuadNum):
-                if rad.b:
+                u, v, _, _ = _int_parts(rad)
+                if v:
                     raise NestedRadical(f"nested radical sqrt({format_scalar(rad / (d * d))})")
-                rad = rad.a.numerator
+                rad = u
             if rad < 0:
                 raise SlopeOutOfTable("negative radicand outside the case range")
         return out, div, rad
@@ -238,8 +240,8 @@ class SpadeCase:
         out, div, rad = self._frame(x, y)
         terms = [(out, 1)]
         if isinstance(out, QuadNum):
-            (a, b), d = clear_denominators((out.a, out.b))
-            terms, div = [(a, 1), (b, out.m)], div * d
+            u, v, m, w = _int_parts(out)
+            terms, div = [(u, 1), (v, m)], div * w
         return _enclosure((*terms, (self.integral[2], rad)), div, bits)
 
 

@@ -17,27 +17,24 @@ this module provides
 
 Everything is immutable and pure; no float is made (``float()`` of an
 exact value raises TypeError; ``math`` serves integers).  Only this module
-decides order: one radical by its norm (``_sign_single``), larger sums by
-the floor that ``_floor_irrational`` finds by doubling the bits of
-``_enclosure``, the one integer enclosure of a sum of square roots.
-``floor_scalar`` reads that enclosure at bits = 0 for one radical and the
-loop for more, ``decimal_str`` takes every digit from ``floor_scalar``, and
-the spade rows' ``enclosure`` reads ``_enclosure`` too.  ``ExactOrder``
-derives the rich comparisons (so ``min``, ``max``, ``sorted`` apply).
-Beside it, ``ExactRing`` derives the arithmetic of the four value types
-above from their own ``+``, unary ``-`` and ``*``: subtraction, the reflected
+decides order, and only on integers.  ``_int_parts`` is the one split of an
+int, a Fraction or a QuadNum into ints (u + v*sqrt(m))/w, and
+``_sign_terms`` the one sign test of integer terms n*sqrt(m): one radical by
+its norm, larger sums by the floor that ``_floor_irrational`` finds by
+doubling the bits of ``_enclosure``, the one integer enclosure of a sum of
+square roots.  ``compare_scalars`` signs one integer term map for x - y
+(an int/Fraction pair, one cross-multiplied integer), ``floor_scalar``
+reads the enclosure at bits = 0 for one radical and the loop for more,
+``decimal_str`` takes every digit from ``floor_scalar``, and the spade rows'
+``enclosure`` reads ``_enclosure`` too.  ``ExactOrder`` derives the rich
+comparisons (so ``min``, ``max``, ``sorted`` apply).  Beside it,
+``ExactRing`` derives the arithmetic of the four value types above from
+their own ``+``, unary ``-`` and ``*``: subtraction, the reflected
 operators, ``**`` and immutability; and their ``==`` and ``hash`` from one
 canonical key, so a rational value equals and hashes as its Fraction.
 ``rational_or_quad`` is the one demotion of a rational ``QuadNum`` to a
-Fraction.
-
-Rational operands are decided and combined on integers, not through
-Fraction's generic operator protocol: ``compare_scalars`` orders an
-int/Fraction pair by the sign of one cross-multiplied integer,
-``scalar_sign`` and ``_sgn`` read the sign of the numerator, the sign tests
-square or enclose cleared numerators, and ``QuadNum``'s ``+``, ``*`` and
-``/`` act on (a, b) directly when the other operand is an int or a Fraction
-(never wrapping it as ``QuadNum(r)``).
+Fraction, and ``QuadNum``'s ``+``, ``*`` and ``/`` act on (a, b) directly
+when the other operand is an int or a Fraction.
 
 Exact inputs only: ``as_fraction`` is the one door through which a value
 becomes a rational, at every constructor and entry point, so a binary float
@@ -255,20 +252,6 @@ def _sgn(x) -> int:
     return (n > 0) - (n < 0)
 
 
-def _sign_single(u: Fraction, b: Fraction, m: int) -> int:
-    """Exact sign of u + b*sqrt(m), m square-free > 1 unless b == 0."""
-    sb = _sgn(b)
-    su = _sgn(u)
-    if not sb or su == sb:
-        return su
-    if not su:
-        return sb
-    # opposite signs: the sign of u^2 - b^2 m, cleared of denominators
-    un, ud, bn, bd = u.numerator, u.denominator, b.numerator, b.denominator
-    t = un * un * bd * bd - bn * bn * m * ud * ud
-    return su if t > 0 else (sb if t < 0 else 0)
-
-
 def _enclosure(terms, den: int, bits: int) -> tuple[int, int]:
     """Integers lo <= 2**bits * sum(n*sqrt(m) for n, m in terms) / den <= hi
     for integer pairs (n, m), m >= 0, and an integer den > 0 (or den < 0 if
@@ -306,14 +289,29 @@ def _floor_irrational(pairs, den: int) -> int:
         bits *= 2
 
 
-def _sign_irrational(terms: Mapping[int, Fraction]) -> int:
-    """Sign of sum c*sqrt(m) over {m: c}: distinct square-free keys (1 for
-    the rational part), one key m > 1 with c != 0 at least.  Square roots of
-    distinct square-free integers are linearly independent over Q
-    (Besicovitch, 1940), so the sum is irrational, and its sign is that of
-    the floor of its cleared numerator (-1 below 0), refined from 32 bits."""
-    nums, _ = clear_denominators(list(terms.values()))
-    return 1 if _floor_irrational(list(zip(nums, terms)), 1) >= 0 else -1
+def _norm(u, v, m):
+    """u*u - v*v*m, the norm of u + v*sqrt(m), for ints or Fractions."""
+    return u * u - v * v * m
+
+
+def _sign_terms(terms: Mapping[int, int]) -> int:
+    """Sign of sum(n*sqrt(m)) over {m: n} for int n (a zero adds nothing)
+    and distinct keys m, 1 for the rational part, else square-free m > 1:
+    the library's one sign test.  u + b*sqrt(m) is decided by its norm
+    u^2 - b^2 m.  Square roots of distinct square-free integers are linearly
+    independent over Q (Besicovitch, 1940), so a sum of two or more radicals
+    is irrational, and its sign is that of its ``_floor_irrational``."""
+    u = terms.get(1, 0)
+    rad = [(n, m) for m, n in terms.items() if n and m != 1]
+    if len(rad) > 1:
+        return 1 if _floor_irrational([(u, 1), *rad], 1) >= 0 else -1
+    su = (u > 0) - (u < 0)
+    if not rad:
+        return su
+    ((b, m),) = rad
+    sb = 1 if b > 0 else -1
+    # u and b of opposite signs: u^2 != b^2 m, as sqrt(m) is irrational
+    return su if su == -sb and _norm(u, b, m) > 0 else sb
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +439,8 @@ class QuadNum(ExactOrder, ExactRing):
         return self.a
 
     def sign(self) -> int:
-        return _sign_single(self.a, self.b, self.m)
+        u, v, m, _ = _int_parts(self)
+        return _sign_terms({1: u, m: v})
 
     # -- arithmetic (same radicand only) ------------------------------------
     # an int or a Fraction operand acts on (a, b) directly
@@ -488,7 +487,7 @@ class QuadNum(ExactOrder, ExactRing):
         if not isinstance(other, _RATIONAL_TYPES):
             return NotImplemented
         # a^2 = b^2 m forces a = b = 0 for a square-free m > 1
-        norm = self.a * self.a - self.b * self.b * self.m
+        norm = _norm(self.a, self.b, self.m)
         if not norm:
             raise ZeroDivisionError("division by zero QuadNum")
         k = other / norm
@@ -522,9 +521,7 @@ _RATIONAL_TYPES = (int, Fraction)
 def scalar_sign(x) -> int:
     if type(x) in _RATIONAL_TYPES:
         return _sgn(x)
-    if isinstance(x, QuadNum):
-        return x.sign()
-    if isinstance(x, RadicalSum):
+    if isinstance(x, (QuadNum, RadicalSum)):
         return x.sign()
     return _sgn(as_fraction(x))
 
@@ -536,16 +533,12 @@ def compare_scalars(x, y) -> int:
         return (d > 0) - (d < 0)
     if isinstance(x, RadicalSum) or isinstance(y, RadicalSum):
         return (RadicalSum.of(x) - RadicalSum.of(y)).sign()
-    xa, xb, xm = (x.a, x.b, x.m) if isinstance(x, QuadNum) else (as_fraction(x), 0, 0)
-    ya, yb, ym = (y.a, y.b, y.m) if isinstance(y, QuadNum) else (as_fraction(y), 0, 0)
-    u = xa - ya
-    if not yb:
-        return _sign_single(u, xb, xm)
-    if not xb:
-        return _sign_single(u, -yb, ym)
-    if xm == ym:
-        return _sign_single(u, xb - yb, xm)
-    return _sign_irrational({1: u, xm: xb, ym: -yb})
+    # the sign of x - y is that of x*wx*wy - y*wx*wy, all integers
+    xu, xv, xm, xw = _int_parts(x)
+    yu, yv, ym, yw = _int_parts(y)
+    terms = {1: xu * yw - yu * xw, xm: xv * yw}
+    terms[ym] = terms.get(ym, 0) - yv * xw
+    return _sign_terms(terms)
 
 
 def as_fraction(x) -> Fraction:
@@ -564,8 +557,24 @@ def rational_or_quad(x) -> Scalar:
     """A Fraction for an int, a Fraction or a rational QuadNum; otherwise the
     irrational QuadNum itself (TypeError for any other type)."""
     if isinstance(x, QuadNum):
-        return x if x.b else x.a
+        return x.as_fraction() if x.is_rational else x
     return as_fraction(x)
+
+
+def _int_parts(x) -> tuple[int, int, int, int]:
+    """Ints (u, v, m, w), w > 0, with x = (u + v*sqrt(m))/w for an int, a
+    Fraction or a QuadNum (v = m = 0 if x is rational): the one split of a
+    scalar into integers, and the one reader of a QuadNum's a, b and m but
+    its own methods, ``clear_denominators`` and ``RadicalSum.of``."""
+    if isinstance(x, QuadNum):
+        a, b = x.a, x.b
+        if b:
+            w = math.lcm(a.denominator, b.denominator)
+            return a.numerator * (w // a.denominator), b.numerator * (w // b.denominator), x.m, w
+        x = a
+    elif type(x) not in _RATIONAL_TYPES:
+        x = as_fraction(x)
+    return x.numerator, 0, 0, x.denominator
 
 
 def clear_denominators(values) -> tuple[list, int]:
@@ -585,20 +594,18 @@ def unscale(x, den: int):
 
 def floor_scalar(x) -> int:
     """Exact floor of an int, a Fraction, a QuadNum or a RadicalSum.  An
-    irrational x = (A + B*sqrt(m))/d is floored by the lower end of its
-    enclosure at bits = 0, which is exact: B*sqrt(m) is irrational, so it
-    lies strictly between the integers that end its term's enclosure.  A
-    sum of two or more radicals is floored by ``_floor_irrational``."""
+    irrational x = (A + B*sqrt(m))/d (``_int_parts``) is floored by the
+    lower end of its enclosure at bits = 0, which is exact: B*sqrt(m) is
+    irrational, so it lies strictly between the integers that end its
+    term's enclosure.  A sum of two or more radicals is floored by
+    ``_floor_irrational``."""
     if isinstance(x, RadicalSum):
         x = x.to_exact()
         if isinstance(x, RadicalSum):
             nums, d = clear_denominators(list(x.terms.values()))
             return _floor_irrational(list(zip(nums, x.terms)), d)
-    if isinstance(x, QuadNum) and x.b:
-        (a, b), d = clear_denominators((x.a, x.b))
-        return _enclosure(((a, 1), (b, x.m)), d, 0)[0]
-    q = rational_or_quad(x)
-    return q.numerator // q.denominator
+    u, v, m, w = _int_parts(x)
+    return _enclosure(((u, 1), (v, m)), w, 0)[0] if v else u // w
 
 
 # ---------------------------------------------------------------------------
@@ -664,25 +671,22 @@ class RadicalSum(ExactOrder, ExactRing):
             return NotImplemented
         # sqrt(m)*sqrt(k) = g*sqrt((m/g)(k/g)) with g = gcd(m, k): the product
         # key is square-free again, so nothing is factored
-        k = other.m or 1
+        # the rational part first, even at 0: each key m of self stays in place
         t: dict[int, Fraction] = {}
+        factors = {1: 0, **RadicalSum.of(other).terms}.items()
         for m, c in self.terms.items():
-            g = math.gcd(m, k)
-            mk = (m // g) * (k // g)
-            t[m] = t.get(m, 0) + c * other.a
-            t[mk] = t.get(mk, 0) + c * other.b * g
+            for k, d in factors:
+                g = math.gcd(m, k)
+                mk = (m // g) * (k // g)
+                t[mk] = t.get(mk, 0) + c * d * g
         return RadicalSum._reduced(t)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def sign(self) -> int:
-        t = self.terms
-        rad = [m for m in t if m != 1]
-        if len(rad) > 1:
-            return _sign_irrational(t)
-        m = rad[0] if rad else 0
-        return _sign_single(t.get(1, 0), t.get(m, 0), m)
+        nums, _ = clear_denominators(list(self.terms.values()))
+        return _sign_terms(dict(zip(self.terms, nums)))
 
     def _cmp(self, other) -> int:
         return (self - RadicalSum.of(other)).sign()
@@ -1053,8 +1057,8 @@ class Poly1(ExactRing):
     def evaluate(self, x):
         """p(x) for an int, Fraction or QuadNum x, by one integer Horner loop.
 
-        With the coefficients as n_i / D and x = (U + V*sqrt(m)) / W in
-        integers (both written by ``clear_denominators``), W**d * D * p(x) =
+        With the coefficients as n_i / D (``clear_denominators``) and x =
+        (U + V*sqrt(m)) / W (``_int_parts``), W**d * D * p(x) =
         sum_i n_i (U + V*sqrt(m))**i W**(d-i); ``_horner`` keeps that
         numerator as A + B*sqrt(m) (V = m = 0 for a rational x) and this
         divides once at the end.  A Fraction for an int or Fraction x, a
@@ -1063,17 +1067,11 @@ class Poly1(ExactRing):
         """
         if not self.coeffs:
             return Fraction(0)
-        quad = isinstance(x, QuadNum)
-        if quad:
-            (u, v), w = clear_denominators((x.a, x.b))
-            m = x.m
-        else:
-            x = as_fraction(x)
-            u, v, m, w = x.numerator, 0, 0, x.denominator
+        u, v, m, w = _int_parts(x)
         nums, den = clear_denominators(self.coeffs)
         a, b, wk = _horner(nums, u, v, m, w)
         den *= wk
-        return QuadNum._reduced(Fraction(a, den), Fraction(b, den), m) if quad else Fraction(a, den)
+        return QuadNum._reduced(Fraction(a, den), Fraction(b, den), m) if isinstance(x, QuadNum) else Fraction(a, den)
 
     def derivative(self) -> "Poly1":
         return Poly1([i * c for i, c in enumerate(self.coeffs)][1:])

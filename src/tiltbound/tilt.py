@@ -116,7 +116,7 @@ class SlopeValue(ExactOrder):
         return compare_scalars(self.value, other.value)
 
     def __eq__(self, other):
-        if isinstance(other, (SlopeValue, int, Fraction, QuadNum)):
+        if isinstance(other, (ExactOrder, int, Fraction)):
             return self._cmp(other) == 0
         return NotImplemented
 

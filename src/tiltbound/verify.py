@@ -46,12 +46,12 @@ from .convexopt import (
 )
 from .exactnum import (
     _horner,
+    _int_parts,
     _poly_min_on_interval,
     MPoly,
     Poly1,
     QuadNum,
     RadicalSum,
-    clear_denominators,
     compare_scalars,
     format_scalar,
     poly_equal,
@@ -177,8 +177,7 @@ def suite_radicals(perturb: bool = False):
                     k = Fraction(a * d * (_K_PER_RANGE - k_idx) + c * b * k_idx, _K_PER_RANGE * b * d)
                     x = walls.line_gamma_intersection(k, side)
                     samples += 1
-                    a_x, b_x, m = (x.a, x.b, x.m) if isinstance(x, QuadNum) else (x, 0, 0)
-                    (u, v), w = clear_denominators((a_x, b_x))
+                    u, v, m, w = _int_parts(x)
                     p, q = k.numerator, k.denominator
                     residual = (-q * c0, p - q * c1, -q * c2)
                     rat, irr, _ = _horner(residual, u, v, m, w)

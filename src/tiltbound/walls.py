@@ -23,6 +23,8 @@ from .exactnum import (
     Poly1,
     QuadNum,
     Scalar,
+    _horner,
+    _int_parts,
     _quadratic_roots,
     as_fraction,
     floor_scalar,
@@ -145,19 +147,17 @@ def gamma_piece(n: int) -> Poly1:
 def gamma_curve(x) -> Scalar:
     """Exact Gamma(x) with the integer-point convention Gamma(n) = 4n^2.
 
-    A rational x = p/q (q > 0) is valued on integers: Fraction(4p^2) at an
-    integer, else the ``_gamma_coeffs`` (c0, c1, c2) of the piece of n =
-    (2p + q) // (2q), which is ``gamma_piece_index(x)``, over q^2:
-    Fraction(c2 p^2 + c1 pq + c0 q^2, q^2).  An irrational QuadNum x is
-    valued by ``gamma_piece(gamma_piece_index(x)).evaluate(x)``."""
-    x = rational_or_quad(x)
-    if isinstance(x, QuadNum):
-        return gamma_piece(gamma_piece_index(x)).evaluate(x)
-    p, q = x.numerator, x.denominator
-    if q == 1:
-        return Fraction(4 * p * p)
-    c0, c1, c2 = _gamma_coeffs((2 * p + q) // (2 * q))
-    return Fraction((c2 * p + c1 * q) * p + c0 * q * q, q * q)
+    With x = (u + v*sqrt(m))/w in integers (``exactnum._int_parts``), an
+    integer x is Fraction(4u^2); otherwise one ``_horner`` call values the
+    ``_gamma_coeffs`` of the piece n = ``gamma_piece_index(x)`` (for a
+    rational x, (2u + w) // (2w) on integers) as (A + B*sqrt(m))/w^2: a
+    Fraction for a rational x, a QuadNum for an irrational one."""
+    u, v, m, w = _int_parts(x)
+    if not v and w == 1:
+        return Fraction(4 * u * u)
+    n = gamma_piece_index(x) if v else (2 * u + w) // (2 * w)
+    a, b, wk = _horner(_gamma_coeffs(n), u, v, m, w)
+    return QuadNum._reduced(Fraction(a, wk), Fraction(b, wk), m) if v else Fraction(a, wk)
 
 
 # line_gamma_intersection dispatch: (k-range closure, piece index) per side,

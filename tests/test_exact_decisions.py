@@ -330,6 +330,54 @@ def test_band_rule_is_written_once():
     assert not names & TABLE_INTERNALS, names & TABLE_INTERNALS
 
 
+def _reads(*attrs):
+    def hit(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in attrs and isinstance(node.ctx, ast.Load)
+
+    return hit
+
+
+def _spells_norm(node) -> bool:
+    """u*u - v*v*m: a subtraction whose right side multiplies the square of
+    a variable (a name or an attribute)."""
+
+    def square_times(n):
+        return (
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Mult)
+            and isinstance(n.left, ast.BinOp)
+            and isinstance(n.left.op, ast.Mult)
+            and isinstance(n.left.left, (ast.Name, ast.Attribute))
+            and ast.dump(n.left.left) == ast.dump(n.left.right)
+        )
+
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and any(map(square_times, ast.walk(node.right)))
+
+
+# the modules that decide on scalars (WallLine's own fields a, b, c are
+# read in walls and cli)
+SCALAR_READERS = ("bounds.py", "convexopt.py", "verify.py", "tilt.py", "chern.py")
+QUADNUM_PART_READERS = {"QuadNum", "clear_denominators", "RadicalSum.of", "_int_parts"}
+
+
+def test_quadnum_parts_are_split_into_integers_once():
+    # exactnum._int_parts writes a scalar as ints (u + v*sqrt(m))/w: no
+    # other module reads a QuadNum's radicand, the scalar-deciding modules
+    # read no a or b, and in exactnum the parts are read by QuadNum's own
+    # methods, the integer frame, RadicalSum.of and _int_parts alone
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    m_sites = [f"{name}:{where}" for name, tree in trees.items() if name != "exactnum.py" for where in _sites(tree, _reads("m"))]
+    assert m_sites == []
+    ab_sites = [f"{name}:{where}" for name in SCALAR_READERS for where in _sites(trees[name], _reads("a", "b"))]
+    assert ab_sites == []
+    inside = {where.split(".")[0] if where.startswith("QuadNum.") else where
+              for where in _sites(trees["exactnum.py"], _reads("a", "b", "m"))}
+    assert inside <= QUADNUM_PART_READERS, inside - QUADNUM_PART_READERS
+    # the norm u^2 - b^2 m of one radical is spelled once, in exactnum._norm
+    norms = [f"{name}:{where}" for name, tree in trees.items() for where in _sites(tree, _spells_norm)]
+    assert norms == ["exactnum.py:_norm"]
+
+
 CACHES = {"lru_cache", "cache"}
 
 

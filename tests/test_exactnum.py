@@ -160,6 +160,39 @@ def test_compare_mixed_radicands():
     assert compare_scalars(a, a) == 0
 
 
+FRACTION_ARITHMETIC = [
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+    "__floordiv__", "__mod__", "__pow__", "__neg__", "__abs__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+]
+
+
+def test_compare_against_a_quadnum_does_no_fraction_arithmetic(monkeypatch):
+    # a rational against one radical and two values over one radicand are
+    # signed on the integers that exactnum._int_parts writes: no Fraction
+    # is added, multiplied, divided or compared on the way
+    sqrt13 = QuadNum(0, 1, 13)
+    pairs = [
+        (F(18, 5), sqrt13),  # 18/5 - sqrt(13): opposite signs, decided by the norm -1
+        (sqrt13, F(-7, 2)),
+        (QuadNum(F(4, 3), F(-1, 3), 13), QuadNum(F(8, 3), F(-1, 3), 13)),
+        (QuadNum(F(1, 2), F(1, 3), 13), QuadNum(F(1, 2), F(1, 3), 13)),
+    ]
+    calls = []
+
+    def spy(name, fn):
+        def counting(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counting
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(F, name, spy(name, getattr(F, name)))
+    signs = [compare_scalars(x, y) for x, y in pairs]
+    assert calls == []
+    assert signs == [-1, 1, -1, 0]
+
+
 def test_compare_against_mpmath_oracle():
     # an irrational x (b != 0) is compared with the sign of x - p at 60
     # digits, far above its distance from p; a rational one exactly

@@ -96,13 +96,22 @@ def test_cancelling_sums_match_sympy(pair, tail):
 def test_compare_mixed_radicands_against_sympy():
     rng = random.Random(71)
     rads = [2, 3, 5, 7, 13, 61, 69, 2374]
+
+    def frac():
+        return F(rng.randrange(-30, 31), rng.randrange(1, 9))
+
     for _ in range(2000):
         m, k = rng.sample(rads, 2)
-        x, y = (
-            QuadNum(F(rng.randrange(-30, 31), rng.randrange(1, 9)), F(rng.randrange(-30, 31), rng.randrange(1, 9)), r)
-            for r in (m, k)
-        )
+        x, y = (QuadNum(frac(), frac(), r) for r in (m, k))
         _check_order(x, y)
+    # a rational against one radical (most comparisons the suites make), two
+    # values over one radicand, and exact ties: a value against itself, a
+    # rational QuadNum against its Fraction
+    for _ in range(500):
+        m = rng.choice(rads)
+        x, y, p = QuadNum(frac(), frac(), m), QuadNum(frac(), frac(), m), frac()
+        for u, v in ((x, p), (p, x), (x, y), (x, x), (QuadNum(p), p), (p, QuadNum(p))):
+            _check_order(u, v)
 
 
 def _below_2_100(rng):
@@ -146,9 +155,10 @@ def test_near_ties_below_2_100_double_the_bits(monkeypatch):
 
 
 @PROPS
-@given(radical_sums(min_radicals=2), st.integers(-(10**6), 10**6))
-def test_floor_of_radical_sums_matches_sympy(x, k):
-    for s in (x, x + k, -x):
+@given(radical_sums(min_radicals=2), radical_sums(min_radicals=1), st.integers(-(10**6), 10**6))
+def test_floor_of_radical_sums_matches_sympy(x, y, k):
+    # y may be one radical, floored through its QuadNum's integer parts
+    for s in (x, x + k, -x, y, y + k, -y, y.to_exact()):
         assert floor_scalar(s) == sympy.floor(_sympy(s)), s
 
 

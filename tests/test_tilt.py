@@ -6,7 +6,7 @@ import pytest
 
 from tiltbound.chern import CONTEXTS, S222, X24, ChernVec, CurveClass, exp_twist, grr_push_to_k3, twist_beta
 from tiltbound import tilt
-from tiltbound.exactnum import MPoly, QuadNum, poly_equal
+from tiltbound.exactnum import MPoly, QuadNum, RadicalSum, poly_equal
 from tiltbound.tilt import (
     InvalidRegion,
     PreconditionError,
@@ -39,6 +39,11 @@ def test_slope_value_ordering():
     assert SlopeValue.finite(F(1, 2)) < inf
     assert inf > SlopeValue.finite(10**9)
     assert SlopeValue.finite(F(1, 2)) == F(1, 2)
+    # every exact scalar compares equal to its slope, a RadicalSum too
+    r = RadicalSum({2: F(1, 3), 3: F(-1, 5)})
+    assert SlopeValue.finite(r) == r and r == SlopeValue.finite(r)
+    assert SlopeValue.finite(r) <= r and SlopeValue.finite(r) >= r and hash(SlopeValue.finite(r)) == hash(r)
+    assert SlopeValue.finite(r) != r + F(1, 10**30)
 
 
 def test_mu_slope_examples():

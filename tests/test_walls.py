@@ -195,9 +195,11 @@ def test_rational_gamma_builds_no_piece(monkeypatch):
     values = [gamma_curve(x) for x in (F(1, 2), F(-7, 2), F(3, 64), F(-999999, 1000))]
     assert calls == []
     assert values == [F(1, 4), F(193, 4), F(-4051, 4096), F(799998200001, 200000)]
-    # an irrational argument still takes its piece, and the spies see it
-    gamma_curve(QuadNum(0, F(1, 5), 5))
-    assert calls == ["floor_scalar", "gamma_piece", "Poly1"]
+    # an irrational argument finds its piece index by floor_scalar and is
+    # valued on the same integer coefficients: no gamma_piece, no Poly1
+    assert gamma_curve(QuadNum(0, F(1, 5), 5)) == 0
+    assert gamma_curve(QuadNum(F(3, 2), F(1, 7), 2)) == QuadNum(F(1657, 196), F(11, 7), 2)
+    assert calls == ["floor_scalar", "floor_scalar"]
 
 
 def test_gamma_quadnum_argument():
